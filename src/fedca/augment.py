@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import CandidateCenters
-from .errors import ValidationError
+from .errors import ValidationError, check_json, json_field
 from .parallel import parallel_map
 from .selection import CenterSelection
 from .store import EmbeddingStore
@@ -235,3 +235,12 @@ def data_select(
 
 def augments_to_json(results: list[RetrievalResult]) -> list[dict]:
     return [r.to_json_dict() for r in results]
+
+
+def augset_ids_from_json(obj: list[dict]) -> list[list[int]]:
+    """Per-client record ids from the list ``augments_to_json`` writes."""
+    check_json(obj, (list,), "augsets")
+    return [
+        json_field(entry, "ids", (list,), f"augsets entry {k}", items=(int,))
+        for k, entry in enumerate(obj)
+    ]

@@ -7,24 +7,32 @@ budget. Diagnostics go to stderr; results go to files or stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
-from . import fedsim
 from .augment import (
     augments_to_json,
+    augset_ids_from_json,
     direct_retrieval_augment,
     feddca_augment,
     random_sampling_augment,
 )
 from .clustering import CandidateCenters, kmeans
 from .errors import BudgetExceededError, FedcaError, ValidationError
-from .fedsim import ExperimentConfig, compare_strategies, heterogeneity_sweep, run_experiment, write_rows_csv
-from .metrics import comm_cost, cross_client_coverage, icacs, ruai
+from .fedsim import (
+    ExperimentConfig,
+    assemble_metrics,
+    compare_strategies,
+    heterogeneity_sweep,
+    partition_domain,
+    run_experiment,
+    write_rows_csv,
+)
 from .parallel import set_thread_count
-from .partition import PartitionPlan, dirichlet_partition, distinct_cluster_partition, iid_partition
+from .partition import PartitionPlan
 from .selection import (
     DEFAULT_BRUTE_BUDGET,
     CenterSelection,
@@ -77,8 +85,16 @@ def _write_json(path: str, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
+def _read_json(path: str, parse):
+    """``parse`` applied to the JSON file at ``path``; errors name the file."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _load_selection(path: str) -> CenterSelection:
-    return CenterSelection.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return _read_json(path, CenterSelection.from_json_dict)
 
 
 # ----------------------------------------------------------------- handlers
@@ -112,22 +128,10 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_partition(args) -> int:
     store = _load_store(args.infile)
-    if args.mode == "iid":
-        plan = iid_partition(store, args.clients, args.per_client, args.seed)
-    else:
-        from .clustering import assign_labels
-
-        k_lab = min(args.label_clusters, len(store))
-        pseudo = kmeans(store.vectors, k_lab, args.seed)
-        labels = assign_labels(store.vectors, pseudo)
-        if args.mode == "dirichlet":
-            plan = dirichlet_partition(
-                store, labels, args.clients, args.per_client, args.beta, args.seed
-            )
-        else:
-            plan = distinct_cluster_partition(
-                store, labels, args.clients, args.per_client, args.seed
-            )
+    beta_or_mode = args.beta if args.mode == "dirichlet" else args.mode
+    plan = partition_domain(
+        store, beta_or_mode, args.clients, args.per_client, args.label_clusters, args.seed
+    )
     _write_json(args.out, plan.to_json_dict())
     print(json.dumps({"clients": plan.n_clients, "shortfalls": plan.shortfalls, "out": args.out}))
     return EXIT_OK
@@ -183,40 +187,19 @@ def _cmd_augment(args) -> int:
 def _cmd_metrics(args) -> int:
     domain = _load_store(args.domain)
     universe = _load_store(args.universe)
-    plan = PartitionPlan.from_json_dict(json.loads(Path(args.plan).read_text(encoding="utf-8")))
-    augsets = json.loads(Path(args.augsets).read_text(encoding="utf-8"))
-    aug_ids = [[int(i) for i in entry["ids"]] for entry in augsets]
-    if len(aug_ids) != plan.n_clients:
-        raise ValidationError(
-            f"augsets cover {len(aug_ids)} clients but the plan has {plan.n_clients}"
-        )
-    client_sets = list(zip(plan.assignments, aug_ids))
-    cov = cross_client_coverage(domain, client_sets, universe)
-    icacs_value = None
-    if len(aug_ids) >= 2:
-        icacs_value = icacs([universe.vectors_for(ids) for ids in aug_ids], seed=args.seed)
-    upload, download = comm_cost(plan.n_clients, args.xi, universe.dim, aug_ids)
-    passes = None
-    if args.selection:
-        passes = _load_selection(args.selection).passes
-    report = {
-        "domain_coverage": cov.value,
-        "reference_size": cov.reference_size,
-        "icacs": icacs_value,
-        "ruai": ruai(aug_ids),
-        "comm_upload_floats": upload,
-        "comm_download_records": download,
-        "convergence_passes": passes,
-    }
-    _write_json(args.out, report)
-    print(json.dumps({"domain_coverage": cov.value, "out": args.out}))
+    plan = _read_json(args.plan, PartitionPlan.from_json_dict)
+    aug_ids = _read_json(args.augsets, augset_ids_from_json)
+    passes = _load_selection(args.selection).passes if args.selection else 0
+    report = assemble_metrics(
+        domain, universe, plan.assignments, aug_ids, args.xi, args.seed, passes
+    )
+    _write_json(args.out, report.to_json_dict())
+    print(json.dumps({"domain_coverage": report.domain_coverage.value, "out": args.out}))
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_json_dict(
-        json.loads(Path(args.config).read_text(encoding="utf-8"))
-    )
+    cfg = _read_json(args.config, ExperimentConfig.from_json_dict)
     log = run_experiment(cfg, out_dir=args.out)
     print(json.dumps({
         "run_dir": str(log.run_dir),
@@ -227,9 +210,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = ExperimentConfig.from_json_dict(
-        json.loads(Path(args.config).read_text(encoding="utf-8"))
-    )
+    cfg = _read_json(args.config, ExperimentConfig.from_json_dict)
     betas = [float(b) for b in args.betas.split(",") if b]
     rows = heterogeneity_sweep(cfg, betas)
     write_rows_csv(rows, args.out)
@@ -238,15 +219,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = ExperimentConfig.from_json_dict(
-        json.loads(Path(args.config).read_text(encoding="utf-8"))
-    )
+    cfg = _read_json(args.config, ExperimentConfig.from_json_dict)
     strategies = [s for s in args.strategies.split(",") if s]
-    for s in strategies:
-        if s not in fedsim.STRATEGIES:
-            raise ValidationError(f"unknown strategy {s!r}")
-    import dataclasses
-
     rows = compare_strategies([dataclasses.replace(cfg, strategy=s) for s in strategies])
     write_rows_csv(rows, args.out)
     print(json.dumps({"rows": len(rows), "out": args.out}))
@@ -322,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--clients", type=int, required=True)
     p.add_argument("--per-client", dest="per_client", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42,
+                   help="run seed; the pseudo-label and partition streams are derived "
+                        "from it as in 'fedca run'")
     p.add_argument("--label-clusters", dest="label_clusters", type=int, default=100,
                    help="pseudo-label cluster count for dirichlet/distinct modes")
     p.add_argument("--out", required=True)
@@ -364,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--augsets", required=True)
     p.add_argument("--xi", type=int, default=10, help="centers per client for upload accounting")
-    p.add_argument("--selection", help="selection.json, to report convergence passes")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--selection",
+                   help="selection.json, to report convergence passes (0 without it)")
+    p.add_argument("--seed", type=int, default=42,
+                   help="run seed; the ICACS stream is derived from it as in 'fedca run'")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_metrics)
 
@@ -413,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"fedca: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FedcaError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FedcaError, FileNotFoundError) as exc:
         print(f"fedca: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

@@ -37,7 +37,7 @@ from .augment import (
     random_sampling_augment,
 )
 from .clustering import assign_labels, kmeans
-from .errors import ValidationError
+from .errors import ValidationError, check_json
 from .metrics import MetricsReport, comm_cost, cross_client_coverage, icacs, ruai
 from .partition import (
     PartitionPlan,
@@ -58,6 +58,15 @@ _STREAM_SELECTION = 4
 _STREAM_AUGMENT = 5
 _STREAM_ICACS = 6
 _STREAM_ROUNDS = 7
+
+_INT = (int,)
+_CONFIG_KINDS = {
+    "pool_path": (str,), "domain_label": (str,), "n_clients": _INT,
+    "per_client_local": _INT, "per_client_aug": _INT, "xi": _INT,
+    "alpha": (int, float, type(None)), "beta_or_mode": (int, float, str), "rounds": _INT,
+    "clients_per_round": _INT, "seed": _INT, "strategy": (str,),
+    "pseudo_label_clusters": _INT, "version": _INT,
+}
 
 _KIND_PRIORITY = {"UploadCenters": 0, "SelectionDone": 1, "AugmentedSet": 2, "RoundSample": 3}
 
@@ -116,6 +125,8 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name, kinds in _CONFIG_KINDS.items():
+            check_json(getattr(self, name), kinds, f"config field {name!r}")
         if self.version != 1:
             raise ValidationError(f"unsupported config version {self.version}")
         for name in ("n_clients", "per_client_local", "per_client_aug", "xi",
@@ -142,13 +153,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
+        check_json(obj, (dict,), "config")
+        fields = dataclasses.fields(cls)
+        unknown = set(obj) - {f.name for f in fields}
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
+        missing = [f.name for f in fields
+                   if f.default is dataclasses.MISSING and f.name not in obj]
+        if missing:
+            raise ValidationError(f"config is missing fields {missing}")
+        return cls(**obj)
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -198,26 +212,71 @@ class ExperimentLog:
         return run_dir
 
 
-def _partition(config: ExperimentConfig, domain_store: EmbeddingStore) -> PartitionPlan:
-    mode = config.beta_or_mode
-    if mode == "iid":
-        return iid_partition(
-            domain_store, config.n_clients, config.per_client_local,
-            derive_seed(config.seed, _STREAM_PARTITION),
-        )
-    k_lab = min(config.pseudo_label_clusters, len(domain_store))
-    pseudo = kmeans(
-        domain_store.vectors, k_lab, derive_seed(config.seed, _STREAM_PSEUDO_LABELS)
-    )
+def partition_domain(
+    domain_store: EmbeddingStore,
+    beta_or_mode: float | str,
+    n_clients: int,
+    per_client: int,
+    label_clusters: int,
+    seed: int,
+) -> PartitionPlan:
+    """Split the domain records into per-client local sets.
+
+    ``beta_or_mode`` is a Dirichlet concentration, ``"iid"`` or
+    ``"distinct"``. ``seed`` is the run seed: the pseudo-label k-means and
+    the partition draw use streams derived from it, so the plan equals the
+    one a run with this seed writes.
+    """
+    partition_seed = derive_seed(seed, _STREAM_PARTITION)
+    if beta_or_mode == "iid":
+        return iid_partition(domain_store, n_clients, per_client, partition_seed)
+    k_lab = min(label_clusters, len(domain_store))
+    pseudo = kmeans(domain_store.vectors, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
     labels = assign_labels(domain_store.vectors, pseudo)
-    if mode == "distinct":
+    if beta_or_mode == "distinct":
         return distinct_cluster_partition(
-            domain_store, labels, config.n_clients, config.per_client_local,
-            derive_seed(config.seed, _STREAM_PARTITION),
+            domain_store, labels, n_clients, per_client, partition_seed
         )
     return dirichlet_partition(
-        domain_store, labels, config.n_clients, config.per_client_local,
-        float(mode), derive_seed(config.seed, _STREAM_PARTITION),
+        domain_store, labels, n_clients, per_client, float(beta_or_mode), partition_seed
+    )
+
+
+def assemble_metrics(
+    domain_store: EmbeddingStore,
+    universe: EmbeddingStore,
+    local_ids: list[list[int]],
+    aug_ids: list[list[int]],
+    xi: int,
+    seed: int,
+    passes: int,
+) -> MetricsReport:
+    """Coverage, ICACS, RUAI and communication cost of one run's client data.
+
+    Client k holds ``local_ids[k]`` and ``aug_ids[k]``; every id resolves in
+    ``universe``. ``seed`` is the run seed (ICACS uses a stream derived from
+    it) and ``passes`` the selection's convergence passes (0 without one).
+    """
+    if len(aug_ids) != len(local_ids):
+        raise ValidationError(
+            f"augsets cover {len(aug_ids)} clients but the plan has {len(local_ids)}"
+        )
+    n_clients = len(local_ids)
+    domain_cov = cross_client_coverage(domain_store, list(zip(local_ids, aug_ids)), universe)
+    icacs_value = None
+    if n_clients >= 2:
+        icacs_value = icacs(
+            [universe.vectors_for(ids) for ids in aug_ids],
+            seed=derive_seed(seed, _STREAM_ICACS),
+        )
+    upload, download = comm_cost(n_clients, xi, universe.dim, aug_ids)
+    return MetricsReport(
+        domain_coverage=domain_cov,
+        icacs=icacs_value,
+        ruai=ruai(aug_ids),
+        comm_upload_floats=upload,
+        comm_download_records=download,
+        convergence_passes=passes,
     )
 
 
@@ -243,7 +302,10 @@ def run_experiment(
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    plan = _partition(config, domain_store)
+    plan = partition_domain(
+        domain_store, config.beta_or_mode, config.n_clients, config.per_client_local,
+        config.pseudo_label_clusters, config.seed,
+    )
     timings["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -295,22 +357,9 @@ def run_experiment(
     timings["augment"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    client_sets = [
-        (plan.assignments[k], augsets[k].ids()) for k in range(config.n_clients)
-    ]
-    domain_cov = cross_client_coverage(domain_store, client_sets, pool)
-    icacs_value = None
-    if config.n_clients >= 2:
-        per_client_vectors = [pool.vectors_for(augsets[k].ids()) for k in range(config.n_clients)]
-        icacs_value = icacs(per_client_vectors, seed=derive_seed(config.seed, _STREAM_ICACS))
-    upload, download = comm_cost(config.n_clients, config.xi, pool.dim, augsets)
-    report = MetricsReport(
-        domain_coverage=domain_cov,
-        icacs=icacs_value,
-        ruai=ruai([augsets[k].ids() for k in range(config.n_clients)]),
-        comm_upload_floats=upload,
-        comm_download_records=download,
-        convergence_passes=selection.passes if selection is not None else 0,
+    report = assemble_metrics(
+        domain_store, pool, plan.assignments, [result.ids() for result in augsets],
+        config.xi, config.seed, selection.passes if selection is not None else 0,
     )
     timings["metrics"] = time.perf_counter() - t0
 
@@ -348,16 +397,9 @@ def compare_strategies(
             raise ValidationError("configs must differ only in strategy")
     rows = []
     for cfg in configs:
-        log = run_experiment(cfg, pool=pool)
-        rows.append({
-            "strategy": cfg.strategy,
-            "domain_coverage": log.metrics.domain_coverage.value,
-            "icacs": log.metrics.icacs,
-            "ruai": log.metrics.ruai,
-            "comm_upload_floats": log.metrics.comm_upload_floats,
-            "comm_download_records": log.metrics.comm_download_records,
-            "convergence_passes": log.metrics.convergence_passes,
-        })
+        metrics = run_experiment(cfg, pool=pool).metrics.to_json_dict()
+        del metrics["reference_size"]
+        rows.append({"strategy": cfg.strategy, **metrics})
     return rows
 
 

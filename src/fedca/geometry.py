@@ -81,15 +81,6 @@ def cosine(a, b) -> float:
     return float(va @ vb)
 
 
-def similarity_to_point(matrix, point) -> np.ndarray:
-    """Row-wise cosine of a unit-vector matrix against one unit vector."""
-    m = _matrix64(matrix, "matrix")
-    v = _vector64(point, "point")
-    if m.shape[1] != v.shape[0]:
-        raise ValidationError(f"dimension mismatch: {m.shape[1]} vs {v.shape[0]}")
-    return m @ v
-
-
 def best_similarity(reference, covering) -> np.ndarray:
     """Per-reference-point maximum raw cosine over the covering set.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_json, json_field
 from .store import EmbeddingStore
 
 
@@ -47,14 +47,16 @@ class PartitionPlan:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PartitionPlan":
-        clients = [[int(i) for i in a] for a in obj["clients"]]
-        sizes = {len(a) for a in clients}
+        clients = json_field(obj, "clients", (list,), "plan")
+        for k, ids in enumerate(clients):
+            check_json(ids, (list,), f"plan client {k}", items=(int,))
+        beta = json_field(obj, "beta", (int, float, type(None)), "plan", default=None)
         return cls(
-            mode=str(obj["mode"]),
+            mode=json_field(obj, "mode", (str,), "plan"),
             n_clients=len(clients),
-            per_client=max(sizes) if sizes else 0,
-            beta=None if obj.get("beta") is None else float(obj["beta"]),
-            seed=int(obj["seed"]),
+            per_client=max((len(a) for a in clients), default=0),
+            beta=None if beta is None else float(beta),
+            seed=json_field(obj, "seed", (int,), "plan"),
             assignments=clients,
             shortfalls=[0] * len(clients),
         )

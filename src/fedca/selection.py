@@ -29,7 +29,7 @@ from math import fsum
 import numpy as np
 
 from .clustering import CandidateCenters
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError, json_field
 from .geometry import CoverageValue, SimilarityMode, coverage
 
 IMPROVEMENT_EPS = 1e-12
@@ -81,20 +81,26 @@ class CenterSelection:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CenterSelection":
-        slots = [
-            SelectedCenter(
-                client=int(s["client"]),
-                cluster=int(s["cluster"]),
-                vector=np.asarray(s["vector"], dtype=np.float32),
-            )
-            for s in obj["slots"]
-        ]
+        number = (int, float)
+        slots = []
+        for k, s in enumerate(json_field(obj, "slots", (list,), "selection")):
+            owner = f"selection slot {k}"
+            slots.append(SelectedCenter(
+                client=json_field(s, "client", (int,), owner),
+                cluster=json_field(s, "cluster", (int,), owner),
+                vector=np.asarray(json_field(s, "vector", (list,), owner, items=number),
+                                  dtype=np.float32),
+            ))
         return cls(
             slots=slots,
-            coverage=CoverageValue(float(obj["coverage"]), int(obj.get("reference_size", 0))),
-            passes=int(obj.get("passes", 0)),
-            swaps=int(obj.get("swaps", 0)),
-            trace=[float(x) for x in obj.get("trace", [])],
+            coverage=CoverageValue(
+                float(json_field(obj, "coverage", number, "selection")),
+                json_field(obj, "reference_size", (int,), "selection", default=0),
+            ),
+            passes=json_field(obj, "passes", (int,), "selection", default=0),
+            swaps=json_field(obj, "swaps", (int,), "selection", default=0),
+            trace=[float(x) for x in
+                   json_field(obj, "trace", (list,), "selection", items=number, default=[])],
         )
 
 

@@ -21,6 +21,7 @@ within one float32 ULP (re-ingestion re-normalizes an already unit vector).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,6 +88,10 @@ class EmbeddingStore:
         vec = np.ascontiguousarray(vec[order])
 
         norms = np.linalg.norm(vec.astype(np.float64), axis=1)
+        finite = np.isfinite(norms)
+        if not np.all(finite):
+            bad = int(np.argmin(finite))
+            raise ValidationError(f"record id {int(ids_arr[bad])} has non-finite vector values")
         if n > 0 and np.any(np.abs(norms - 1.0) > NORM_TOLERANCE):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise ValidationError(
@@ -230,6 +235,8 @@ def _normalized_row(values: list[float], dim: int, line_no: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"line {line_no}: embedding contains non-finite values")
     norm = float(np.linalg.norm(arr))
+    if not math.isfinite(norm):
+        raise ValidationError(f"line {line_no}: embedding norm overflows float64")
     if norm == 0.0:
         raise ValidationError(f"line {line_no}: zero-norm vector rejected")
     return (arr / norm).astype(np.float32)
@@ -247,7 +254,8 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
     rows: list[np.ndarray] = []
     texts: list[str | None] = []
     seen: set[int] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    # an overflowing norm is reported by _normalized_row, not warned about
+    with path.open("r", encoding="utf-8") as fh, np.errstate(over="ignore"):
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -263,7 +271,8 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
                 embedding = obj["embedding"]
             except KeyError as exc:
                 raise ValidationError(f"line {line_no}: missing field {exc.args[0]!r}") from None
-            if not isinstance(rec_id, int) or rec_id < 0 or rec_id >= 2**64:
+            if (not isinstance(rec_id, int) or isinstance(rec_id, bool)
+                    or rec_id < 0 or rec_id >= 2**64):
                 raise ValidationError(f"line {line_no}: id must be an unsigned 64-bit integer")
             if rec_id in seen:
                 raise ValidationError(f"line {line_no}: duplicate id {rec_id}")
@@ -331,6 +340,12 @@ def ingest_binary(path: str | Path) -> EmbeddingStore:
     (count,) = _COUNT.unpack_from(data, offset)
     offset += _COUNT.size
 
+    min_record = _REC_FIXED.size + 4 * dim
+    if count * min_record > len(data) - offset:
+        raise ValidationError(
+            f"truncated payload: header declares {count} records of at least "
+            f"{min_record} bytes, but {len(data) - offset} bytes follow"
+        )
     ids: list[int] = []
     domains: list[str] = []
     vec_fmt = struct.Struct(f"<{dim}f")

@@ -15,9 +15,29 @@ def workspace(tmp_path_factory):
         noise=0.18, direction_correlation=0.6,
     )
     write_binary(pool, root / "pool.fdca")
+    write_binary(pool.subset_by_domain("dom"), root / "domain.fdca")
     for k in range(3):
         write_binary(random_store(30, 16, seed=50 + k, domain="dom"), root / f"client{k}.fdca")
     return root
+
+
+@pytest.fixture(scope="module")
+def runs(workspace, tmp_path_factory):
+    """One ``fedca run`` per strategy: (config, run directory)."""
+    root = tmp_path_factory.mktemp("runs")
+    out = {}
+    for strategy in ("feddca", "direct"):
+        cfg = {
+            "version": 1, "pool_path": str(workspace / "pool.fdca"), "domain_label": "dom",
+            "n_clients": 4, "per_client_local": 15, "per_client_aug": 20, "xi": 3,
+            "alpha": 0.7, "beta_or_mode": 0.5, "rounds": 3, "clients_per_round": 2,
+            "seed": 7, "strategy": strategy, "pseudo_label_clusters": 6,
+        }
+        (root / f"{strategy}.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(root / f"{strategy}.json"),
+                     "--out", str(root / strategy)]) == 0
+        out[strategy] = (cfg, next((root / strategy).iterdir()))
+    return out
 
 
 def test_ingest_converts_and_validates(tmp_path, capsys):
@@ -114,6 +134,74 @@ def test_augment_direct_and_random_strategies(workspace, tmp_path, capsys):
                "--per-client", "10", "--strategy", "feddca",
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("strategy", ["feddca", "direct"])
+def test_cli_partition_and_metrics_reproduce_the_run(runs, workspace, tmp_path, strategy):
+    cfg, run_dir = runs[strategy]
+    domain = str(workspace / "domain.fdca")
+    rc = main(["partition", "--in", domain, "--mode", "dirichlet",
+               "--beta", str(cfg["beta_or_mode"]), "--clients", str(cfg["n_clients"]),
+               "--per-client", str(cfg["per_client_local"]), "--seed", str(cfg["seed"]),
+               "--label-clusters", str(cfg["pseudo_label_clusters"]),
+               "--out", str(tmp_path / "plan.json")])
+    assert rc == 0
+    assert (json.loads((tmp_path / "plan.json").read_text())
+            == json.loads((run_dir / "plan.json").read_text()))
+
+    argv = ["metrics", "--domain", domain, "--universe", str(workspace / "pool.fdca"),
+            "--plan", str(run_dir / "plan.json"), "--augsets", str(run_dir / "augsets.json"),
+            "--xi", str(cfg["xi"]), "--seed", str(cfg["seed"]),
+            "--out", str(tmp_path / "report.json")]
+    if strategy == "feddca":
+        argv += ["--selection", str(run_dir / "selection.json")]
+    assert main(argv) == 0
+    run_metrics = json.loads((run_dir / "log.jsonl").read_text().splitlines()[-1])
+    assert run_metrics.pop("record") == "metrics"
+    assert json.loads((tmp_path / "report.json").read_text()) == run_metrics
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("name,corrupt,field", [
+    pytest.param("plan.json", lambda plan: _without(plan, "seed"), "'seed'",
+                 id="plan-without-seed"),
+    pytest.param("augsets.json", lambda aug: [_without(aug[0], "ids"), *aug[1:]], "'ids'",
+                 id="augsets-entry-without-ids"),
+    pytest.param("augsets.json", lambda aug: {"entries": aug}, "augsets must be an array",
+                 id="augsets-not-a-list"),
+    pytest.param("selection.json",
+                 lambda sel: {**sel, "slots": [_without(sel["slots"][0], "cluster"),
+                                               *sel["slots"][1:]]},
+                 "'cluster'", id="selection-slot-without-cluster"),
+    pytest.param("config.json", lambda cfg: {**cfg, "n_clients": "3"}, "'n_clients'",
+                 id="config-n-clients-string"),
+])
+def test_malformed_json_inputs_exit_2_with_named_error(
+    runs, workspace, tmp_path, capsys, name, corrupt, field
+):
+    cfg, run_dir = runs["feddca"]
+    source = {"config.json": cfg}
+    for artifact in ("plan.json", "augsets.json", "selection.json"):
+        source[artifact] = json.loads((run_dir / artifact).read_text())
+        (tmp_path / artifact).write_text(json.dumps(source[artifact]))
+    (tmp_path / name).write_text(json.dumps(corrupt(source[name])))
+    if name == "config.json":
+        argv = ["run", "--config", str(tmp_path / name), "--out", str(tmp_path / "runs")]
+    else:
+        argv = ["metrics", "--domain", str(workspace / "pool.fdca"),
+                "--universe", str(workspace / "pool.fdca"),
+                "--plan", str(tmp_path / "plan.json"),
+                "--augsets", str(tmp_path / "augsets.json"),
+                "--selection", str(tmp_path / "selection.json"),
+                "--out", str(tmp_path / "report.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / name) in err and field in err
+    assert "Traceback" not in err
 
 
 def test_oracle_brute_budget_refusal_exits_3(tmp_path, capsys):

@@ -48,6 +48,8 @@ def test_ingest_jsonl_dimension_mismatch_names_line(tmp_path):
     ({"id": 1, "domain": 7, "embedding": [1.0, 0.0]}, "domain"),
     ({"id": -1, "domain": "a", "embedding": [1.0, 0.0]}, "unsigned"),
     ({"domain": "a", "embedding": [1.0, 0.0]}, "missing field"),
+    ({"id": True, "domain": "a", "embedding": [1.0, 0.0]}, "unsigned"),
+    ({"id": 1, "domain": "a", "embedding": [1e308, 1e308]}, "overflows"),
 ])
 def test_ingest_jsonl_rejects_bad_records(tmp_path, bad, match):
     path = tmp_path / "x.jsonl"
@@ -112,6 +114,14 @@ def test_binary_truncated_and_unsupported_version(tmp_path):
         ingest_binary(tmp_path / "ver.fdca")
 
 
+def test_binary_count_beyond_payload_rejected_before_allocating(tmp_path):
+    path = tmp_path / "huge.fdca"
+    path.write_bytes(b"FDCA" + (1).to_bytes(4, "little") + (4).to_bytes(4, "little")
+                     + (2**50).to_bytes(8, "little"))
+    with pytest.raises(ValidationError, match="declares 1125899906842624 records"):
+        ingest_binary(path)
+
+
 def test_jsonl_binary_jsonl_round_trip_within_one_ulp(tmp_path):
     rng = np.random.default_rng(9)
     lines = [
@@ -173,3 +183,6 @@ def test_constructor_rejects_duplicate_ids_and_bad_norms():
         EmbeddingStore(2, [1, 1], ["a", "a"], np.array([[1, 0], [0, 1]], np.float32))
     with pytest.raises(ValidationError, match="unit-norm"):
         EmbeddingStore(2, [1], ["a"], np.array([[2.0, 0.0]], np.float32))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="record id 1 has non-finite"):
+            EmbeddingStore(2, [0, 1], ["a", "a"], np.array([[1, 0], [bad, 0]], np.float32))
