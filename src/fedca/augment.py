@@ -50,8 +50,18 @@ class RetrievalResult:
         }
 
 
-def _sorted_hits(ids: np.ndarray, sims: np.ndarray) -> list[tuple[int, float]]:
-    order = np.lexsort((ids, -sims))
+def _ranked_hits(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """The first ``k`` records by similarity descending, ties by id ascending.
+
+    Only records at least as similar as the k-th largest similarity are
+    sorted, so every record tied at the cut competes on id as in a full sort.
+    """
+    cut = sims.shape[0] - k
+    if cut > 0:
+        kth = np.partition(sims, cut)[cut]
+        keep = np.flatnonzero(sims >= kth)
+        ids, sims = ids[keep], sims[keep]
+    order = np.lexsort((ids, -sims))[:k]
     return [(int(ids[i]), float(sims[i])) for i in order]
 
 
@@ -81,7 +91,7 @@ def retrieve_topk(
         ids, sims = pool.ids[keep], sims[keep]
     else:
         ids = pool.ids
-    hits = _sorted_hits(ids, sims)[:k]
+    hits = _ranked_hits(ids, sims, k)
     return RetrievalResult(
         client_id=client_id,
         query_center=np.asarray(query, dtype=np.float32),
@@ -146,13 +156,13 @@ def direct_retrieval_augment(
             if quotas[j] == 0:
                 continue
             sims = mat @ np.ascontiguousarray(cand.centers[j], dtype=np.float64)
+            # At most len(seen) of these hits are duplicates to skip.
             taken = 0
-            for pos in np.lexsort((pool.ids, -sims)):
-                rid = int(pool.ids[pos])
+            for rid, sim in _ranked_hits(pool.ids, sims, quotas[j] + len(seen)):
                 if rid in seen:
                     continue
                 seen.add(rid)
-                picks.append((rid, float(sims[pos])))
+                picks.append((rid, sim))
                 taken += 1
                 if taken == quotas[j]:
                     break
@@ -203,7 +213,7 @@ def random_sampling_augment(
             RetrievalResult(
                 client_id=client,
                 query_center=center.astype(np.float32),
-                hits=_sorted_hits(ids, sims),
+                hits=_ranked_hits(ids, sims, per_client),
                 requested=per_client,
                 threshold=None,
             )

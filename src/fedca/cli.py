@@ -59,6 +59,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _comma_list(parse):
+    """argparse type for a comma-separated list of ``parse`` values."""
+
+    def convert(text: str) -> list:
+        try:
+            return [parse(item) for item in text.split(",") if item]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {parse.__name__} values, got {text!r}"
+            ) from None
+
+    return convert
+
+
 def _load_store(path: str) -> EmbeddingStore:
     return ingest_binary(path)
 
@@ -211,8 +235,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _read_json(args.config, ExperimentConfig.from_json_dict)
-    betas = [float(b) for b in args.betas.split(",") if b]
-    rows = heterogeneity_sweep(cfg, betas)
+    rows = heterogeneity_sweep(cfg, args.betas)
     write_rows_csv(rows, args.out)
     print(json.dumps({"rows": len(rows), "out": args.out}))
     return EXIT_OK
@@ -239,8 +262,9 @@ def _cmd_oracle(args) -> int:
         if greedy_cov is not None and selection.coverage.value > 0:
             payload["ratio_percent"] = 100.0 * greedy_cov / selection.coverage.value
     else:
-        widths = [int(w) for w in args.widths.split(",") if w]
-        report = approximation_report(problem, widths, seed=args.seed, brute_budget=args.budget)
+        report = approximation_report(
+            problem, args.widths, seed=args.seed, brute_budget=args.budget
+        )
         payload = report.to_json_dict()
         payload["method"] = "beam"
         if greedy_cov is not None and report.best_beam_coverage > 0:
@@ -271,7 +295,7 @@ def _cmd_selfcheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fedca", description=__doc__)
     parser.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=_positive_int, default=None,
         help="worker threads for data-parallel scans (default: machine parallelism; "
              "1 gives identical results)",
     )
@@ -354,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="heterogeneity sweep over beta values")
     p.add_argument("--config", required=True)
-    p.add_argument("--betas", default="0.01,0.1,1,10")
+    p.add_argument("--betas", type=_comma_list(float), default="0.01,0.1,1,10")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -368,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("oracle_mode", choices=["brute", "beam"])
     p.add_argument("--centers", nargs="+", required=True)
     p.add_argument("--reference", default="call")
-    p.add_argument("--widths", default="256,512,1024,2048", help="comma list of beam widths")
+    p.add_argument("--widths", type=_comma_list(int), default="256,512,1024,2048",
+                   help="comma list of beam widths")
     p.add_argument("--budget", type=int, default=DEFAULT_BRUTE_BUDGET)
     p.add_argument("--greedy", help="greedy selection.json for the approximation ratio")
     p.add_argument("--seed", type=int, default=42)

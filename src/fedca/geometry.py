@@ -5,12 +5,25 @@ product. Coverage of a covering set over a reference set is the mean, over
 reference points, of each point's best similarity to the covering set; the
 facility value is the same quantity unnormalized.
 
-Determinism contract: per-reference maxima are accumulated one covering
-vector at a time (an exact reduction, so any chunking of the covering set
-yields bit-identical maxima), and sums over the reference set use
-``math.fsum`` (exact compensated summation, whose result is independent of
-summation order). Reference-set sizes up to ~1e5 therefore stay accurate to
-the last unit in the last place.
+Determinism contract: ``best_similarity`` is the only source of the
+similarity values that ``coverage``, ``facility_value`` and ``marginal_gain``
+reduce, and every value it returns is *canonical*: the dot product of two
+rows as ``np.einsum("ij,ij->i", a, b)`` computes it, which does not depend
+on which other rows share the call, on their order, or on the BLAS thread
+count. It screens blocks of reference rows against the covering set with
+one GEMM, whose values can move in the last bits with blocking and BLAS
+threads. A GEMM value and a canonical value each lie within
+gamma_d * |x| * |y| of the exact dot product (gamma_d = d*u / (1 - d*u),
+u = 2**-53; Higham, *Accuracy and Stability of Numerical Algorithms*,
+sec. 3.1), so the column with the largest canonical value is always among
+the columns within 4 * gamma_(d+1) * |x| * max|y| of the row's GEMM
+maximum; only those are rescored canonically. Each per-reference maximum is
+therefore the exact maximum of canonical values over the whole covering
+set: bit-identical under any chunking or ordering of either set and at any
+BLAS thread count.
+Sums over the reference set use ``math.fsum`` (exact compensated summation,
+whose result is independent of summation order), so reference-set sizes up
+to ~1e5 stay accurate to the last unit in the last place.
 """
 
 from __future__ import annotations
@@ -22,6 +35,10 @@ from math import fsum
 import numpy as np
 
 from .errors import ValidationError
+
+# Bytes of GEMM output (and of gathered rows) per screen block.
+_SCREEN_BLOCK_BYTES = 4 << 20
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class SimilarityMode(Enum):
@@ -81,12 +98,24 @@ def cosine(a, b) -> float:
     return float(va @ vb)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Canonical similarity of each row pair ``(a[i], b[i])``."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def best_similarity(reference, covering) -> np.ndarray:
     """Per-reference-point maximum raw cosine over the covering set.
 
-    The reduction runs one covering vector at a time; because max is exact,
-    the result is bit-identical under any chunking or ordering of the
-    covering set.
+    Each block of reference rows is screened against the whole covering set
+    with one GEMM. A row keeps its GEMM argmax and every column whose GEMM
+    value is within ``4 * gamma_(d+1) * |x_i| * max_j |y_j|`` of it. GEMM and
+    canonical values each lie within ``gamma_d * |x_i| * |y_j|`` of the exact
+    dot product, so the column with the largest canonical value is always
+    kept (the extra unit in ``d + 1`` covers the rounding of the norms and of
+    the threshold itself). The row's result is the largest canonical value,
+    ``np.einsum("ij,ij->i")``, among the kept columns; GEMM values are never
+    returned. The result is therefore bit-identical under any chunking or
+    ordering of either set and at any BLAS thread count.
     """
     ref = _matrix64(reference, "reference")
     cov = _matrix64(covering, "covering")
@@ -98,9 +127,28 @@ def best_similarity(reference, covering) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: reference {ref.shape[1]} vs covering {cov.shape[1]}"
         )
-    best = ref @ cov[0]
-    for j in range(1, cov.shape[0]):
-        np.maximum(best, ref @ cov[j], out=best)
+    m, dim = ref.shape
+    n = cov.shape[0]
+    gamma = (dim + 1) * _UNIT_ROUNDOFF / (1.0 - (dim + 1) * _UNIT_ROUNDOFF)
+    scale = 4.0 * gamma * np.sqrt(_row_dots(cov, cov).max())
+    # Rows per block: the GEMM output and the gathered winners each fit in the block.
+    rows = max(1, _SCREEN_BLOCK_BYTES // (8 * max(n, dim)))
+    pairs = max(1, _SCREEN_BLOCK_BYTES // (16 * dim))
+    best = np.empty(m)
+    for lo in range(0, m, rows):
+        block = ref[lo : lo + rows]
+        screen = block @ cov.T
+        winner = screen.argmax(axis=1)
+        local = np.arange(block.shape[0])
+        floor = screen[local, winner] - scale * np.sqrt(_row_dots(block, block))
+        near = screen >= floor[:, None]
+        near[local, winner] = False
+        out = best[lo : lo + rows]
+        out[:] = _row_dots(block, cov[winner])
+        ri, cj = np.nonzero(near)
+        for p in range(0, ri.size, pairs):
+            r, c = ri[p : p + pairs], cj[p : p + pairs]
+            np.maximum.at(out, r, _row_dots(block[r], cov[c]))
     return best
 
 
@@ -149,5 +197,5 @@ def marginal_gain(
         prior = np.full(ref.shape[0], mode.floor)
     else:
         prior = mode.apply(best_similarity(ref, sel))
-    gain = np.maximum(0.0, mode.apply(ref @ cand) - prior)
+    gain = np.maximum(0.0, mode.apply(best_similarity(ref, cand[None])) - prior)
     return fsum(gain.tolist())

@@ -179,9 +179,13 @@ class SelectionProblem:
 class _CoverageScorer:
     """Scores candidate subsets against a fixed reference.
 
-    Caches one similarity column per candidate; subset coverage is the mean
-    (exact fsum) of the per-reference maxima over the member columns, which
-    is bit-identical to `geometry.coverage` on the same inputs.
+    Caches one similarity column per candidate (a GEMV over the reference);
+    subset coverage is the mean (exact fsum) of the per-reference maxima over
+    the member columns. GEMV values can differ from the canonical values of
+    `geometry.best_similarity` in the last bits, so a scorer value can differ
+    from `geometry.coverage` on the same subset by a few ulps. Scorer values
+    rank swaps and fill ``trace``; the coverage a selection reports is always
+    `geometry.coverage`.
     """
 
     def __init__(self, reference64: np.ndarray, pool: list[SelectedCenter], mode: SimilarityMode):

@@ -33,6 +33,14 @@ def double_loop_facility(reference, covering, affine: bool = False) -> float:
     return fsum(per_point)
 
 
+def per_pair_best_similarity(reference, covering) -> np.ndarray:
+    """Per-reference maximum over covering rows of the canonical pair value,
+    ``np.einsum("i,i->", r, c)``, one pair at a time."""
+    ref = np.asarray(reference, dtype=np.float64)
+    cov = np.asarray(covering, dtype=np.float64)
+    return np.array([max(float(np.einsum("i,i->", r, c)) for c in cov) for r in ref])
+
+
 def full_sort_retrieval(pool_ids, pool_vectors, query, k: int, threshold=None):
     """Rank every pool record by cosine (desc, ids asc), filter, cut at k."""
     q = np.asarray(query, dtype=np.float64)

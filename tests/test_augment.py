@@ -67,6 +67,19 @@ def test_retrieval_matches_full_sort_oracle():
         np.testing.assert_allclose(result.sims(), [s for s, _ in oracle], atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 150, 299, 300, 301, 450, 899, 900, 2000])
+def test_topk_cut_inside_a_tie_keeps_lowest_ids(k):
+    # one-hot rows give exact similarities, so 300 records tie on each value
+    rng = np.random.default_rng(31)
+    vectors = np.repeat(np.eye(4)[:3], 300, axis=0)
+    pool = _store_from(vectors, ids=rng.permutation(10_000)[:900].tolist())
+    query = np.array([0.5, 0.75, 0.25, np.sqrt(1 - 0.875)], dtype=np.float32)
+    for threshold in (None, 0.6):
+        result = retrieve_topk(pool, query, k, threshold)
+        oracle = full_sort_retrieval(pool.ids, pool.vectors, query, k, threshold)
+        assert result.hits == [(i, s) for s, i in oracle]
+
+
 def test_threshold_monotonicity():
     pool = random_store(60, 6, seed=4)
     query = random_unit_vectors(1, 6, np.random.default_rng(9))[0]

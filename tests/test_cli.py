@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fedca.cli import build_parser, main
+import fedca
+from fedca.cli import EXIT_USAGE, build_parser, main
 from fedca.store import ingest_binary, write_binary, write_jsonl
 from fedca.synthetic import planted_cluster_pool, random_store
 
@@ -63,6 +68,24 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["cluster", "--in", "x.fdca"])  # missing required flags
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--threads", "0", "selfcheck"], "--threads"),
+    (["sweep", "--config", "absent.json", "--betas", "x", "--out", "o.csv"], "--betas"),
+    (["oracle", "beam", "--centers", "absent.fdca", "--widths", "a", "--out", "o.json"],
+     "--widths"),
+])
+def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
+    # The config and centers files do not exist: lists are parsed before any file is read.
+    src = str(Path(fedca.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fedca.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert f"argument {flag}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cluster_select_augment_metrics_pipeline(workspace, tmp_path, capsys):

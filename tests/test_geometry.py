@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from oracles import double_loop_coverage, double_loop_facility
+from oracles import double_loop_coverage, double_loop_facility, per_pair_best_similarity
 
+import fedca
 from fedca.errors import ValidationError
 from fedca.geometry import (
     SimilarityMode,
@@ -158,3 +164,66 @@ def test_chunked_max_reduction_is_bit_identical():
     # reference chunking composes exactly too
     ref_parts = np.concatenate([best_similarity(ref[:10], cov), best_similarity(ref[10:], cov)])
     assert np.array_equal(ref_parts, full)
+
+
+def _near_tie_covering(ref: np.ndarray, rng: np.random.Generator, copies: int) -> np.ndarray:
+    """Exact duplicates of reference rows, copies nudged by a few ulps, and noise."""
+    rows = np.arange(ref.shape[0])[:, None]
+    nudged = []
+    for _ in range(copies):
+        v = ref.copy()
+        cols = rng.integers(0, ref.shape[1], size=(ref.shape[0], 3))
+        direction = np.where(rng.random(cols.shape) < 0.5, -np.inf, np.inf)
+        for _ in range(int(rng.integers(1, 4))):
+            v[rows, cols] = np.nextafter(v[rows, cols], direction)
+        nudged.append(v)
+    noise = random_unit_vectors(ref.shape[0], ref.shape[1], rng).astype(np.float64)
+    return np.concatenate([ref, *nudged, noise])
+
+
+@pytest.mark.parametrize("dim", [3, 64, 1024])
+def test_best_similarity_equals_per_pair_oracle_on_near_ties(dim):
+    rng = np.random.default_rng(25 + dim)
+    ref = random_unit_vectors(12, dim, rng).astype(np.float64)
+    cov = _near_tie_covering(ref, rng, copies=24)
+    want = per_pair_best_similarity(ref, cov)
+    assert np.array_equal(best_similarity(ref, cov), want)
+    for _ in range(3):
+        assert np.array_equal(best_similarity(ref, cov[rng.permutation(len(cov))]), want)
+
+
+def test_best_similarity_is_row_local_across_screen_blocks():
+    # 5,200 covering rows split the 400 reference rows over several screen blocks.
+    rng = np.random.default_rng(26)
+    ref = random_unit_vectors(400, 8, rng).astype(np.float64)
+    cov = _near_tie_covering(ref, rng, copies=11)
+    full = best_similarity(ref, cov)
+    rowwise = np.concatenate([best_similarity(ref[i : i + 1], cov) for i in range(len(ref))])
+    assert np.array_equal(full, rowwise)
+    assert np.array_equal(full[::40], per_pair_best_similarity(ref[::40], cov))
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from fedca.geometry import best_similarity
+rng = np.random.default_rng(7)
+def unit(n):
+    x = rng.standard_normal((n, 1024))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+ref, cov = unit(400), unit(301)
+print(hashlib.sha256(best_similarity(ref, cov).tobytes()).hexdigest())
+"""
+
+
+def test_best_similarity_is_invariant_to_blas_threads():
+    # With OpenBLAS 0.3.31, raw GEMM row maxima of this instance differ at 1 and 2 threads.
+    src = str(Path(fedca.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
