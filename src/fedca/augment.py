@@ -1,11 +1,24 @@
 """Instruction augmentation: exact dense retrieval plus baseline samplers.
 
-All retrieval is an exact linear scan over the pool (cosine on unit
-vectors), with hits ordered by similarity descending and ties by id
-ascending. A similarity threshold, when given, excludes pool records whose
-similarity to the query exceeds it *before* the top-k cut, so filtered
-records never consume budget; if fewer than k records survive, the shortfall
-is reported rather than raised.
+All retrieval is exact over the whole pool (cosine on unit vectors), with
+hits ordered by similarity descending and ties by id ascending. A
+similarity threshold, when given, excludes pool records whose similarity to
+the query exceeds it *before* the top-k cut, so filtered records never
+consume budget; if fewer than k records survive, the shortfall is reported
+rather than raised.
+
+Two similarity sources, which can differ in the last bits:
+
+* ``direct_retrieval_augment`` reads canonical per-pair values from
+  ``geometry._top_candidates``: every centroid of the call is screened in one
+  GEMM over the pool, and only rows that can reach a centroid's budget are
+  scored. Its hits are identical at any BLAS thread count.
+* ``retrieve_topk`` (``feddca_augment``, ``data_select``) reads one
+  full-pool GEMV, ``pool.matrix64() @ q``, per query. The benchmark's naive
+  top-k check compares hit similarities bit for bit against that product,
+  and a GEMV over gathered candidate rows does not reproduce its bits (the
+  tail rows of a BLAS kernel round differently), so moving it onto the
+  kernel needs that check to change with it.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import ValidationError, check_json, json_field
+from .geometry import _top_candidates
 from .parallel import parallel_map
 from .selection import CenterSelection
 from .store import EmbeddingStore
@@ -135,38 +149,60 @@ def direct_retrieval_augment(
     extra. The per-client union is deduplicated by id; a centroid that loses
     a duplicate backfills from its own next-ranked hits, so the result holds
     per_client unique ids whenever the pool permits.
+
+    Similarities are canonical values from ``geometry._top_candidates``: one
+    screened GEMM over the pool for every centroid of every client, then a
+    per-pair dot product for the rows that can reach a centroid's budget.
+    Hits therefore equal a full-pool scan ranked by canonical value and are
+    identical at any BLAS thread count. (``retrieve_topk`` still ranks by a
+    full-pool GEMV; see the module docstring.) The screen holds one float64
+    per centroid and pool row at once, so memory grows with the number of
+    centroids times the pool size: 48 MB for 100 centroids over 60,000 rows,
+    about 4.8 GB for 10,000.
     """
     if per_client < 1:
         raise ValidationError(f"per_client must be >= 1, got {per_client}")
     if len(pool) == 0:
         raise ValidationError("pool is empty")
-    mat = pool.matrix64()
-    results = []
-    for cand in client_centers:
+    # One (client, quota, budget) per centroid with a quota; at most the
+    # client's earlier picks are duplicates to skip, so the budget is the
+    # quota plus the earlier centroids' quotas.
+    plan: list[tuple[int, int, int]] = []
+    queries = []
+    for idx, cand in enumerate(client_centers):
         if cand.dim != pool.dim:
             raise ValidationError(
                 f"dimension mismatch: centers {cand.dim} vs pool {pool.dim}"
             )
-        xi = cand.k
-        base, extra = divmod(per_client, xi)
-        quotas = [base + 1 if j < extra else base for j in range(xi)]
-        seen: set[int] = set()
-        picks: list[tuple[int, float]] = []
-        for j in range(xi):
-            if quotas[j] == 0:
+        base, extra = divmod(per_client, cand.k)
+        earlier = 0
+        for j in range(cand.k):
+            quota = base + 1 if j < extra else base
+            if quota == 0:
                 continue
-            sims = mat @ np.ascontiguousarray(cand.centers[j], dtype=np.float64)
-            # At most len(seen) of these hits are duplicates to skip.
-            taken = 0
-            for rid, sim in _ranked_hits(pool.ids, sims, quotas[j] + len(seen)):
-                if rid in seen:
-                    continue
-                seen.add(rid)
-                picks.append((rid, sim))
-                taken += 1
-                if taken == quotas[j]:
-                    break
-        picks.sort(key=lambda h: (-h[1], h[0]))
+            queries.append(cand.centers[j])
+            plan.append((idx, quota, quota + earlier))
+            earlier += quota
+    found = _top_candidates(
+        pool.matrix64(),
+        np.array(queries, dtype=np.float64).reshape(-1, pool.dim),
+        [budget for _, _, budget in plan],
+    )
+    seen: list[set[int]] = [set() for _ in client_centers]
+    picks: list[list[tuple[int, float]]] = [[] for _ in client_centers]
+    for (idx, quota, budget), (rows, sims) in zip(plan, found):
+        taken = 0
+        for rid, sim in _ranked_hits(pool.ids[rows], sims, budget):
+            if rid in seen[idx]:
+                continue
+            seen[idx].add(rid)
+            picks[idx].append((rid, sim))
+            taken += 1
+            if taken == quota:
+                break
+    results = []
+    for cand, hits in zip(client_centers, picks):
+        hits.sort(key=lambda h: (-h[1], h[0]))
         mean = cand.centers.astype(np.float64).mean(axis=0)
         norm = float(np.linalg.norm(mean))
         center = (mean / norm if norm > 0 else mean).astype(np.float32)
@@ -174,7 +210,7 @@ def direct_retrieval_augment(
             RetrievalResult(
                 client_id=cand.client_id,
                 query_center=center,
-                hits=picks,
+                hits=hits,
                 requested=per_client,
                 threshold=None,
             )

@@ -21,6 +21,10 @@ maximum; only those are rescored canonically. Each per-reference maximum is
 therefore the exact maximum of canonical values over the whole covering
 set: bit-identical under any chunking or ordering of either set and at any
 BLAS thread count.
+``_top_candidates``, the batched top-k that direct retrieval ranks by, keeps
+the same contract: one GEMM screens every query against the pool, the same
+bound below each query's k-th GEMM value picks the rows to rescore, and
+only canonical values are returned.
 Sums over the reference set use ``math.fsum`` (exact compensated summation,
 whose result is independent of summation order), so reference-set sizes up
 to ~1e5 stay accurate to the last unit in the last place.
@@ -36,7 +40,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Bytes of GEMM output (and of gathered rows) per screen block.
+# Bytes of GEMM output per best_similarity screen block, and of gathered rows
+# per rescoring chunk in both kernels.
 _SCREEN_BLOCK_BYTES = 4 << 20
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -103,19 +108,34 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _max_norm(x: np.ndarray) -> float:
+    return float(np.sqrt(_row_dots(x, x).max()))
+
+
+def _screen_slack(dim: int) -> float:
+    """``4 * gamma_(d+1)``: times ``|x| * max|y|``, the widest gap between a
+    GEMM value and the canonical value that can outrank it.
+
+    A GEMM value and a canonical value each lie within ``gamma_d * |x| * |y|``
+    of the exact dot product, so two of them can be ``2 * gamma_d`` apart
+    each way; the extra unit in ``d + 1`` covers the rounding of the norms
+    and of the threshold itself.
+    """
+    gamma = (dim + 1) * _UNIT_ROUNDOFF / (1.0 - (dim + 1) * _UNIT_ROUNDOFF)
+    return 4.0 * gamma
+
+
 def best_similarity(reference, covering) -> np.ndarray:
     """Per-reference-point maximum raw cosine over the covering set.
 
     Each block of reference rows is screened against the whole covering set
     with one GEMM. A row keeps its GEMM argmax and every column whose GEMM
-    value is within ``4 * gamma_(d+1) * |x_i| * max_j |y_j|`` of it. GEMM and
-    canonical values each lie within ``gamma_d * |x_i| * |y_j|`` of the exact
-    dot product, so the column with the largest canonical value is always
-    kept (the extra unit in ``d + 1`` covers the rounding of the norms and of
-    the threshold itself). The row's result is the largest canonical value,
-    ``np.einsum("ij,ij->i")``, among the kept columns; GEMM values are never
-    returned. The result is therefore bit-identical under any chunking or
-    ordering of either set and at any BLAS thread count.
+    value is within ``_screen_slack(d) * |x_i| * max_j |y_j|`` of it, so the
+    column with the largest canonical value is always kept. The row's result
+    is the largest canonical value, ``np.einsum("ij,ij->i")``, among the kept
+    columns; GEMM values are never returned. The result is therefore
+    bit-identical under any chunking or ordering of either set and at any
+    BLAS thread count.
     """
     ref = _matrix64(reference, "reference")
     cov = _matrix64(covering, "covering")
@@ -129,8 +149,7 @@ def best_similarity(reference, covering) -> np.ndarray:
         )
     m, dim = ref.shape
     n = cov.shape[0]
-    gamma = (dim + 1) * _UNIT_ROUNDOFF / (1.0 - (dim + 1) * _UNIT_ROUNDOFF)
-    scale = 4.0 * gamma * np.sqrt(_row_dots(cov, cov).max())
+    scale = _screen_slack(dim) * _max_norm(cov)
     # Rows per block: the GEMM output and the gathered winners each fit in the block.
     rows = max(1, _SCREEN_BLOCK_BYTES // (8 * max(n, dim)))
     pairs = max(1, _SCREEN_BLOCK_BYTES // (16 * dim))
@@ -150,6 +169,47 @@ def best_similarity(reference, covering) -> np.ndarray:
             r, c = ri[p : p + pairs], cj[p : p + pairs]
             np.maximum.at(out, r, _row_dots(block[r], cov[c]))
     return best
+
+
+def _top_candidates(pool, queries, budgets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pool rows that may rank among each query's top ``budgets[j]`` by
+    canonical similarity, with those similarities.
+
+    All queries are screened against the pool with one GEMM, so the pool is
+    read once per call and the screen holds ``len(queries) * len(pool)``
+    floats. Let k = ``budgets[j]``, g_k the k-th largest GEMM value of query
+    j and e = ``gamma_d * |q_j| * max_i |x_i|``. The k rows with the largest
+    GEMM values have canonical values of at least g_k - 2e, so the k-th
+    largest canonical value c_k is at least that too, and any row whose
+    canonical value reaches c_k has a GEMM value of at least
+    c_k - 2e >= g_k - 4e. The candidates are therefore every row whose GEMM
+    value is at least ``g_k - _screen_slack(d) * |q_j| * max_i |x_i|``.
+    Returned per query: candidate row positions ascending and their
+    canonical values, ``np.einsum("ij,ij->i")``. GEMM values are never
+    returned, so ranking the candidates equals ranking the whole pool by
+    canonical value, under any blocking and at any BLAS thread count.
+    The caller passes a non-empty pool of the queries' dimension and
+    budgets >= 1.
+    """
+    mat = _matrix64(pool, "pool")
+    qs = _matrix64(queries, "queries")
+    n, dim = mat.shape
+    slack = _screen_slack(dim) * _max_norm(mat) * np.sqrt(_row_dots(qs, qs))
+    screen = qs @ mat.T
+    rows = max(1, _SCREEN_BLOCK_BYTES // (8 * dim))
+    found = []
+    for j, budget in enumerate(budgets):
+        if budget >= n:
+            cand = np.arange(n)
+        else:
+            kth = np.partition(screen[j], n - budget)[n - budget]
+            cand = np.flatnonzero(screen[j] >= kth - slack[j])
+        sims = np.empty(cand.size)
+        for lo in range(0, cand.size, rows):
+            part = mat[cand[lo : lo + rows]]
+            sims[lo : lo + rows] = _row_dots(part, np.broadcast_to(qs[j], part.shape))
+        found.append((cand, sims))
+    return found
 
 
 def coverage(reference, covering, mode: SimilarityMode = SimilarityMode.RAW_COSINE) -> CoverageValue:

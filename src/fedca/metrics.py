@@ -80,6 +80,25 @@ def cross_client_coverage(
     return coverage(domain_ref.matrix64(), covering, mode)
 
 
+def _lexicographic_order(arr: np.ndarray) -> np.ndarray:
+    """``np.lexsort(arr.T[::-1])``, the stable lexicographic row order.
+
+    Rows are sorted on their first 8 columns. When no two adjacent rows of
+    that order are equal on those columns, the prefix already orders every
+    pair, so the permutation is the full sort's; otherwise the full sort
+    runs. Equality is the sort's own (-0.0 equals 0.0, NaN equals NaN), so
+    the result is the same permutation in every case.
+    """
+    if arr.shape[1] > 8:
+        prefix = arr[:, :8]
+        order = np.lexsort(prefix.T[::-1])
+        ranked = prefix[order]
+        a, b = ranked[1:], ranked[:-1]
+        if not np.any(np.all((a == b) | (np.isnan(a) & np.isnan(b)), axis=1)):
+            return order
+    return np.lexsort(arr.T[::-1])
+
+
 def icacs(
     per_client_augmented: list[np.ndarray],
     k: int = ICACS_DEFAULT_CENTERS,
@@ -108,7 +127,7 @@ def icacs(
                 "client %d has %d vectors; shrinking ICACS k from %d to %d",
                 idx, arr.shape[0], k, k_eff,
             )
-        canon = arr[np.lexsort(arr.T[::-1])]
+        canon = arr[_lexicographic_order(arr)]
         digest = hashlib.sha256(canon.tobytes()).digest()
         content_key = int.from_bytes(digest[:8], "little")
         client_seed = int(np.random.SeedSequence([seed, content_key]).generate_state(1)[0])

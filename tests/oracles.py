@@ -54,6 +54,31 @@ def full_sort_retrieval(pool_ids, pool_vectors, query, k: int, threshold=None):
     return scored[:k]
 
 
+def naive_direct_retrieval(pool_ids, pool_vectors, centers, per_client: int):
+    """Direct per-centroid retrieval for one client by full sorts.
+
+    Centroid j ranks the whole pool by the canonical pair value
+    ``np.einsum("i,i->", x, c_j)`` (desc, ids asc) and takes the first
+    ``quota_j`` ids no earlier centroid took; quotas are
+    floor(per_client / k), the first per_client mod k taking one extra.
+    Returns the (id, sim) picks sorted by sim desc, then id asc.
+    """
+    vecs = np.asarray(pool_vectors, dtype=np.float64)
+    base, extra = divmod(per_client, len(centers))
+    seen: set[int] = set()
+    picks = []
+    for j, center in enumerate(centers):
+        c = np.asarray(center, dtype=np.float64)
+        scored = sorted(
+            ((float(np.einsum("i,i->", v, c)), int(i)) for i, v in zip(pool_ids, vecs)),
+            key=lambda p: (-p[0], p[1]),
+        )
+        fresh = [(i, s) for s, i in scored if i not in seen][: base + (j < extra)]
+        seen.update(i for i, _ in fresh)
+        picks.extend(fresh)
+    return sorted(picks, key=lambda h: (-h[1], h[0]))
+
+
 def exhaustive_best_subset(vectors, reference, n: int, affine: bool = False):
     """(best coverage, lex-first argmax subset) over all n-subsets."""
     best_val = -np.inf

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from oracles import full_sort_retrieval
+from oracles import full_sort_retrieval, naive_direct_retrieval
 
+import fedca
 from fedca.augment import (
     data_select,
     direct_retrieval_augment,
@@ -225,3 +231,89 @@ def test_data_select_ranks_each_local_pool():
     small = [random_store(3, 6, seed=30 + k) for k in range(3)]
     saturated = data_select(small, selection, per_client=10)
     assert all(len(r.hits) == 3 for r in saturated)
+
+
+def _nudged(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Copies of float32 rows with up to three coordinates moved 1-3 ulps."""
+    v = rows.copy()
+    r = np.arange(len(v))[:, None]
+    cols = rng.integers(0, v.shape[1], size=(len(v), 3))
+    direction = np.where(rng.random(cols.shape) < 0.5, -np.inf, np.inf).astype(np.float32)
+    for _ in range(int(rng.integers(1, 4))):
+        v[r, cols] = np.nextafter(v[r, cols], direction)
+    return v
+
+
+def _tie_query(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A float32 unit query whose coordinates take four distinct values."""
+    q = rng.choice([-1.3, -0.7, 0.7, 1.3], size=dim)
+    return (q / np.linalg.norm(q)).astype(np.float32)
+
+
+def _swapped(x: np.ndarray, q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``x`` with coordinates permuted among equal entries of ``q``: its exact
+    dot product with ``q`` is unchanged, its rounded one can move an ulp."""
+    v = x.copy()
+    for value in np.unique(q):
+        pos = np.flatnonzero(q == value)
+        v[pos] = x[rng.permutation(pos)]
+    return v
+
+
+@pytest.mark.parametrize("dim", [3, 64, 1024])
+def test_direct_retrieval_equals_naive_oracle_on_near_ties(dim):
+    # Around each query sit two rows, each with 2 exact duplicates, 8 copies
+    # that tie with it exactly before rounding and 3 copies nudged 1-3 ulps,
+    # so cuts and backfills fall inside groups of (near-)tied records.
+    rng = np.random.default_rng(40 + dim)
+    queries = [_tie_query(dim, rng) for _ in range(3)]
+    rows = []
+    for q in queries:
+        for _ in range(2):
+            x = q + rng.standard_normal(dim).astype(np.float32) / np.float32(np.sqrt(dim))
+            x = (x / np.linalg.norm(x)).astype(np.float32)
+            rows += [x, x, x, *(_swapped(x, q, rng) for _ in range(8))]
+            rows += list(_nudged(np.stack([x] * 3), rng))
+    vectors = np.concatenate([np.stack(rows), random_unit_vectors(40, dim, rng)])
+    ids = rng.permutation(3 * len(vectors))[: len(vectors)]
+    pool = _store_from(vectors, ids=[int(i) for i in ids])
+    q0, q1, q2 = queries
+    other = random_unit_vectors(1, dim, rng)[0]
+    centers = [[q0, q0, q1], [q1, q2, q2], [q2, q0, other]]  # repeats force backfills
+    clients = [CandidateCenters(client_id=k, centers=np.stack(c)) for k, c in enumerate(centers)]
+    for per_client in (2, 7, 14, 40, 100, 200):
+        got = direct_retrieval_augment(pool, clients, per_client)
+        for cand, result in zip(clients, got):
+            want = naive_direct_retrieval(pool.ids, pool.vectors, cand.centers, per_client)
+            assert result.hits == want
+        alone = [direct_retrieval_augment(pool, [cand], per_client)[0].hits for cand in clients]
+        assert [r.hits for r in got] == alone
+
+
+_DIRECT_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from fedca.augment import augments_to_json, direct_retrieval_augment
+from fedca.clustering import CandidateCenters
+from fedca.synthetic import random_store, random_unit_vectors
+pool = random_store(301, 1024, seed=7)
+rng = np.random.default_rng(8)
+clients = [CandidateCenters(client_id=k, centers=random_unit_vectors(10, 1024, rng))
+           for k in range(40)]
+hits = augments_to_json(direct_retrieval_augment(pool, clients, 150))
+print(hashlib.sha256(json.dumps(hits).encode()).hexdigest())
+"""
+
+
+def test_direct_retrieval_is_invariant_to_blas_threads():
+    # 400 centroids x 301 pool rows: with OpenBLAS 0.3.31 the screen GEMM of
+    # this shape differs at 1 and 2 threads.
+    src = str(Path(fedca.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _DIRECT_THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

@@ -11,6 +11,7 @@ import fedca
 from fedca.errors import ValidationError
 from fedca.geometry import (
     SimilarityMode,
+    _top_candidates,
     best_similarity,
     cosine,
     coverage,
@@ -227,3 +228,17 @@ def test_best_similarity_is_invariant_to_blas_threads():
                               capture_output=True, text=True, timeout=120, check=True)
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+def test_top_candidates_hold_each_canonical_top_k():
+    rng = np.random.default_rng(27)
+    pool = _near_tie_covering(random_unit_vectors(30, 64, rng).astype(np.float64), rng, copies=6)
+    queries = np.concatenate([pool[:5], random_unit_vectors(3, 64, rng)])
+    budgets = [1, 3, 7, 20, 31, 100, len(pool), 5 * len(pool)]
+    for q, k, (rows, sims) in zip(queries, budgets, _top_candidates(pool, queries, budgets)):
+        canon = np.array([np.einsum("i,i->", x, q) for x in pool])
+        assert np.array_equal(sims, canon[rows])
+        assert np.all(np.diff(rows) > 0)
+        top = np.lexsort((np.arange(len(pool)), -canon))[:k]
+        assert set(top) <= set(rows.tolist())
+

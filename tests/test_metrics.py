@@ -3,7 +3,7 @@ import pytest
 from oracles import double_loop_coverage
 
 from fedca.errors import ValidationError
-from fedca.metrics import comm_cost, cross_client_coverage, icacs, ruai
+from fedca.metrics import _lexicographic_order, comm_cost, cross_client_coverage, icacs, ruai
 from fedca.store import EmbeddingStore
 from fedca.synthetic import random_store, random_unit_vectors
 
@@ -120,3 +120,32 @@ def test_cross_client_coverage_monotone_in_covering():
     small = cross_client_coverage(domain, [([0, 1], [2])], universe)
     bigger = cross_client_coverage(domain, [([0, 1], [2, 5, 9])], universe)
     assert bigger.value >= small.value - 1e-12
+
+
+def _lexsort_cases():
+    rng = np.random.default_rng(31)
+    groups = rng.integers(0, 5, size=300)
+    tied_prefix = rng.standard_normal((300, 1024)).astype(np.float32)
+    tied_prefix[:, :20] = tied_prefix[groups, :20]  # ties past the 8-column prefix
+    tied_deep = tied_prefix.copy()
+    tied_deep[:, :600] = tied_deep[groups, :600]  # ties over most columns
+    dup_rows = rng.standard_normal((200, 1024)).astype(np.float32)
+    dup_rows[100:] = dup_rows[rng.integers(0, 100, size=100)]
+    signed_zero = rng.standard_normal((200, 64)).astype(np.float32)
+    signed_zero[:, :12] = np.where(rng.random((200, 12)) < 0.5, -0.0, 0.0)
+    with_nan = rng.standard_normal((100, 64)).astype(np.float32)
+    with_nan[::3, 2] = np.nan
+    with_nan[1::3, :9] = with_nan[0, :9]
+    return [
+        rng.standard_normal((1000, 1024)).astype(np.float32),
+        rng.standard_normal((500, 64)).astype(np.float32),
+        rng.integers(-1, 2, size=(300, 64)).astype(np.float32),
+        rng.standard_normal((50, 5)).astype(np.float32),
+        tied_prefix, tied_deep, dup_rows, signed_zero, with_nan,
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_lexicographic_order_is_the_full_lexsort(case):
+    arr = _lexsort_cases()[case]
+    assert np.array_equal(_lexicographic_order(arr), np.lexsort(arr.T[::-1]))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,3 +187,29 @@ def test_constructor_rejects_duplicate_ids_and_bad_norms():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="record id 1 has non-finite"):
             EmbeddingStore(2, [0, 1], ["a", "a"], np.array([[1, 0], [bad, 0]], np.float32))
+
+
+def test_constructor_memory_is_bounded_by_the_matrix():
+    # 20,000 x 256 float32 is 20 MB, 80 check blocks.
+    vectors = random_store(20_000, 256, seed=5).vectors.copy()
+    tracemalloc.start()
+    try:
+        store = EmbeddingStore(256, range(len(vectors)), ["d"] * len(vectors), vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 3 * (512 << 10)  # a float64 row block, its square and the norms
+    assert peak <= 1.5 * vectors.nbytes + block
+    assert not np.shares_memory(store.vectors, vectors)
+    assert np.array_equal(store.vectors, vectors)
+
+
+def test_norm_check_names_the_worst_row_across_blocks():
+    vectors = random_store(9_000, 256, seed=6).vectors.copy()
+    vectors[8_500] *= 1.001
+    vectors[100] *= 1.0001
+    with pytest.raises(ValidationError, match="record id 8500 is not unit-norm"):
+        EmbeddingStore(256, range(9_000), ["d"] * 9_000, vectors)
+    vectors[7_000, 0] = np.nan
+    with pytest.raises(ValidationError, match="record id 7000 has non-finite"):
+        EmbeddingStore(256, range(9_000), ["d"] * 9_000, vectors)
