@@ -10,9 +10,10 @@ rather than raised.
 Two similarity sources, which can differ in the last bits:
 
 * ``direct_retrieval_augment`` reads canonical per-pair values from
-  ``geometry._top_candidates``: every centroid of the call is screened in one
-  GEMM over the pool, and only rows that can reach a centroid's budget are
-  scored. Its hits are identical at any BLAS thread count.
+  ``geometry._top_candidates``: the centroids of the call are screened in
+  one GEMM over the pool per block of 256, and only rows that can reach a
+  centroid's budget are scored. Its hits are identical at any BLAS thread
+  count.
 * ``retrieve_topk`` (``feddca_augment``, ``data_select``) reads one
   full-pool GEMV, ``pool.matrix64() @ q``, per query. The benchmark's naive
   top-k check compares hit similarities bit for bit against that product,
@@ -151,14 +152,14 @@ def direct_retrieval_augment(
     per_client unique ids whenever the pool permits.
 
     Similarities are canonical values from ``geometry._top_candidates``: one
-    screened GEMM over the pool for every centroid of every client, then a
+    screened GEMM over the pool per block of up to 256 centroids, then a
     per-pair dot product for the rows that can reach a centroid's budget.
     Hits therefore equal a full-pool scan ranked by canonical value and are
     identical at any BLAS thread count. (``retrieve_topk`` still ranks by a
     full-pool GEMV; see the module docstring.) The screen holds one float64
-    per centroid and pool row at once, so memory grows with the number of
-    centroids times the pool size: 48 MB for 100 centroids over 60,000 rows,
-    about 4.8 GB for 10,000.
+    per pool row for each centroid of one block, so its memory is bounded by
+    256 times the pool size (48 MB for the paper's 100 centroids over 60,000
+    rows, at most 123 MB for any number of centroids over that pool).
     """
     if per_client < 1:
         raise ValidationError(f"per_client must be >= 1, got {per_client}")

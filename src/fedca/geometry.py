@@ -22,9 +22,9 @@ therefore the exact maximum of canonical values over the whole covering
 set: bit-identical under any chunking or ordering of either set and at any
 BLAS thread count.
 ``_top_candidates``, the batched top-k that direct retrieval ranks by, keeps
-the same contract: one GEMM screens every query against the pool, the same
-bound below each query's k-th GEMM value picks the rows to rescore, and
-only canonical values are returned.
+the same contract: one GEMM screens each block of queries against the pool,
+the same bound below each query's k-th GEMM value picks the rows to
+rescore, and only canonical values are returned.
 Sums over the reference set use ``math.fsum`` (exact compensated summation,
 whose result is independent of summation order), so reference-set sizes up
 to ~1e5 stay accurate to the last unit in the last place.
@@ -44,6 +44,8 @@ from .errors import ValidationError
 # per rescoring chunk in both kernels.
 _SCREEN_BLOCK_BYTES = 4 << 20
 _UNIT_ROUNDOFF = 2.0**-53
+# Queries per `_top_candidates` screen: one pool pass for up to this many.
+_QUERY_BLOCK = 256
 
 
 class SimilarityMode(Enum):
@@ -112,6 +114,11 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.sqrt(_row_dots(x, x).max()))
 
 
+def _gamma(n: int) -> float:
+    """``gamma_n = n*u / (1 - n*u)``: the relative error bound of n roundings."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
 def _screen_slack(dim: int) -> float:
     """``4 * gamma_(d+1)``: times ``|x| * max|y|``, the widest gap between a
     GEMM value and the canonical value that can outrank it.
@@ -121,8 +128,7 @@ def _screen_slack(dim: int) -> float:
     each way; the extra unit in ``d + 1`` covers the rounding of the norms
     and of the threshold itself.
     """
-    gamma = (dim + 1) * _UNIT_ROUNDOFF / (1.0 - (dim + 1) * _UNIT_ROUNDOFF)
-    return 4.0 * gamma
+    return 4.0 * _gamma(dim + 1)
 
 
 def best_similarity(reference, covering) -> np.ndarray:
@@ -175,10 +181,11 @@ def _top_candidates(pool, queries, budgets) -> list[tuple[np.ndarray, np.ndarray
     """Pool rows that may rank among each query's top ``budgets[j]`` by
     canonical similarity, with those similarities.
 
-    All queries are screened against the pool with one GEMM, so the pool is
-    read once per call and the screen holds ``len(queries) * len(pool)``
-    floats. Let k = ``budgets[j]``, g_k the k-th largest GEMM value of query
-    j and e = ``gamma_d * |q_j| * max_i |x_i|``. The k rows with the largest
+    Queries are screened against the pool with one GEMM per block of
+    ``_QUERY_BLOCK`` queries, so the pool is read once per block and the
+    screen holds at most ``_QUERY_BLOCK * len(pool)`` floats. Let
+    k = ``budgets[j]``, g_k the k-th largest GEMM value of query j and
+    e = ``gamma_d * |q_j| * max_i |x_i|``. The k rows with the largest
     GEMM values have canonical values of at least g_k - 2e, so the k-th
     largest canonical value c_k is at least that too, and any row whose
     canonical value reaches c_k has a GEMM value of at least
@@ -195,15 +202,17 @@ def _top_candidates(pool, queries, budgets) -> list[tuple[np.ndarray, np.ndarray
     qs = _matrix64(queries, "queries")
     n, dim = mat.shape
     slack = _screen_slack(dim) * _max_norm(mat) * np.sqrt(_row_dots(qs, qs))
-    screen = qs @ mat.T
     rows = max(1, _SCREEN_BLOCK_BYTES // (8 * dim))
     found = []
     for j, budget in enumerate(budgets):
+        if j % _QUERY_BLOCK == 0:
+            screen = qs[j : j + _QUERY_BLOCK] @ mat.T
+        values = screen[j % _QUERY_BLOCK]
         if budget >= n:
             cand = np.arange(n)
         else:
-            kth = np.partition(screen[j], n - budget)[n - budget]
-            cand = np.flatnonzero(screen[j] >= kth - slack[j])
+            kth = np.partition(values, n - budget)[n - budget]
+            cand = np.flatnonzero(values >= kth - slack[j])
         sims = np.empty(cand.size)
         for lo in range(0, cand.size, rows):
             part = mat[cand[lo : lo + rows]]

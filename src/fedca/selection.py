@@ -13,6 +13,15 @@ per slot; at full width it degenerates to exhaustive search. All three share
 one scoring path, so their coverage values are directly comparable, and the
 reported coverage always equals `geometry.coverage` recomputed from scratch.
 
+Scoring: a subset's value is the exact ``fsum`` mean of its per-reference
+maxima over one GEMV similarity column per candidate. The searches score
+whole blocks of candidates at once: ``np.sum`` gives each row's sum within
+a rigorous error bound, and only rows whose bounds overlap a decision are
+summed exactly, so every comparison and tie-break is the one exact
+per-candidate sums would give. Blocks hold at most 1 MB of rows; the beam
+keeps states as index rows, not maxima, so its memory does not grow with
+width times reference size.
+
 Determinism: candidate scans run in ascending (client, cluster) order, value
 ties break toward the lexicographically smallest identity, and a swap is
 accepted only when it improves coverage by more than ``IMPROVEMENT_EPS``, so
@@ -30,10 +39,13 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import BudgetExceededError, ValidationError, json_field
-from .geometry import CoverageValue, SimilarityMode, coverage
+from .geometry import _UNIT_ROUNDOFF, CoverageValue, SimilarityMode, _gamma, coverage
 
 IMPROVEMENT_EPS = 1e-12
 DEFAULT_BRUTE_BUDGET = 10_000_000
+# Bytes of maxima rows per scoring block; a beam chunk holds two such
+# blocks beside the candidates' columns.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,7 +122,10 @@ class SelectionProblem:
 
     ``reference`` defaults to the pooled candidate vectors themselves (the
     server-side core that needs no public dataset); pass a domain store's
-    vectors to score against an explicit reference instead.
+    vectors to score against an explicit reference instead. Non-finite
+    candidate vectors are rejected here; a non-finite reference is rejected
+    by every search, which reads the whole reference anyway, so building a
+    problem over a large reference stays cheap.
     """
 
     candidates_per_client: list[CandidateCenters]
@@ -132,6 +147,8 @@ class SelectionProblem:
                 raise ValidationError(f"duplicate client id {cand.client_id}")
             seen_clients.add(cand.client_id)
             dims.add(cand.dim)
+            if not np.isfinite(cand.centers).all():
+                raise ValidationError(f"client {cand.client_id} has non-finite candidate vectors")
         if len(dims) != 1:
             raise ValidationError(f"candidate dimensions differ: {sorted(dims)}")
         self._dim = dims.pop()
@@ -179,32 +196,114 @@ class SelectionProblem:
 class _CoverageScorer:
     """Scores candidate subsets against a fixed reference.
 
-    Caches one similarity column per candidate (a GEMV over the reference);
-    subset coverage is the mean (exact fsum) of the per-reference maxima over
-    the member columns. GEMV values can differ from the canonical values of
-    `geometry.best_similarity` in the last bits, so a scorer value can differ
-    from `geometry.coverage` on the same subset by a few ulps. Scorer values
-    rank swaps and fill ``trace``; the coverage a selection reports is always
-    `geometry.coverage`.
+    ``columns`` holds one mode-applied similarity row per candidate, each a
+    GEMV over the reference (P x m for P candidates and m reference rows).
+    The mode map is monotone, so the maxima over a subset's member rows are
+    the mode-applied per-reference maxima, and the subset's value is their
+    mean by exact ``fsum``. Scorer values rank swaps and fill ``trace``; the
+    coverage a selection reports is always `geometry.coverage`. The columns
+    stay GEMVs: one GEMM over all candidates gives other bits, which can
+    vary with the BLAS thread count, and canonical ``einsum`` columns cost
+    two to three times as much.
+
+    Many values are compared at once. A block of maxima rows is summed with
+    ``np.sum``, which lies within ``gamma_(m-1) * sum|v|`` of the exact sum
+    in any order of its additions (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 4.2). ``slack`` adds ``16u`` to that factor,
+    covering the roundings of the exact sum, of the division by m and of the
+    interval ends, so a row whose interval lies wholly below another's has a
+    strictly smaller value. Only rows whose intervals leave a decision open
+    are summed with ``fsum``; every decision, tie-breaks included, is the one
+    a per-candidate ``fsum`` scan would make. A block holds at most
+    ``_BLOCK_BYTES`` of rows, so scoring adds a few blocks to the P x m
+    columns.
     """
 
     def __init__(self, reference64: np.ndarray, pool: list[SelectedCenter], mode: SimilarityMode):
-        self._mode = mode
-        self._m = reference64.shape[0]
-        self.columns = [reference64 @ np.ascontiguousarray(c.vector, dtype=np.float64) for c in pool]
-        self._neg_inf = np.full(self._m, -np.inf)
+        if not np.isfinite(reference64).all():
+            raise ValidationError("reference has non-finite vectors")
+        self.m = reference64.shape[0]
+        columns = np.empty((len(pool), self.m))
+        for i, c in enumerate(pool):
+            columns[i] = reference64 @ np.ascontiguousarray(c.vector, dtype=np.float64)
+        self.columns = mode.apply(columns)
+        self.abs_sums = np.abs(self.columns).sum(axis=1)
+        self.rows = max(1, _BLOCK_BYTES // (8 * self.m))
+        self.slack = _gamma(self.m - 1) + 16 * _UNIT_ROUNDOFF
 
     def best_over(self, indices) -> np.ndarray:
-        best = self._neg_inf
+        best = np.full(self.m, -np.inf)
         for i in indices:
             best = np.maximum(best, self.columns[i])
         return best
 
     def value_of_best(self, best: np.ndarray) -> float:
-        return fsum(self._mode.apply(best).tolist()) / self._m
+        return fsum(best.tolist()) / self.m
 
     def value(self, indices) -> float:
         return self.value_of_best(self.best_over(indices))
+
+    def intervals(
+        self,
+        base: np.ndarray,
+        base_abs: np.ndarray,
+        cols: np.ndarray,
+        which: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on the exact sum of each row ``np.maximum(base[w], columns[c])``
+        for c in ``cols`` and w in ``which`` (0 for all when omitted).
+
+        ``base_abs[w]`` bounds ``sum|base[w]|``, so ``slack`` times it plus
+        the column's ``abs_sums`` bounds the error of the row's ``np.sum``.
+        """
+        lo = np.empty(cols.size)
+        hi = np.empty(cols.size)
+        for start in range(0, cols.size, self.rows):
+            part = slice(start, start + self.rows)
+            w = 0 if which is None else which[part]
+            block = self.columns[cols[part]]
+            np.maximum(base[w], block, out=block)
+            sums = block.sum(axis=1)
+            errs = self.slack * (base_abs[w] + self.abs_sums[cols[part]])
+            lo[part] = sums - errs
+            hi[part] = sums + errs
+        return lo, hi
+
+
+def _top(lo: np.ndarray, hi: np.ndarray, k: int, exact, keys=None) -> np.ndarray:
+    """Positions of the ``k`` largest exact values, ties to the lowest key
+    (``keys``, by default the position).
+
+    Row i's exact sum lies in ``[lo[i], hi[i]]``, with the margin
+    `_CoverageScorer` describes. A row is out when k rows have lower ends
+    above its upper end, and in when at most k rows, itself included, have
+    upper ends above its lower end. ``exact(positions)`` gives the exact
+    values of the rows left between, which fill the remaining places.
+    """
+    n = lo.size
+    if k >= n:
+        return np.arange(n)
+    cut = np.partition(lo, n - k)[n - k]
+    above = np.partition(hi, n - k - 1)[n - k - 1]
+    sure = lo > above
+    open_ = np.flatnonzero((hi >= cut) & ~sure)
+    vals = np.array(exact(open_), dtype=np.float64)
+    ties = open_ if keys is None else keys[open_]
+    picked = open_[np.lexsort((ties, -vals))[: k - np.count_nonzero(sure)]]
+    return np.concatenate([np.flatnonzero(sure), picked])
+
+
+def _leader(lo: np.ndarray, hi: np.ndarray, exact) -> tuple[int, float]:
+    """Position and exact value of the largest exact value, lowest position on ties."""
+    known: dict[int, float] = {}
+
+    def settle(positions):
+        vals = exact(positions)
+        known.update(zip(positions.tolist(), vals))
+        return vals
+
+    pos = int(_top(lo, hi, 1, settle)[0])
+    return pos, known[pos] if pos in known else exact(np.array([pos]))[0]
 
 
 def _build_selection(
@@ -229,16 +328,28 @@ def _scan_slot(
     """Best replacement for slot ``i``: (value, pool index), lex-first on ties."""
     others = slot_indices[:i] + slot_indices[i + 1 :]
     occupied = set(others)
+    cand = np.array([idx for idx in allowed if idx not in occupied], dtype=np.intp)
+    if cand.size == 0:
+        return -math.inf, None
     others_best = scorer.best_over(others)
-    best_val = -math.inf
-    best_idx: int | None = None
-    for idx in allowed:
-        if idx in occupied:
-            continue
-        val = scorer.value_of_best(np.maximum(others_best, scorer.columns[idx]))
-        if val > best_val:
-            best_val, best_idx = val, idx
-    return best_val, best_idx
+    others_abs = np.abs(others_best).sum(keepdims=True) if others else np.zeros(1)
+    lo, hi = scorer.intervals(others_best[None], others_abs, cand)
+    unchanged: list[float] = []
+
+    def exact(positions):
+        vals = []
+        for idx in cand[positions]:
+            best = np.maximum(others_best, scorer.columns[idx])
+            if np.array_equal(best, others_best):  # gains nothing: all share one value
+                if not unchanged:
+                    unchanged.append(scorer.value_of_best(others_best))
+                vals.append(unchanged[0])
+            else:
+                vals.append(scorer.value_of_best(best))
+        return vals
+
+    pos, val = _leader(lo, hi, exact)
+    return val, int(cand[pos])
 
 
 def greedy_select(
@@ -329,7 +440,8 @@ def brute_force_select(
 
     Refuses to run (raising :class:`BudgetExceededError`) when the number of
     subsets exceeds ``budget``. Ties break toward the lexicographically
-    smallest subset of (client, cluster) identities.
+    smallest subset of (client, cluster) identities. Subsets are scored in
+    blocks of the scorer's size, the leader so far carried into each block.
     """
     pool = problem.pool()
     n_slots = problem.n_clients
@@ -339,14 +451,25 @@ def brute_force_select(
             f"brute force refused: {total} candidate subsets exceed the budget of {budget}"
         )
     scorer = _CoverageScorer(problem.reference_matrix(), pool, problem.mode)
-    best_val = -math.inf
-    best_combo: tuple[int, ...] | None = None
-    for combo in itertools.combinations(range(len(pool)), n_slots):
-        val = scorer.value(combo)
-        if val > best_val:
-            best_val, best_combo = val, combo
-    assert best_combo is not None
-    return _build_selection(problem, list(best_combo), passes=0, swaps=0, trace=[best_val])
+    subsets = itertools.combinations(range(len(pool)), n_slots)
+    lead = np.empty((0, n_slots), dtype=np.intp)
+    lead_lo = lead_hi = np.empty(0)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, scorer.rows))
+        combos = np.fromiter(flat, dtype=np.intp).reshape(-1, n_slots)
+        if combos.size == 0:
+            break
+        best = scorer.columns[combos[:, 0]]
+        for j in range(1, n_slots):
+            np.maximum(best, scorer.columns[combos[:, j]], out=best)
+        sums = best.sum(axis=1)
+        errs = scorer.slack * scorer.abs_sums[combos].sum(axis=1)
+        combos = np.concatenate([lead, combos])
+        lo = np.concatenate([lead_lo, sums - errs])
+        hi = np.concatenate([lead_hi, sums + errs])
+        pos, best_val = _leader(lo, hi, lambda pos: [scorer.value(combos[p]) for p in pos])
+        lead, lead_lo, lead_hi = combos[pos : pos + 1], lo[pos : pos + 1], hi[pos : pos + 1]
+    return _build_selection(problem, lead[0].tolist(), passes=0, swaps=0, trace=[best_val])
 
 
 def beam_select(problem: SelectionProblem, width: int) -> CenterSelection:
@@ -357,34 +480,80 @@ def beam_select(problem: SelectionProblem, width: int) -> CenterSelection:
     states survive, ranked by coverage (ties: lexicographically smallest
     identity tuple). ``width=1`` is sequential greedy-by-slot; width at
     least C(pool, N) is exhaustive and matches `brute_force_select`.
+
+    States are sorted rows of pool indices. Expansions are scored in blocks
+    from their parent's maxima, rebuilt per block from the parent's members,
+    and only the states survive a level, so memory holds the P x m columns,
+    a few dozen bytes per expansion and a few scoring blocks, but no maxima
+    row per state.
     """
     if width < 1:
         raise ValidationError(f"beam width must be >= 1, got {width}")
     pool = problem.pool()
     n_slots = problem.n_clients
     scorer = _CoverageScorer(problem.reference_matrix(), pool, problem.mode)
+    n = len(pool)
 
-    beam: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.full(scorer._m, -np.inf))]
-    for _ in range(n_slots):
-        expanded: dict[tuple[int, ...], np.ndarray] = {}
-        for state, best in beam:
-            members = set(state)
-            for idx in range(len(pool)):
-                if idx in members:
-                    continue
-                new_state = tuple(sorted(state + (idx,)))
-                if new_state in expanded:
-                    continue
-                expanded[new_state] = np.maximum(best, scorer.columns[idx])
-        scored = [
-            (scorer.value_of_best(best), state, best) for state, best in expanded.items()
-        ]
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        beam = [(state, best) for _, state, best in scored[:width]]
+    states = np.empty((1, 0), dtype=np.min_scalar_type(n))
+    for level in range(n_slots):
+        states = _beam_level(scorer, states, width if level < n_slots - 1 else 1)
+    best_state = states[0].tolist()
+    return _build_selection(problem, best_state, passes=0, swaps=0,
+                            trace=[scorer.value(best_state)])
 
-    best_state, best_arr = beam[0]
-    final_val = scorer.value_of_best(best_arr)
-    return _build_selection(problem, list(best_state), passes=0, swaps=0, trace=[final_val])
+
+def _beam_level(scorer: _CoverageScorer, states: np.ndarray, keep: int) -> np.ndarray:
+    """The ``keep`` best distinct states one candidate larger than ``states``."""
+    n = len(scorer.columns)
+    # Expansion e adds added[e] to states[e // per]; grown holds them sorted.
+    per = n - states.shape[1]
+    fresh = np.ones((len(states), n), dtype=bool)
+    fresh[np.arange(len(states))[:, None], states] = False
+    added = np.broadcast_to(np.arange(n, dtype=states.dtype), fresh.shape)[fresh]
+    grown = np.concatenate([np.repeat(states, per, axis=0), added[:, None]], axis=1)
+    grown.sort(axis=1)
+    # Each distinct subset is scored once, from its first expansion, and
+    # ranked among equal values by its lexicographic rank.
+    order = np.lexsort(grown.T[::-1])
+    ordered = grown[order]
+    first = np.ones(len(grown), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    del ordered
+    firsts = order[first]
+    del order, first
+    rank = np.argsort(firsts)
+    unique = firsts[rank]
+    del firsts
+    if unique.size > keep:
+        lo, hi = _expansion_intervals(scorer, states, per, unique, added)
+
+        def exact(positions):
+            return [scorer.value(grown[e]) for e in unique[positions]]
+
+        unique = unique[_top(lo, hi, keep, exact, keys=rank)]
+    return grown[unique]
+
+
+def _expansion_intervals(
+    scorer: _CoverageScorer, states: np.ndarray, per: int, expansions: np.ndarray, added: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum intervals of ``expansions`` (ascending), expansion e adding
+    ``added[e]`` to ``states[e // per]``; the parents' maxima are rebuilt
+    from their members a chunk of parents at a time."""
+    lo = np.empty(expansions.size)
+    hi = np.empty(expansions.size)
+    step = max(1, scorer.rows // per)
+    ends = np.searchsorted(expansions, np.arange(0, len(states) + step, step) * per)
+    for p0, start, stop in zip(range(0, len(states), step), ends, ends[1:]):
+        part = expansions[start:stop]
+        parents = states[p0 : p0 + step]
+        base = np.full((len(parents), scorer.m), -np.inf)
+        for j in range(states.shape[1]):
+            np.maximum(base, scorer.columns[parents[:, j]], out=base)
+        base_abs = np.abs(base).sum(axis=1) if states.shape[1] else np.zeros(len(base))
+        which = part // per - p0
+        lo[start:stop], hi[start:stop] = scorer.intervals(base, base_abs, added[part], which)
+    return lo, hi
 
 
 @dataclass

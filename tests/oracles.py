@@ -110,3 +110,101 @@ def best_two_partition_cost(points) -> float:
             cost += float(((members - center) ** 2).sum())
         best = min(best, cost)
     return best
+
+
+# Per-candidate selection searches, scoring each subset by one fsum over the
+# per-reference maxima of GEMV similarity columns, as the selection module's
+# scorer defines its values.
+SWAP_EPS = 1e-12
+
+
+def _gemv_columns(pool_vectors, reference):
+    ref = np.ascontiguousarray(reference, dtype=np.float64)
+    return [ref @ np.ascontiguousarray(v, dtype=np.float64) for v in pool_vectors]
+
+
+def _subset_value(columns, members, affine: bool) -> float:
+    best = np.full(columns[0].shape[0], -np.inf)
+    for i in members:
+        best = np.maximum(best, columns[i])
+    if affine:
+        best = (best + 1.0) * 0.5
+    return fsum(best.tolist()) / best.shape[0]
+
+
+def literal_greedy(pool_clients, pool_vectors, reference, affine=False, *, seed=0, init="first",
+                   per_client_slots=False, literal_termination=False):
+    """Swap search scoring every candidate of every slot scan on its own.
+
+    ``pool_clients[i]`` is pool entry i's client, the pool sorted by
+    (client, cluster). Returns (slot pool indices, passes, swaps, trace).
+    """
+    columns = _gemv_columns(pool_vectors, reference)
+    by_client: dict[int, list[int]] = {}
+    for idx, client in enumerate(pool_clients):
+        by_client.setdefault(client, []).append(idx)
+    order = sorted(by_client)
+    if init == "first":
+        slots = [by_client[c][0] for c in order]
+    else:
+        rng = np.random.default_rng(seed)
+        slots = [by_client[c][int(rng.integers(len(by_client[c])))] for c in order]
+
+    def scan(i):
+        others = slots[:i] + slots[i + 1:]
+        allowed = by_client[order[i]] if per_client_slots else range(len(columns))
+        best_val, best_idx = -np.inf, None
+        for idx in allowed:
+            if idx in others:
+                continue
+            val = _subset_value(columns, others + [idx], affine)
+            if val > best_val:
+                best_val, best_idx = val, idx
+        return best_val, best_idx
+
+    current = _subset_value(columns, slots, affine)
+    trace, swaps, scans, passes = [current], 0, 0, 0
+    while True:
+        passes += 1
+        accepted = 0
+        for i in range(len(order)):
+            scans += 1
+            val, idx = scan(i)
+            if idx is None or val <= current + SWAP_EPS:
+                if literal_termination:
+                    return slots, -(-scans // len(order)), swaps, trace
+                continue
+            slots[i], current = idx, val
+            swaps += 1
+            accepted += 1
+            trace.append(current)
+        if accepted == 0:
+            return slots, passes, swaps, trace
+
+
+def dict_beam(pool_vectors, reference, n_slots: int, width: int, affine=False):
+    """Beam search holding every expansion's maxima in a dict keyed by the
+    sorted subset. Returns (best subset, its value)."""
+    columns = _gemv_columns(pool_vectors, reference)
+    beam = [()]
+    for _ in range(n_slots):
+        expanded = {}
+        for state in beam:
+            for idx in range(len(columns)):
+                if idx not in state:
+                    new = tuple(sorted(state + (idx,)))
+                    expanded.setdefault(new, _subset_value(columns, new, affine))
+        ranked = sorted(expanded.items(), key=lambda item: (-item[1], item[0]))
+        beam = [state for state, _ in ranked[:width]]
+    return list(beam[0]), _subset_value(columns, beam[0], affine)
+
+
+def literal_brute(pool_vectors, reference, n_slots: int, affine=False):
+    """First subset in lexicographic order with the largest value, and that value."""
+    columns = _gemv_columns(pool_vectors, reference)
+    best_val, best = -np.inf, None
+    for combo in itertools.combinations(range(len(columns)), n_slots):
+        val = _subset_value(columns, combo, affine)
+        if val > best_val:
+            best_val, best = val, combo
+    return list(best), best_val

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -242,3 +243,22 @@ def test_top_candidates_hold_each_canonical_top_k():
         top = np.lexsort((np.arange(len(pool)), -canon))[:k]
         assert set(top) <= set(rows.tolist())
 
+
+
+def test_top_candidates_screen_memory_is_bounded_per_query_block():
+    rng = np.random.default_rng(28)
+    pool = random_unit_vectors(2_000, 16, rng).astype(np.float64)
+    queries = random_unit_vectors(3_000, 16, rng).astype(np.float64)
+    tracemalloc.start()
+    try:
+        found = _top_candidates(pool, queries, [4] * len(queries))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One screen of all queries would hold 3,000 x 2,000 floats, 48 MB.
+    assert peak < 12 << 20
+    for j in (0, 255, 256, 2_999):
+        rows, sims = found[j]
+        canon = np.array([np.einsum("i,i->", x, queries[j]) for x in pool])
+        assert np.array_equal(sims, canon[rows])
+        assert set(np.lexsort((np.arange(len(pool)), -canon))[:4]) <= set(rows.tolist())

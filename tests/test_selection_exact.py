@@ -1,0 +1,204 @@
+"""Block-scored selection against per-candidate oracles, on near ties.
+
+Each instance makes ``np.sum`` and ``math.fsum`` disagree somewhere: exact
+ties summed in different orders, columns one ulp apart, duplicate
+candidates and candidates that gain nothing.
+"""
+
+import itertools
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from oracles import dict_beam, literal_brute, literal_greedy
+
+import fedca
+from fedca.clustering import CandidateCenters
+from fedca.errors import ValidationError
+from fedca.geometry import SimilarityMode, coverage
+from fedca.selection import (
+    CenterSelection,
+    SelectionProblem,
+    beam_select,
+    brute_force_select,
+    greedy_select,
+)
+from fedca.synthetic import random_selection_problem, random_unit_vectors
+
+RAW = SimilarityMode.RAW_COSINE
+AFFINE = SimilarityMode.AFFINE_SHIFTED
+
+
+def _problem(client_vectors, reference, mode):
+    candidates = [
+        CandidateCenters(client_id=k, centers=np.asarray(vecs, dtype=np.float32))
+        for k, vecs in enumerate(client_vectors)
+    ]
+    return SelectionProblem(candidates_per_client=candidates, reference=reference, mode=mode)
+
+
+def _axis_reference(rng, dim, scales):
+    """Rows ``a * e_k`` for every scale a and axis k, shuffled: each
+    similarity is one rounded product, so permuting a candidate's
+    coordinates permutes its column exactly, and the shuffle sends the
+    permuted values to other places in ``np.sum``'s additions."""
+    return rng.permutation(np.concatenate([a * np.eye(dim) for a in scales]))
+
+
+def _orbit(vec):
+    return [np.roll(vec, s) for s in range(len(vec))]
+
+
+def _orbits(mode, clients, seed=28):
+    # Subsets related by a coordinate shift tie exactly, but their maxima
+    # rows are permutations of each other, which np.sum rounds differently.
+    rng = np.random.default_rng(seed)
+    ref = _axis_reference(rng, 4, rng.uniform(0.05, 1.0, 150))
+    bases = random_unit_vectors(3, 4, rng)
+    if clients == 1:
+        return _problem([_orbit(bases[0]) + _orbit(bases[1])[:2]], ref, mode)
+    return _problem([_orbit(bases[0]), _orbit(bases[1]), _orbit(bases[2])[:3]], ref, mode)
+
+
+def _ulp_columns(mode, seed=28):
+    # e_0 and e_1 read the first two reference coordinates, which differ by
+    # one ulp up or down per row, with one more up than down.
+    rng = np.random.default_rng(seed)
+    m = 301
+    a = rng.uniform(0.1, 0.9, m)
+    steps = np.where(np.arange(m) % 2 == 0, np.inf, -np.inf)
+    ref = np.zeros((m, 5))
+    ref[:, 0] = a
+    ref[:, 1] = np.nextafter(a, steps)
+    ref[:, 2:] = rng.uniform(-0.3, 0.3, (m, 3))
+    e = np.eye(5)
+    others = random_unit_vectors(4, 5, rng)
+    return _problem([[e[0], others[0], e[1]], [e[1], others[1]], [others[2], e[0], others[3]]],
+                    ref, mode)
+
+
+def _duplicates(mode):
+    # Repeated candidates within and across clients; a repeat of a selected
+    # candidate gains nothing. The reference is the pooled candidates.
+    v = random_unit_vectors(5, 6, np.random.default_rng(3))
+    return _problem([[v[0], v[1], v[0]], [v[1], v[2], v[3]], [v[0], v[4], v[2], v[2]]], None, mode)
+
+
+def _no_gain(mode):
+    # Most candidates lie inside a cap that one candidate covers better at
+    # every reference row, so they gain nothing once it is selected.
+    rng = np.random.default_rng(9)
+    axis = np.zeros(8)
+    axis[0] = 1.0
+    ref = axis + 0.05 * rng.standard_normal((200, 8))
+    ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+    far = -axis + 0.3 * rng.standard_normal((6, 8))
+    far /= np.linalg.norm(far, axis=1, keepdims=True)
+    return _problem([[axis, far[0], far[1]], [far[2], axis, far[3]], [far[4], far[5]]], ref, mode)
+
+
+INSTANCES = {
+    "orbits-one-client": lambda mode: _orbits(mode, 1),
+    "orbits": lambda mode: _orbits(mode, 3),
+    "ulp-columns": _ulp_columns,
+    "duplicates": _duplicates,
+    "no-gain": _no_gain,
+}
+
+
+@pytest.mark.parametrize("mode", [RAW, AFFINE], ids=["raw", "affine"])
+@pytest.mark.parametrize("kind", sorted(INSTANCES))
+def test_selection_equals_per_candidate_oracles_on_near_ties(kind, mode):
+    problem = INSTANCES[kind](mode)
+    pool = problem.pool()
+    clients = [c.client for c in pool]
+    vectors = [c.vector for c in pool]
+    ref = problem.reference_matrix()
+    affine = mode is AFFINE
+
+    def expected(indices, passes, swaps, trace):
+        slots = [pool[i] for i in indices]
+        cov = coverage(ref, np.stack([s.vector for s in slots]), mode)
+        return CenterSelection(slots, cov, passes, swaps, trace).to_json_dict()
+
+    for init, options in itertools.product(
+        ("first", "random"), ({}, {"per_client_slots": True}, {"literal_termination": True})
+    ):
+        got = greedy_select(problem, 3, init=init, **options).to_json_dict()
+        oracle = literal_greedy(clients, vectors, ref, affine, seed=3, init=init, **options)
+        assert got == expected(*oracle), (init, options)
+    full = math.comb(len(pool), problem.n_clients)
+    for width in (1, 7, full):
+        state, val = dict_beam(vectors, ref, problem.n_clients, width, affine)
+        assert beam_select(problem, width).to_json_dict() == expected(state, 0, 0, [val]), width
+    state, val = literal_brute(vectors, ref, problem.n_clients, affine)
+    assert brute_force_select(problem).to_json_dict() == expected(state, 0, 0, [val])
+
+
+def test_non_finite_vectors_are_rejected():
+    problem = random_selection_problem(3, 2, 4, seed=1)
+    for bad_value in (np.nan, np.inf):
+        ref = np.array(problem.reference_matrix())
+        ref[2, 1] = bad_value
+        nan_problem = SelectionProblem(problem.candidates_per_client, reference=ref)
+        for search in (greedy_select, lambda p: beam_select(p, 4), brute_force_select):
+            with pytest.raises(ValidationError, match="reference has non-finite"):
+                search(nan_problem)
+    bad = [CandidateCenters(c.client_id, c.centers.copy()) for c in problem.candidates_per_client]
+    bad[1].centers[0, 0] = np.inf
+    with pytest.raises(ValidationError, match="client 1 has non-finite"):
+        SelectionProblem(bad)
+
+
+def test_beam_memory_does_not_grow_with_width_times_reference():
+    rng = np.random.default_rng(2)
+    candidates = [CandidateCenters(k, random_unit_vectors(10, 16, rng)) for k in range(6)]
+    problem = SelectionProblem(candidates, reference=random_unit_vectors(300, 16, rng))
+    problem.reference_matrix()
+    width, n, m = 2048, 60, 300
+    tracemalloc.start()
+    try:
+        beam_select(problem, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Keeping every expansion's maxima would take 2048 * 60 * 300 floats, ~295 MB.
+    assert peak <= (width + n) * m * 8 + (4 << 20)
+
+
+_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from fedca.clustering import CandidateCenters
+from fedca.selection import SelectionProblem, beam_select, brute_force_select, greedy_select
+rng = np.random.default_rng(4)
+def unit(n):
+    x = rng.standard_normal((n, 1024))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+clients = [CandidateCenters(k, unit(43).astype(np.float32)) for k in range(7)]
+ref = unit(400)
+problem = SelectionProblem(clients, reference=ref)
+small = SelectionProblem([CandidateCenters(c.client_id, c.centers[:4]) for c in clients[:4]],
+                         reference=ref)
+out = [greedy_select(problem), beam_select(problem, 64), brute_force_select(small)]
+print(hashlib.sha256(json.dumps([s.to_json_dict() for s in out]).encode()).hexdigest())
+"""
+
+
+def test_selection_is_invariant_to_blas_threads():
+    # With OpenBLAS 0.3.31, one GEMM of all 301 columns of this instance differs
+    # at 1 and 2 threads; the per-candidate GEMV columns must not.
+    src = str(Path(fedca.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
