@@ -31,7 +31,6 @@ import numpy as np
 from .clustering import CandidateCenters
 from .errors import ValidationError, check_json, json_field
 from .geometry import _top_candidates
-from .parallel import parallel_map
 from .selection import CenterSelection
 from .store import EmbeddingStore
 
@@ -131,11 +130,10 @@ def feddca_augment(
         raise ValidationError(f"per_client must be >= 1, got {per_client}")
     if not selection.slots:
         raise ValidationError("selection has no slots")
-
-    def one(slot):
-        return retrieve_topk(pool, slot.vector, per_client, threshold, client_id=slot.client)
-
-    return parallel_map(one, selection.slots)
+    return [
+        retrieve_topk(pool, slot.vector, per_client, threshold, client_id=slot.client)
+        for slot in selection.slots
+    ]
 
 
 def direct_retrieval_augment(

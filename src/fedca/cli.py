@@ -31,7 +31,6 @@ from .fedsim import (
     run_experiment,
     write_rows_csv,
 )
-from .parallel import set_thread_count
 from .partition import PartitionPlan
 from .selection import (
     DEFAULT_BRUTE_BUDGET,
@@ -83,14 +82,10 @@ def _comma_list(parse):
     return convert
 
 
-def _load_store(path: str) -> EmbeddingStore:
-    return ingest_binary(path)
-
-
 def _load_centers(paths: list[str]) -> list[CandidateCenters]:
     out = []
     for k, path in enumerate(paths):
-        store = _load_store(path)
+        store = ingest_binary(path)
         if len(store) == 0:
             raise ValidationError(f"centers file {path} is empty")
         out.append(CandidateCenters(client_id=k, centers=store.vectors))
@@ -101,7 +96,7 @@ def _build_problem(args) -> SelectionProblem:
     candidates = _load_centers(args.centers)
     reference = None
     if args.reference != "call":
-        reference = _load_store(args.reference).vectors
+        reference = ingest_binary(args.reference).vectors
     return SelectionProblem(candidates_per_client=candidates, reference=reference)
 
 
@@ -132,7 +127,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    store = _load_store(args.infile)
+    store = ingest_binary(args.infile)
     result = kmeans(store.vectors, args.k, args.seed)
     centers = EmbeddingStore(
         store.dim,
@@ -151,7 +146,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    store = _load_store(args.infile)
+    store = ingest_binary(args.infile)
     beta_or_mode = args.beta if args.mode == "dirichlet" else args.mode
     plan = partition_domain(
         store, beta_or_mode, args.clients, args.per_client, args.label_clusters, args.seed
@@ -185,7 +180,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    pool = _load_store(args.pool)
+    pool = ingest_binary(args.pool)
     if args.strategy == "feddca":
         if not args.selection:
             raise ValidationError("--selection is required for the feddca strategy")
@@ -209,8 +204,8 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    domain = _load_store(args.domain)
-    universe = _load_store(args.universe)
+    domain = ingest_binary(args.domain)
+    universe = ingest_binary(args.universe)
     plan = _read_json(args.plan, PartitionPlan.from_json_dict)
     aug_ids = _read_json(args.augsets, augset_ids_from_json)
     passes = _load_selection(args.selection).passes if args.selection else 0
@@ -296,15 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fedca", description=__doc__)
     parser.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="worker threads for data-parallel scans (default: machine parallelism; "
-             "1 gives identical results)",
+        help="accepted for compatibility; every subcommand runs the same work "
+             "at any value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and convert a JSONL embedding file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=1024)
+    p.add_argument("--dim", type=_positive_int, default=1024)
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("cluster", help="seeded k-means over a store")
@@ -410,17 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_thread_count(args.threads)
     try:
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"fedca: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FedcaError, FileNotFoundError) as exc:
+    except (FedcaError, OSError) as exc:
         print(f"fedca: {exc}", file=sys.stderr)
         return EXIT_DATA
-    finally:
-        set_thread_count(None)
 
 
 if __name__ == "__main__":

@@ -169,4 +169,4 @@ def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: points {pts.shape[1]} vs centers {cmat.shape[1]}"
         )
-    return np.argmax(pts @ cmat.T, axis=1)
+    return _assign(pts, cmat)

@@ -368,10 +368,14 @@ def greedy_select(
     replacement from any client's candidates unless ``per_client_slots``
     restricts slot i to client i's own candidates.
 
-    Termination: by default the search stops after a full sweep of all N
-    slots accepts no swap. ``literal_termination`` stops at the first slot
-    whose scan finds no improvement (the stricter rule can stop early at one
-    locally-stuck slot; passes are then reported as started sweeps).
+    Termination: the search stops after consecutive scans that find no
+    improvement: N of them by default, one with ``literal_termination`` (the
+    stricter rule can stop early at one locally-stuck slot). A slot's scan
+    depends only on the other slots, so once N scans in a row are idle every
+    later scan would be too; the default rule gives the slots, swaps and
+    trace of a search that stops after a whole sweep without a swap, but
+    skips that sweep's redundant tail. ``passes`` counts started sweeps of N
+    scans in both modes, so it also equals that search's sweep count.
     """
     pool = problem.pool()
     ref = problem.reference_matrix()
@@ -396,40 +400,22 @@ def greedy_select(
 
     current = scorer.value(slot_indices)
     trace = [current]
-    swaps = 0
+    swaps = scans = idle = 0
+    idle_limit = 1 if literal_termination else n_slots
+    while idle < idle_limit:
+        i = scans % n_slots
+        scans += 1
+        best_val, best_idx = _scan_slot(scorer, slot_indices, i, allowed_for(i))
+        if best_idx is None or best_val <= current + IMPROVEMENT_EPS:
+            idle += 1
+            continue
+        slot_indices[i] = best_idx
+        current = best_val
+        swaps += 1
+        idle = 0
+        trace.append(current)
 
-    if literal_termination:
-        scans = 0
-        i = 0
-        while True:
-            scans += 1
-            best_val, best_idx = _scan_slot(scorer, slot_indices, i, allowed_for(i))
-            if best_idx is None or best_val <= current + IMPROVEMENT_EPS:
-                break
-            slot_indices[i] = best_idx
-            current = best_val
-            swaps += 1
-            trace.append(current)
-            i = (i + 1) % n_slots
-        passes = -(-scans // n_slots)
-    else:
-        passes = 0
-        while True:
-            passes += 1
-            pass_swaps = 0
-            for i in range(n_slots):
-                best_val, best_idx = _scan_slot(scorer, slot_indices, i, allowed_for(i))
-                if best_idx is None or best_val <= current + IMPROVEMENT_EPS:
-                    continue
-                slot_indices[i] = best_idx
-                current = best_val
-                swaps += 1
-                pass_swaps += 1
-                trace.append(current)
-            if pass_swaps == 0:
-                break
-
-    return _build_selection(problem, slot_indices, passes, swaps, trace)
+    return _build_selection(problem, slot_indices, -(-scans // n_slots), swaps, trace)
 
 
 def brute_force_select(

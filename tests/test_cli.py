@@ -64,6 +64,17 @@ def test_ingest_bad_data_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--in", "--out", "--config"])
+def test_directory_path_exits_2(flag, workspace, tmp_path, capsys):
+    paths = {"--in": workspace / "client0.fdca", "--out": tmp_path / "k.fdca", flag: tmp_path}
+    if flag == "--config":
+        argv = ["run", "--config", str(tmp_path), "--out", str(tmp_path / "runs")]
+    else:
+        argv = ["cluster", "--in", str(paths["--in"]), "--k", "2", "--out", str(paths["--out"])]
+    assert main(argv) == 2
+    assert "fedca: [Errno 21]" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["cluster", "--in", "x.fdca"])  # missing required flags
@@ -75,9 +86,10 @@ def test_usage_error_exits_1():
     (["sweep", "--config", "absent.json", "--betas", "x", "--out", "o.csv"], "--betas"),
     (["oracle", "beam", "--centers", "absent.fdca", "--widths", "a", "--out", "o.json"],
      "--widths"),
+    (["ingest", "--in", "absent.jsonl", "--out", "o.fdca", "--dim", "-5"], "--dim"),
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
-    # The config and centers files do not exist: lists are parsed before any file is read.
+    # The input files do not exist: flag values are parsed before any file is read.
     src = str(Path(fedca.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

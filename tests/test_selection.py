@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import exhaustive_best_subset
 
+from fedca import selection
 from fedca.clustering import CandidateCenters
 from fedca.errors import BudgetExceededError, ValidationError
 from fedca.geometry import SimilarityMode, coverage
@@ -135,6 +136,28 @@ def test_greedy_random_init_and_literal_termination_run():
     assert random_init.coverage.value <= default.coverage.value + 1e-9
     assert literal.coverage.value <= default.coverage.value + 1e-12
     assert literal.passes >= 1
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_greedy_stops_once_every_slot_is_idle(literal, monkeypatch):
+    # The last swap of this instance is the second sweep's scan of slot 0. A
+    # slot's scan depends only on the other slots, so the search stops after
+    # n_slots idle scans (one with literal termination), not at a sweep's end.
+    problem = random_selection_problem(3, 4, 6, seed=2)
+    n_slots = problem.n_clients
+    scans = []
+    scan_slot = selection._scan_slot
+
+    def recording(scorer, slot_indices, i, allowed):
+        scans.append((i, list(slot_indices)))
+        return scan_slot(scorer, slot_indices, i, allowed)
+
+    monkeypatch.setattr(selection, "_scan_slot", recording)
+    result = greedy_select(problem, literal_termination=literal)
+    last_swap = max(j for j in range(len(scans) - 1) if scans[j + 1][1] != scans[j][1])
+    assert (last_swap, scans[last_swap][0], result.swaps) == (n_slots, 0, 4)
+    assert len(scans) == last_swap + 1 + (1 if literal else n_slots)
+    assert result.passes == -(-len(scans) // n_slots)
 
 
 def test_per_client_slots_restricts_origins():
