@@ -10,9 +10,10 @@ rather than raised.
 Two similarity sources, which can differ in the last bits:
 
 * ``direct_retrieval_augment`` reads canonical per-pair values from
-  ``geometry._top_candidates``: the centroids of the call are screened in
-  one GEMM over the pool per block of 256, and only rows that can reach a
-  centroid's budget are scored. Its hits are identical at any BLAS thread
+  ``geometry._top_candidates``: the float32 centroids of the call are
+  screened in one SGEMM over the store's float32 rows per block of 256, and
+  only rows that can reach a centroid's budget are widened and scored. It
+  never reads ``matrix64()``, and its hits are identical at any BLAS thread
   count.
 * ``retrieve_topk`` (``feddca_augment``, ``data_select``) reads one
   full-pool GEMV, ``pool.matrix64() @ q``, per query. The benchmark's naive
@@ -150,14 +151,18 @@ def direct_retrieval_augment(
     per_client unique ids whenever the pool permits.
 
     Similarities are canonical values from ``geometry._top_candidates``: one
-    screened GEMM over the pool per block of up to 256 centroids, then a
-    per-pair dot product for the rows that can reach a centroid's budget.
-    Hits therefore equal a full-pool scan ranked by canonical value and are
-    identical at any BLAS thread count. (``retrieve_topk`` still ranks by a
-    full-pool GEMV; see the module docstring.) The screen holds one float64
-    per pool row for each centroid of one block, so its memory is bounded by
-    256 times the pool size (48 MB for the paper's 100 centroids over 60,000
-    rows, at most 123 MB for any number of centroids over that pool).
+    screened GEMM over the store's float32 rows per block of up to 256
+    centroids (SGEMM for float32 centroids, DGEMM when any centroid is
+    float64), then a float64 per-pair dot product for the rows that can
+    reach a centroid's budget. The pool's norm bound is ``pool.max_norm``,
+    so the call never reads ``pool.matrix64()``. Hits therefore equal a
+    full-pool scan ranked by canonical value and are identical at any BLAS
+    thread count. (``retrieve_topk`` still ranks by a full-pool GEMV; see
+    the module docstring.) The SGEMM screen holds one float32 per pool row
+    for each centroid of one block, so its memory is bounded by 256 times
+    the pool size (24 MB for the paper's 100 centroids over 60,000 rows, at
+    most 61 MB for any number of centroids over that pool; twice that for a
+    DGEMM screen).
     """
     if per_client < 1:
         raise ValidationError(f"per_client must be >= 1, got {per_client}")
@@ -183,9 +188,10 @@ def direct_retrieval_augment(
             plan.append((idx, quota, quota + earlier))
             earlier += quota
     found = _top_candidates(
-        pool.matrix64(),
-        np.array(queries, dtype=np.float64).reshape(-1, pool.dim),
+        pool.vectors,
+        np.array(queries).reshape(-1, pool.dim),
         [budget for _, _, budget in plan],
+        pool_norm=pool.max_norm,
     )
     seen: list[set[int]] = [set() for _ in client_centers]
     picks: list[list[tuple[int, float]]] = [[] for _ in client_centers]

@@ -54,7 +54,8 @@ def _points64(points) -> np.ndarray:
         raise ValidationError("points must be a 2-d vector set")
     if pts.shape[0] == 0:
         raise ValidationError("cannot cluster an empty point set")
-    norms = np.linalg.norm(pts, axis=1)
+    # squared norms by einsum: no n x d temporary, unlike np.linalg.norm
+    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
     if np.any(np.abs(norms - 1.0) > _UNIT_TOLERANCE):
         raise ValidationError("points must be unit-norm")
     return pts
@@ -115,6 +116,15 @@ def _update(pts: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndar
     return new
 
 
+def _inertia(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
+    """``np.sum((pts - centers[labels]) ** 2)`` through one n x d temporary,
+    subtracted and squared in place: the same elements, so the same sum."""
+    diff = centers[labels]
+    np.subtract(pts, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return float(np.sum(diff))
+
+
 def kmeans(
     points,
     k: int,
@@ -147,8 +157,7 @@ def kmeans(
             break
         labels = new_labels
 
-    diff = pts - centers[labels]
-    inertia = float(np.sum(diff * diff))
+    inertia = _inertia(pts, centers, labels)
     sizes = np.bincount(labels, minlength=k)
     return CandidateCenters(
         client_id=client_id,

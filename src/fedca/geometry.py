@@ -8,23 +8,35 @@ facility value is the same quantity unnormalized.
 Determinism contract: ``best_similarity`` is the only source of the
 similarity values that ``coverage``, ``facility_value`` and ``marginal_gain``
 reduce, and every value it returns is *canonical*: the dot product of two
-rows as ``np.einsum("ij,ij->i", a, b)`` computes it, which does not depend
-on which other rows share the call, on their order, or on the BLAS thread
-count. It screens blocks of reference rows against the covering set with
-one GEMM, whose values can move in the last bits with blocking and BLAS
-threads. A GEMM value and a canonical value each lie within
-gamma_d * |x| * |y| of the exact dot product (gamma_d = d*u / (1 - d*u),
-u = 2**-53; Higham, *Accuracy and Stability of Numerical Algorithms*,
+rows widened to float64, as ``np.einsum("ij,ij->i", a, b)`` computes it,
+which does not depend on which other rows share the call, on their order,
+or on the BLAS thread count. It screens blocks of reference rows against
+the covering set with one GEMM, whose values can move in the last bits with
+blocking and BLAS threads. There are two screens:
+
+* SGEMM, when both operands are float32 (store rows, k-means centers) and
+  every nonzero norm product ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, so
+  no float32 product or partial sum overflows and underflow stays far below
+  the slack; unit roundoff u = 2**-24;
+* DGEMM over operands widened to float64 otherwise: float64 callers, mixed
+  dtypes, and float32 inputs whose norms are out of that range or not
+  finite; u = 2**-53.
+
+A screen value lies within gamma_d(u) * |x| * |y| of the exact dot product
+and a canonical value within gamma_d(2**-53) * |x| * |y| (gamma_d =
+d*u / (1 - d*u); Higham, *Accuracy and Stability of Numerical Algorithms*,
 sec. 3.1), so the column with the largest canonical value is always among
-the columns within 4 * gamma_(d+1) * |x| * max|y| of the row's GEMM
-maximum; only those are rescored canonically. Each per-reference maximum is
-therefore the exact maximum of canonical values over the whole covering
-set: bit-identical under any chunking or ordering of either set and at any
-BLAS thread count.
+the columns within 4 * gamma_(d+1)(u) * |x| * max|y| of the row's screen
+maximum (about 2.4e-4 at d = 1,024 for SGEMM); only those are rescored
+canonically. Each per-reference maximum is therefore the exact maximum of
+canonical values over the whole covering set: bit-identical under any
+chunking or ordering of either set, for either screen, and at any BLAS
+thread count. Widening float32 to float64 is exact, so float32 input and
+the same input widened to float64 give the same bits.
 ``_top_candidates``, the batched top-k that direct retrieval ranks by, keeps
-the same contract: one GEMM screens each block of queries against the pool,
-the same bound below each query's k-th GEMM value picks the rows to
-rescore, and only canonical values are returned.
+the same contract with the same two screens: one GEMM screens each block of
+queries against the pool, the same bound below each query's k-th screen
+value picks the rows to rescore, and only canonical values are returned.
 Sums over the reference set use ``math.fsum`` (exact compensated summation,
 whose result is independent of summation order), so reference-set sizes up
 to ~1e5 stay accurate to the last unit in the last place.
@@ -40,10 +52,17 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Bytes of GEMM output per best_similarity screen block, and of gathered rows
+# Bytes of screen output per best_similarity block, and of gathered rows
 # per rescoring chunk in both kernels.
 _SCREEN_BLOCK_BYTES = 4 << 20
 _UNIT_ROUNDOFF = 2.0**-53
+# Unit roundoff of a float32 screen.
+_SINGLE_ROUNDOFF = 2.0**-24
+# A float32 screen is used only when every nonzero norm product |x| * max|y|
+# lies in this range: no product or partial sum can overflow, and the
+# absolute error of underflowing products (at most 2**-150 each) stays far
+# below the slack.
+_SINGLE_RANGE = (2.0**-60, 2.0**60)
 # Queries per `_top_candidates` screen: one pool pass for up to this many.
 _QUERY_BLOCK = 256
 
@@ -94,6 +113,20 @@ def _vector64(x, name: str) -> np.ndarray:
     return arr
 
 
+def _screen_operands(a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands as C-contiguous 2-d arrays of one dtype: float32 when
+    both are float32, float64 otherwise (widening is exact)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == b.dtype == np.float32:
+        pair = (np.ascontiguousarray(a), np.ascontiguousarray(b))
+    else:
+        pair = (np.ascontiguousarray(a, np.float64), np.ascontiguousarray(b, np.float64))
+    for arr, name in zip(pair, names):
+        if arr.ndim != 2:
+            raise ValidationError(f"{name} must be a 2-d vector set, got ndim={arr.ndim}")
+    return pair
+
+
 def cosine(a, b) -> float:
     """Cosine similarity of two unit vectors (their dot product)."""
     va = _vector64(a, "a")
@@ -105,46 +138,74 @@ def cosine(a, b) -> float:
     return float(va @ vb)
 
 
+def _wide(x: np.ndarray) -> np.ndarray:
+    """``x`` as float64; float32 rows widen exactly, float64 rows are not copied."""
+    return x.astype(np.float64, copy=False)
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical similarity of each row pair ``(a[i], b[i])``."""
+    """Canonical similarity of each row pair ``(a[i], b[i])``; both float64."""
     return np.einsum("ij,ij->i", a, b)
 
 
-def _max_norm(x: np.ndarray) -> float:
-    return float(np.sqrt(_row_dots(x, x).max()))
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Float64 L2 norm of every row, widening one block of rows at a time."""
+    rows = max(1, _SCREEN_BLOCK_BYTES // (8 * max(1, x.shape[1])))
+    sq = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], rows):
+        part = _wide(x[lo : lo + rows])
+        sq[lo : lo + rows] = _row_dots(part, part)
+    return np.sqrt(sq)
 
 
-def _gamma(n: int) -> float:
+def _gamma(n: int, u: float = _UNIT_ROUNDOFF) -> float:
     """``gamma_n = n*u / (1 - n*u)``: the relative error bound of n roundings."""
-    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return n * u / (1.0 - n * u)
 
 
-def _screen_slack(dim: int) -> float:
-    """``4 * gamma_(d+1)``: times ``|x| * max|y|``, the widest gap between a
-    GEMM value and the canonical value that can outrank it.
+def _screen_slack(dim: int, u: float) -> float:
+    """``4 * gamma_(d+1)`` at the screen's unit roundoff ``u``: times
+    ``|x| * max|y|``, the widest gap between a screen value and the
+    canonical value that can outrank it.
 
-    A GEMM value and a canonical value each lie within ``gamma_d * |x| * |y|``
-    of the exact dot product, so two of them can be ``2 * gamma_d`` apart
-    each way; the extra unit in ``d + 1`` covers the rounding of the norms
-    and of the threshold itself.
+    A screen value lies within ``gamma_d(u) * |x| * |y|`` of the exact dot
+    product and a canonical value within ``gamma_d(2**-53) * |x| * |y|``, so
+    two of them can be ``2 * gamma_d(u)`` apart each way; the extra unit in
+    ``d + 1`` covers the rounding of the norms and of the threshold itself.
     """
-    return 4.0 * _gamma(dim + 1)
+    return 4.0 * _gamma(dim + 1, u)
+
+
+def _screen_roundoff(dtype: np.dtype, left_norms: np.ndarray, right_norm: float) -> float:
+    """Unit roundoff of the screen GEMM: float32 when the operands are float32
+    and every nonzero norm product ``|x_i| * right_norm`` lies in
+    ``_SINGLE_RANGE``, float64 otherwise (non-finite norms included)."""
+    if dtype != np.float32:
+        return _UNIT_ROUNDOFF
+    lo, hi = _SINGLE_RANGE
+    nonzero = left_norms[left_norms > 0]
+    in_range = float(left_norms.max(initial=0.0)) * right_norm <= hi and (
+        nonzero.size == 0 or float(nonzero.min()) * right_norm >= lo
+    )
+    return _SINGLE_ROUNDOFF if in_range else _UNIT_ROUNDOFF
 
 
 def best_similarity(reference, covering) -> np.ndarray:
     """Per-reference-point maximum raw cosine over the covering set.
 
     Each block of reference rows is screened against the whole covering set
-    with one GEMM. A row keeps its GEMM argmax and every column whose GEMM
-    value is within ``_screen_slack(d) * |x_i| * max_j |y_j|`` of it, so the
-    column with the largest canonical value is always kept. The row's result
-    is the largest canonical value, ``np.einsum("ij,ij->i")``, among the kept
-    columns; GEMM values are never returned. The result is therefore
-    bit-identical under any chunking or ordering of either set and at any
-    BLAS thread count.
+    with one GEMM: SGEMM when both sets are float32 and their norms are in
+    range (see the module docstring), DGEMM otherwise. A row keeps its
+    screen argmax and every column whose screen value is within
+    ``_screen_slack(d, u) * |x_i| * max_j |y_j|`` of it, so the column with
+    the largest canonical value is always kept. The row's result is the
+    largest canonical value, ``np.einsum("ij,ij->i")`` over rows widened to
+    float64, among the kept columns; screen values are never returned. The
+    result is therefore bit-identical under any chunking or ordering of
+    either set, for float32 input and the same input widened to float64,
+    and at any BLAS thread count.
     """
-    ref = _matrix64(reference, "reference")
-    cov = _matrix64(covering, "covering")
+    ref, cov = _screen_operands(reference, covering, ("reference", "covering"))
     if cov.shape[0] == 0:
         raise ValidationError("covering set is empty")
     if ref.shape[0] == 0:
@@ -155,68 +216,95 @@ def best_similarity(reference, covering) -> np.ndarray:
         )
     m, dim = ref.shape
     n = cov.shape[0]
-    scale = _screen_slack(dim) * _max_norm(cov)
-    # Rows per block: the GEMM output and the gathered winners each fit in the block.
-    rows = max(1, _SCREEN_BLOCK_BYTES // (8 * max(n, dim)))
+    ref_norms = _row_norms(ref)
+    cov_norm = float(_row_norms(cov).max())
+    u = _screen_roundoff(ref.dtype, ref_norms, cov_norm)
+    if u == _UNIT_ROUNDOFF:
+        ref, cov = _wide(ref), _wide(cov)
+    slack = _screen_slack(dim, u) * cov_norm * ref_norms
+    # Rows per block: the screen output and the gathered winner rows each fit
+    # in the block at the screen's precision (winners twice that once widened).
+    rows = max(1, _SCREEN_BLOCK_BYTES // (ref.itemsize * max(n, dim)))
     pairs = max(1, _SCREEN_BLOCK_BYTES // (16 * dim))
     best = np.empty(m)
     for lo in range(0, m, rows):
         block = ref[lo : lo + rows]
+        wide = _wide(block)
         screen = block @ cov.T
         winner = screen.argmax(axis=1)
         local = np.arange(block.shape[0])
-        floor = screen[local, winner] - scale * np.sqrt(_row_dots(block, block))
+        floor = (screen[local, winner] - slack[lo : lo + rows]).astype(screen.dtype)
         near = screen >= floor[:, None]
         near[local, winner] = False
         out = best[lo : lo + rows]
-        out[:] = _row_dots(block, cov[winner])
-        ri, cj = np.nonzero(near)
+        out[:] = _row_dots(wide, _wide(cov[winner]))
+        if not near.any():
+            continue
+        held = np.flatnonzero(near.any(axis=1))
+        ri, cj = np.nonzero(near[held])
+        ri = held[ri]
         for p in range(0, ri.size, pairs):
             r, c = ri[p : p + pairs], cj[p : p + pairs]
-            np.maximum.at(out, r, _row_dots(block[r], cov[c]))
+            np.maximum.at(out, r, _row_dots(wide[r], _wide(cov[c])))
     return best
 
 
-def _top_candidates(pool, queries, budgets) -> list[tuple[np.ndarray, np.ndarray]]:
+def _top_candidates(
+    pool, queries, budgets, pool_norm: float | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pool rows that may rank among each query's top ``budgets[j]`` by
     canonical similarity, with those similarities.
 
     Queries are screened against the pool with one GEMM per block of
     ``_QUERY_BLOCK`` queries, so the pool is read once per block and the
-    screen holds at most ``_QUERY_BLOCK * len(pool)`` floats. Let
-    k = ``budgets[j]``, g_k the k-th largest GEMM value of query j and
-    e = ``gamma_d * |q_j| * max_i |x_i|``. The k rows with the largest
-    GEMM values have canonical values of at least g_k - 2e, so the k-th
-    largest canonical value c_k is at least that too, and any row whose
-    canonical value reaches c_k has a GEMM value of at least
-    c_k - 2e >= g_k - 4e. The candidates are therefore every row whose GEMM
-    value is at least ``g_k - _screen_slack(d) * |q_j| * max_i |x_i|``.
+    screen holds at most ``_QUERY_BLOCK * len(pool)`` values: SGEMM when
+    both are float32 and their norms are in range, DGEMM otherwise. Let
+    k = ``budgets[j]``, g_k the k-th largest screen value of query j, u the
+    screen's unit roundoff and e = ``gamma_d(u) * |q_j| * max_i |x_i|``.
+    The k rows with the largest screen values have canonical values of at
+    least g_k - 2e, so the k-th largest canonical value c_k is at least
+    that too, and any row whose canonical value reaches c_k has a screen
+    value of at least c_k - 2e >= g_k - 4e. The candidates are therefore
+    every row whose screen value is at least
+    ``g_k - _screen_slack(d, u) * |q_j| * max_i |x_i|``.
     Returned per query: candidate row positions ascending and their
-    canonical values, ``np.einsum("ij,ij->i")``. GEMM values are never
-    returned, so ranking the candidates equals ranking the whole pool by
-    canonical value, under any blocking and at any BLAS thread count.
+    canonical values, ``np.einsum("ij,ij->i")`` over rows widened to
+    float64. Screen values are never returned, so ranking the candidates
+    equals ranking the whole pool by canonical value, under any blocking,
+    for float32 input and the same input widened to float64, and at any
+    BLAS thread count.
+    ``pool_norm``, when given, is the pool's largest float64 row norm
+    (``EmbeddingStore.max_norm``) and spares a pass over the pool.
     The caller passes a non-empty pool of the queries' dimension and
     budgets >= 1.
     """
-    mat = _matrix64(pool, "pool")
-    qs = _matrix64(queries, "queries")
+    mat, qs = _screen_operands(pool, queries, ("pool", "queries"))
     n, dim = mat.shape
-    slack = _screen_slack(dim) * _max_norm(mat) * np.sqrt(_row_dots(qs, qs))
+    if pool_norm is None:
+        pool_norm = float(_row_norms(mat).max())
+    query_norms = _row_norms(qs)
+    u = _screen_roundoff(qs.dtype, query_norms, pool_norm)
+    if u == _UNIT_ROUNDOFF:
+        mat, qs = _wide(mat), _wide(qs)
+    slack = _screen_slack(dim, u) * pool_norm * query_norms
     rows = max(1, _SCREEN_BLOCK_BYTES // (8 * dim))
     found = []
     for j, budget in enumerate(budgets):
         if j % _QUERY_BLOCK == 0:
-            screen = qs[j : j + _QUERY_BLOCK] @ mat.T
+            block = qs[j : j + _QUERY_BLOCK]
+            screen = block @ mat.T
+            wide = _wide(block)
         values = screen[j % _QUERY_BLOCK]
         if budget >= n:
             cand = np.arange(n)
         else:
             kth = np.partition(values, n - budget)[n - budget]
-            cand = np.flatnonzero(values >= kth - slack[j])
+            cand = np.flatnonzero(values >= values.dtype.type(kth - slack[j]))
+        query = wide[j % _QUERY_BLOCK]
         sims = np.empty(cand.size)
         for lo in range(0, cand.size, rows):
-            part = mat[cand[lo : lo + rows]]
-            sims[lo : lo + rows] = _row_dots(part, np.broadcast_to(qs[j], part.shape))
+            part = _wide(mat[cand[lo : lo + rows]])
+            sims[lo : lo + rows] = _row_dots(part, np.broadcast_to(query, part.shape))
         found.append((cand, sims))
     return found
 

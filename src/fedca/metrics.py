@@ -62,7 +62,9 @@ def cross_client_coverage(
     ``client_sets`` pairs each client's local ids with its augmented ids;
     every id must resolve in ``universe``. The pooled ids are intersected
     with the reference store's domain labels before scoring; an empty
-    intersection (all client data out-of-domain) is an error.
+    intersection (all client data out-of-domain) is an error. Both sets are
+    the stores' float32 rows, so ``best_similarity`` screens them with SGEMM;
+    the coverage is the same canonical value a float64 screen gives.
     """
     if len(domain_ref) == 0:
         raise ValidationError("domain reference store is empty")
@@ -77,7 +79,7 @@ def cross_client_coverage(
             "cross-client data has an empty intersection with the reference domain"
         )
     covering = universe.vectors_for(in_domain)
-    return coverage(domain_ref.matrix64(), covering, mode)
+    return coverage(domain_ref.vectors, covering, mode)
 
 
 def _lexicographic_order(arr: np.ndarray) -> np.ndarray:

@@ -50,8 +50,9 @@ class InstructionRecord:
     text: str | None = None
 
 
-def _check_unit_rows(vec: np.ndarray, ids: np.ndarray) -> None:
-    """Every row finite with float64 L2 norm within NORM_TOLERANCE of 1.
+def _check_unit_rows(vec: np.ndarray, ids: np.ndarray) -> float:
+    """Every row finite with float64 L2 norm within NORM_TOLERANCE of 1;
+    returns the largest norm (0.0 for no rows).
 
     Norms are taken in float64 row blocks of about 512 KB, so the check
     never holds a float64 copy of the matrix; each row's norm is the same as
@@ -72,15 +73,20 @@ def _check_unit_rows(vec: np.ndarray, ids: np.ndarray) -> None:
             f"record id {int(ids[bad])} is not unit-norm "
             f"(norm {norms[bad]:.8f}); ingest paths normalize, constructors expect unit vectors"
         )
+    return float(norms.max(initial=0.0))
 
 
 class EmbeddingStore:
     """Immutable, id-indexed collection of embedded instructions.
 
     Records are kept sorted by id ascending. Vectors are stored as one
-    float32 matrix; a float64 copy for exact similarity math is built lazily
-    and cached. The store keeps a private copy of ``vectors``; constructing
-    it allocates that float32 matrix plus one row block of checks.
+    float32 matrix, which the coverage and direct-retrieval kernels screen
+    as it is (``geometry``'s SGEMM screen, bounded by ``max_norm``);
+    ``matrix64()`` builds a float64 copy lazily and caches it, for the
+    full-pool GEMV of ``augment.retrieve_topk`` and the logging sims of
+    ``random_sampling_augment``. The store keeps a private copy of
+    ``vectors``; constructing it allocates that float32 matrix plus one row
+    block of checks.
     """
 
     def __init__(
@@ -115,7 +121,7 @@ class EmbeddingStore:
             vec = vec[order]
         else:
             vec = vec.copy()
-        _check_unit_rows(vec, ids_arr)
+        self._max_norm = _check_unit_rows(vec, ids_arr)
 
         self._dim = dim
         self._ids = ids_arr
@@ -157,6 +163,11 @@ class EmbeddingStore:
     def vectors(self) -> np.ndarray:
         """(n, dim) float32 matrix, rows in id order. Read-only."""
         return self._vectors
+
+    @property
+    def max_norm(self) -> float:
+        """Largest float64 row norm, taken by the unit-norm check (0.0 when empty)."""
+        return self._max_norm
 
     @property
     def domain_index(self) -> dict[str, np.ndarray]:
@@ -245,17 +256,36 @@ class EmbeddingStore:
 # ---------------------------------------------------------------------- JSONL
 
 
-def _normalized_row(values: list[float], dim: int, line_no: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _utf8_encodable(text: str) -> bool:
+    """Whether ``text`` holds no lone surrogate, so it encodes as UTF-8."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _normalized_row(values: list, dim: int, line_no: int) -> np.ndarray:
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "O" and set(map(type, values)) <= {int, float}:
+            arr = np.asarray(values, dtype=np.float64)  # integers beyond int64
+    except (ValueError, OverflowError):
+        arr = None  # ragged nesting, or an integer beyond float64
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"line {line_no}: embedding values must be numbers")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1 or arr.shape[0] != dim:
         raise ValidationError(
             f"line {line_no}: embedding length {arr.shape[0] if arr.ndim == 1 else 'n/a'}"
             f" does not match dimension {dim}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"line {line_no}: embedding contains non-finite values")
     norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm):
+    if not math.isfinite(norm):  # a non-finite value, or an overflowing norm
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"line {line_no}: embedding contains non-finite values")
         raise ValidationError(f"line {line_no}: embedding norm overflows float64")
     if norm == 0.0:
         raise ValidationError(f"line {line_no}: zero-norm vector rejected")
@@ -266,7 +296,8 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
     """Read a JSONL embedding file, validating and L2-normalizing every vector.
 
     Errors name the offending 1-based line: dimension mismatch, duplicate id,
-    zero-norm vector, malformed line.
+    zero-norm vector, non-numeric embedding value, bytes that are not UTF-8,
+    malformed line.
     """
     path = Path(path)
     ids: list[int] = []
@@ -275,8 +306,13 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
     texts: list[str | None] = []
     seen: set[int] = set()
     # an overflowing norm is reported by _normalized_row, not warned about
-    with path.open("r", encoding="utf-8") as fh, np.errstate(over="ignore"):
+    # bytes that are not UTF-8 decode to lone surrogates, which no valid
+    # line holds, so they are reported with their line
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh, \
+            np.errstate(over="ignore"):
         for line_no, line in enumerate(fh, start=1):
+            if not _utf8_encodable(line):
+                raise ValidationError(f"line {line_no}: not valid UTF-8")
             if not line.strip():
                 continue
             try:
@@ -298,6 +334,8 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
                 raise ValidationError(f"line {line_no}: duplicate id {rec_id}")
             if not isinstance(domain, str):
                 raise ValidationError(f"line {line_no}: domain must be a string")
+            if not _utf8_encodable(domain):
+                raise ValidationError(f"line {line_no}: domain holds a lone surrogate escape")
             if not isinstance(embedding, list):
                 raise ValidationError(f"line {line_no}: embedding must be an array")
             text = obj.get("text")
@@ -377,7 +415,10 @@ def ingest_binary(path: str | Path) -> EmbeddingStore:
         offset += _REC_FIXED.size
         if len(data) < offset + dlen + vec_fmt.size:
             raise ValidationError(f"truncated payload in record {i}")
-        domains.append(data[offset : offset + dlen].decode("utf-8"))
+        try:
+            domains.append(data[offset : offset + dlen].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValidationError(f"record {i}: domain label is not valid UTF-8") from None
         offset += dlen
         matrix[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
         offset += vec_fmt.size

@@ -298,22 +298,38 @@ from fedca.clustering import CandidateCenters
 from fedca.synthetic import random_store, random_unit_vectors
 pool = random_store(301, 1024, seed=7)
 rng = np.random.default_rng(8)
-clients = [CandidateCenters(client_id=k, centers=random_unit_vectors(10, 1024, rng))
+clients = [CandidateCenters(client_id=k,
+                            centers=random_unit_vectors(10, 1024, rng).astype(np.{dtype}))
            for k in range(40)]
 hits = augments_to_json(direct_retrieval_augment(pool, clients, 150))
 print(hashlib.sha256(json.dumps(hits).encode()).hexdigest())
 """
 
 
-def test_direct_retrieval_is_invariant_to_blas_threads():
-    # 400 centroids x 301 pool rows: with OpenBLAS 0.3.31 the screen GEMM of
-    # this shape differs at 1 and 2 threads.
+def _probe_digests(probe: str) -> list[str]:
+    """stdout of ``probe`` run at 1 and at 2 OpenBLAS threads."""
     src = str(Path(fedca.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _DIRECT_THREAD_PROBE], env=env,
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         digests.append(proc.stdout.strip())
+    return digests
+
+
+def test_direct_retrieval_is_invariant_to_blas_threads():
+    # 400 float32 centroids x 301 float32 pool rows: the SGEMM screen. With
+    # OpenBLAS 0.3.31 on x86-64 its raw values of this shape were the same at
+    # 1 and 2 threads, so this guards BLAS builds whose SGEMM splits its sums
+    # by thread.
+    digests = _probe_digests(_DIRECT_THREAD_PROBE.format(dtype="float32"))
+    assert digests[0] == digests[1]
+
+
+def test_direct_retrieval_float64_centers_is_invariant_to_blas_threads():
+    # float64 centroids take the DGEMM screen, which with OpenBLAS 0.3.31
+    # differs at 1 and 2 threads for this shape.
+    digests = _probe_digests(_DIRECT_THREAD_PROBE.format(dtype="float64"))
     assert digests[0] == digests[1]

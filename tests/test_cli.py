@@ -64,6 +64,35 @@ def test_ingest_bad_data_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def _undecodable_domain_fdca(path):
+    store = random_store(3, 8, seed=2, domain="QQ")
+    write_binary(store, path)
+    data = path.read_bytes()
+    assert data.count(b"QQ") == 3
+    head, _, rest = data.partition(b"QQ")
+    path.write_bytes(head + b"QQ" + rest.replace(b"QQ", b"\xc3\x28", 1))
+
+
+@pytest.mark.parametrize("name, write, argv, named", [
+    pytest.param("bad.fdca", _undecodable_domain_fdca, ["cluster", "--k", "2"], "record 1",
+                 id="fdca-domain-not-utf8"),
+    pytest.param("bad.jsonl",
+                 lambda p: p.write_bytes(b'{"id": 1, "domain": "\xff", "embedding": [1.0]}\n'),
+                 ["ingest", "--dim", "1"], "line 1", id="jsonl-not-utf8"),
+    pytest.param("bad.jsonl",
+                 lambda p: p.write_text('{"id": 1, "domain": "a", "embedding": [1.0]}\n'
+                                        '{"id": 2, "domain": "a", "embedding": ["1.0", "x"]}\n'),
+                 ["ingest", "--dim", "1"], "line 2", id="jsonl-string-element"),
+])
+def test_undecodable_or_non_numeric_input_exits_2(tmp_path, capsys, name, write, argv, named):
+    write(tmp_path / name)
+    rc = main([argv[0], "--in", str(tmp_path / name), "--out", str(tmp_path / "out"), *argv[1:]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fedca: ") and named in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--in", "--out", "--config"])
 def test_directory_path_exits_2(flag, workspace, tmp_path, capsys):
     paths = {"--in": workspace / "client0.fdca", "--out": tmp_path / "k.fdca", flag: tmp_path}

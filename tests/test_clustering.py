@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import best_two_partition_cost
 
-from fedca.clustering import CandidateCenters, assign_labels, kmeans
+from fedca.clustering import CandidateCenters, _inertia, assign_labels, kmeans
 from fedca.errors import ValidationError
 from fedca.synthetic import random_unit_vectors
 
@@ -113,3 +113,27 @@ def test_assign_labels_matches_linear_scan_oracle():
         sims = [float(np.dot(p, c)) for c in centers.astype(np.float64)]
         best = max(range(7), key=lambda j: (sims[j], -j))
         assert got[i] == best
+
+
+@pytest.mark.parametrize("n, dim, k", [(1, 3, 1), (37, 5, 4), (200, 64, 9), (513, 1024, 16)])
+def test_inertia_equals_the_three_temporary_sum_bitwise(n, dim, k):
+    rng = np.random.default_rng(n + dim)
+    pts = random_unit_vectors(n, dim, rng).astype(np.float64)
+    centers = random_unit_vectors(k, dim, rng).astype(np.float64)
+    labels = rng.integers(0, k, size=n)
+    diff = pts - centers[labels]
+    assert _inertia(pts, centers, labels) == float(np.sum(diff * diff))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_inertia_is_the_sum_over_its_own_centers(seed):
+    # With no update round the centers are input points, so the float32
+    # centers returned are the float64 centers inertia was taken over.
+    rng = np.random.default_rng(40 + seed)
+    pts = random_unit_vectors(300, 48, rng)
+    result = kmeans(pts, k=12, seed=seed, max_iters=0)
+    centers = result.centers.astype(np.float64)
+    labels = assign_labels(pts, centers)
+    diff = pts.astype(np.float64) - centers[labels]
+    assert result.inertia == float(np.sum(diff * diff))
+    assert result.cluster_sizes.tolist() == np.bincount(labels, minlength=12).tolist()

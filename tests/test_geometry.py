@@ -9,6 +9,7 @@ import pytest
 from oracles import double_loop_coverage, double_loop_facility, per_pair_best_similarity
 
 import fedca
+from fedca import geometry
 from fedca.errors import ValidationError
 from fedca.geometry import (
     SimilarityMode,
@@ -169,17 +170,18 @@ def test_chunked_max_reduction_is_bit_identical():
 
 
 def _near_tie_covering(ref: np.ndarray, rng: np.random.Generator, copies: int) -> np.ndarray:
-    """Exact duplicates of reference rows, copies nudged by a few ulps, and noise."""
+    """Exact duplicates of reference rows, copies nudged by a few ulps of the
+    reference's dtype, and noise, all in that dtype."""
     rows = np.arange(ref.shape[0])[:, None]
     nudged = []
     for _ in range(copies):
         v = ref.copy()
         cols = rng.integers(0, ref.shape[1], size=(ref.shape[0], 3))
-        direction = np.where(rng.random(cols.shape) < 0.5, -np.inf, np.inf)
+        direction = np.where(rng.random(cols.shape) < 0.5, -np.inf, np.inf).astype(ref.dtype)
         for _ in range(int(rng.integers(1, 4))):
             v[rows, cols] = np.nextafter(v[rows, cols], direction)
         nudged.append(v)
-    noise = random_unit_vectors(ref.shape[0], ref.shape[1], rng).astype(np.float64)
+    noise = random_unit_vectors(ref.shape[0], ref.shape[1], rng).astype(ref.dtype)
     return np.concatenate([ref, *nudged, noise])
 
 
@@ -212,23 +214,121 @@ from fedca.geometry import best_similarity
 rng = np.random.default_rng(7)
 def unit(n):
     x = rng.standard_normal((n, 1024))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.{dtype})
 ref, cov = unit(400), unit(301)
 print(hashlib.sha256(best_similarity(ref, cov).tobytes()).hexdigest())
 """
 
 
-def test_best_similarity_is_invariant_to_blas_threads():
-    # With OpenBLAS 0.3.31, raw GEMM row maxima of this instance differ at 1 and 2 threads.
+def _probe_digests(probe: str) -> list[str]:
+    """stdout of ``probe`` run at 1 and at 2 OpenBLAS threads."""
     src = str(Path(fedca.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         digests.append(proc.stdout.strip())
+    return digests
+
+
+def test_best_similarity_is_invariant_to_blas_threads():
+    # With OpenBLAS 0.3.31, raw GEMM row maxima of this instance differ at 1 and 2 threads.
+    digests = _probe_digests(_THREAD_PROBE.format(dtype="float64"))
     assert digests[0] == digests[1]
+
+
+def test_best_similarity_float32_is_invariant_to_blas_threads():
+    # The SGEMM screen. With OpenBLAS 0.3.31 on x86-64 its raw row maxima of
+    # this instance were the same at 1 and 2 threads, so this guards BLAS
+    # builds whose SGEMM splits its sums by thread.
+    digests = _probe_digests(_THREAD_PROBE.format(dtype="float32"))
+    assert digests[0] == digests[1]
+
+
+def _screens_used(monkeypatch) -> list[float]:
+    """Unit roundoffs of the screens run while the returned list is live."""
+    used = []
+    choose = geometry._screen_roundoff
+
+    def spy(*args):
+        used.append(choose(*args))
+        return used[-1]
+
+    monkeypatch.setattr(geometry, "_screen_roundoff", spy)
+    return used
+
+
+def _orbit_covering(ref: np.ndarray, rng: np.random.Generator, per_row: int) -> np.ndarray:
+    """float32 rows on a circle around each reference row: c * x + s * w with
+    w a random unit vector orthogonal to x, so every row of x's orbit has the
+    same exact cosine c with x up to the float32 rounding of the row, while
+    the directions, and so the screen's rounding errors, differ."""
+    rows = []
+    for x in ref.astype(np.float64):
+        c = rng.uniform(0.3, 0.95)
+        w = rng.standard_normal((per_row, ref.shape[1]))
+        w -= np.outer(w @ x, x) / (x @ x)
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        rows.append(c * x / np.linalg.norm(x) + np.sqrt(1.0 - c * c) * w)
+    return np.concatenate(rows).astype(np.float32)
+
+
+@pytest.mark.parametrize("dim", [3, 64, 1024])
+def test_float32_input_equals_its_float64_widening(dim, monkeypatch):
+    rng = np.random.default_rng(30 + dim)
+    ref = random_unit_vectors(40, dim, rng)
+    instances = [
+        (ref, random_unit_vectors(57, dim, rng)),
+        (ref[:12], _near_tie_covering(ref[:12], rng, copies=24)),
+        (ref[:12], _orbit_covering(ref[:12], rng, per_row=16)),
+    ]
+    used = _screens_used(monkeypatch)
+    for ref32, cov32 in instances:
+        ref64, cov64 = ref32.astype(np.float64), cov32.astype(np.float64)
+        want = per_pair_best_similarity(ref64, cov64)
+        assert np.array_equal(best_similarity(ref64, cov64), want)
+        assert np.array_equal(best_similarity(ref32, cov32), want)
+        budgets = [1, 4, 9, len(cov32) - 1] * (len(ref32) // 4)
+        wide = _top_candidates(cov64, ref64[: len(budgets)], budgets)
+        narrow = _top_candidates(cov32, ref32[: len(budgets)], budgets)
+        for (rows64, sims64), (rows32, sims32), q, k in zip(wide, narrow, ref64, budgets):
+            canon = np.array([np.einsum("i,i->", x, q) for x in cov64])
+            top = np.lexsort((np.arange(len(cov64)), -canon))[:k]
+            assert set(top) <= set(rows32.tolist())
+            assert np.array_equal(sims32, canon[rows32])
+            assert np.array_equal(sims64, canon[rows64])
+    assert used == [geometry._UNIT_ROUNDOFF, geometry._SINGLE_ROUNDOFF] * 6
+
+
+@pytest.mark.parametrize("scale", [2.0**40, 2.0**-40])
+def test_float32_norms_out_of_range_take_the_float64_screen(scale, monkeypatch):
+    rng = np.random.default_rng(31)
+    ref = random_unit_vectors(12, 64, rng)
+    # powers of two scale exactly: near ties stay near ties
+    ref, cov = ref * np.float32(scale), _near_tie_covering(ref, rng, copies=6) * np.float32(scale)
+    used = _screens_used(monkeypatch)
+    got = best_similarity(ref, cov)
+    found = _top_candidates(cov, ref, [3] * len(ref))
+    assert used == [geometry._UNIT_ROUNDOFF] * 2
+    assert np.array_equal(got, per_pair_best_similarity(ref, cov))
+    assert np.array_equal(got, best_similarity(ref.astype(np.float64), cov.astype(np.float64)))
+    for (rows, sims), q in zip(found, ref.astype(np.float64)):
+        canon = np.array([np.einsum("i,i->", x, q) for x in cov.astype(np.float64)])
+        assert np.array_equal(sims, canon[rows])
+        assert set(np.lexsort((np.arange(len(cov)), -canon))[:3]) <= set(rows.tolist())
+
+
+def test_float32_screen_applies_only_within_the_norm_range():
+    single, double, unit = np.dtype(np.float32), np.dtype(np.float64), np.ones(4)
+    assert geometry._screen_roundoff(single, unit, 1.0) == 2.0**-24
+    assert geometry._screen_roundoff(double, unit, 1.0) == 2.0**-53
+    for norms, bound in [(unit, 2.0**61), (unit, 2.0**-61), (unit * np.nan, 1.0),
+                         (unit, np.inf), (np.array([1.0, 2.0**-70]), 1.0)]:
+        assert geometry._screen_roundoff(single, norms, bound) == 2.0**-53
+    # a zero row has exact zero products, whatever the screen
+    assert geometry._screen_roundoff(single, np.array([0.0, 1.0]), 1.0) == 2.0**-24
 
 
 def test_top_candidates_hold_each_canonical_top_k():

@@ -51,12 +51,42 @@ def test_ingest_jsonl_dimension_mismatch_names_line(tmp_path):
     ({"domain": "a", "embedding": [1.0, 0.0]}, "missing field"),
     ({"id": True, "domain": "a", "embedding": [1.0, 0.0]}, "unsigned"),
     ({"id": 1, "domain": "a", "embedding": [1e308, 1e308]}, "overflows"),
+    ({"id": 1, "domain": "a\udc80", "embedding": [1.0, 0.0]}, "lone surrogate"),
+    ({"id": 1, "domain": "a", "embedding": [float("nan"), 1.0]}, "non-finite"),
+    ({"id": 1, "domain": "a", "embedding": [1e308, float("inf")]}, "non-finite"),
 ])
 def test_ingest_jsonl_rejects_bad_records(tmp_path, bad, match):
     path = tmp_path / "x.jsonl"
     _write_lines(path, [bad])
     with pytest.raises(ValidationError, match=match):
         ingest_jsonl(path, dim=2)
+
+
+@pytest.mark.parametrize("embedding", [["1.0", "x"], ["1.0", "2.0"], [1.0, None],
+                                       [True, False], [[1.0], [2.0, 3.0]]])
+def test_ingest_jsonl_rejects_non_numeric_embedding_values(tmp_path, embedding):
+    path = tmp_path / "x.jsonl"
+    _write_lines(path, [{"id": 1, "domain": "a", "embedding": [1.0, 0.0]},
+                        {"id": 2, "domain": "a", "embedding": embedding}])
+    with pytest.raises(ValidationError, match="line 2: embedding values must be numbers"):
+        ingest_jsonl(path, dim=2)
+
+
+def test_ingest_jsonl_accepts_integers_beyond_int64(tmp_path):
+    path = tmp_path / "x.jsonl"
+    _write_lines(path, [{"id": 1, "domain": "a", "embedding": [2**70, 0]}])
+    assert np.array_equal(ingest_jsonl(path, dim=2).vectors, [[1.0, 0.0]])
+
+
+def test_ingest_jsonl_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "x.jsonl"
+    good = json.dumps({"id": 1, "domain": "caf\u00e9", "embedding": [1.0, 0.0]})
+    bad = b'{"id": 2, "domain": "caf\xe9", "embedding": [0.0, 1.0]}'
+    path.write_bytes(good.encode() + b"\n" + bad + b"\n")
+    with pytest.raises(ValidationError, match="line 2: not valid UTF-8"):
+        ingest_jsonl(path, dim=2)
+    path.write_bytes(good.encode() + b"\n")
+    assert ingest_jsonl(path, dim=2).domains == ("caf\u00e9",)
 
 
 def test_ingest_jsonl_duplicate_id(tmp_path):
@@ -113,6 +143,25 @@ def test_binary_truncated_and_unsupported_version(tmp_path):
     (tmp_path / "ver.fdca").write_bytes(bad_ver)
     with pytest.raises(ValidationError, match="version"):
         ingest_binary(tmp_path / "ver.fdca")
+
+
+def test_binary_domain_that_is_not_utf8_names_the_record(tmp_path):
+    store = EmbeddingStore(2, [1, 2, 3], ["aa", "QQ", "aa"],
+                           np.eye(2, dtype=np.float32)[[0, 1, 0]])
+    path = tmp_path / "x.fdca"
+    write_binary(store, path)
+    data = path.read_bytes()
+    assert data.count(b"QQ") == 1
+    path.write_bytes(data.replace(b"QQ", b"\xff\xfe"))
+    with pytest.raises(ValidationError, match="record 1: domain label is not valid UTF-8"):
+        ingest_binary(path)
+
+
+def test_store_keeps_its_largest_row_norm():
+    store = random_store(40, 8, seed=4)
+    norms = np.linalg.norm(store.vectors.astype(np.float64), axis=1)
+    assert store.max_norm == norms.max()
+    assert EmbeddingStore(3, [], [], np.empty((0, 3), np.float32)).max_norm == 0.0
 
 
 def test_binary_count_beyond_payload_rejected_before_allocating(tmp_path):
