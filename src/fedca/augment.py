@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import CandidateCenters
-from .errors import ValidationError, check_json, json_field
+from .errors import ValidationError, check_json, check_number, json_field
 from .geometry import _top_candidates
 from .selection import CenterSelection
 from .store import EmbeddingStore
@@ -91,12 +91,15 @@ def retrieve_topk(
     """Exact top-k scan of the pool for one query vector.
 
     Records with similarity strictly greater than ``threshold`` are excluded
-    before ranking. Returns all survivors when fewer than ``k`` remain.
+    before ranking; an infinite threshold excludes nothing, a NaN one is
+    rejected. Returns all survivors when fewer than ``k`` remain.
     """
     if len(pool) == 0:
         raise ValidationError("pool is empty")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    if threshold is not None:
+        check_number(threshold, "threshold", finite=False)
     q = np.ascontiguousarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != pool.dim:
         raise ValidationError(f"query must be a vector of dimension {pool.dim}")

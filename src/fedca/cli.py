@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -65,6 +66,25 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _number(text: str) -> float:
+    """argparse type for a float other than NaN; infinities pass."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return value
+
+
+def _finite_number(text: str) -> float:
+    """argparse type for a finite float."""
+    value = _number(text)
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -312,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="split a store into per-client local sets")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", choices=["dirichlet", "iid", "distinct"], required=True)
-    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--beta", type=_finite_number, default=0.1)
     p.add_argument("--clients", type=int, required=True)
     p.add_argument("--per-client", dest="per_client", type=int, required=True)
     p.add_argument("--seed", type=int, default=42,
@@ -345,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", nargs="+", help="centers stores (direct strategy)")
     p.add_argument("--clients", type=int, help="client count (random strategy)")
     p.add_argument("--per-client", dest="per_client", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.7,
+    p.add_argument("--alpha", type=_number, default=0.7,
                    help="similarity threshold for the feddca strategy; hits above it "
                         "are excluded (values above 1 disable filtering)")
     p.add_argument("--strategy", choices=["feddca", "direct", "random"], default="feddca")
@@ -373,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="heterogeneity sweep over beta values")
     p.add_argument("--config", required=True)
-    p.add_argument("--betas", type=_comma_list(float), default="0.01,0.1,1,10")
+    p.add_argument("--betas", type=_comma_list(_finite_number), default="0.01,0.1,1,10")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_sweep)
 

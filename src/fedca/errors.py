@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the type checks on parsed
 JSON that raise them."""
 
+import math
+
 
 class FedcaError(Exception):
     """Base class for all library errors."""
@@ -37,6 +39,19 @@ def check_json(value, kinds: tuple[type, ...], what: str, items: tuple[type, ...
         for i, item in enumerate(value):
             check_json(item, items, f"{what}[{i}]")
     return value
+
+
+def check_number(value, what: str, finite: bool = True) -> float:
+    """``value`` as a float; a ValidationError naming ``what`` if it is NaN,
+    an integer beyond float range or, when ``finite``, infinite."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is beyond float range") from None
+    if math.isnan(number) or (finite and math.isinf(number)):
+        kind = "a finite number" if finite else "a number, not NaN"
+        raise ValidationError(f"{what} must be {kind}, got {number!r}")
+    return number
 
 
 def json_field(obj, name: str, kinds: tuple[type, ...], owner: str,

@@ -16,6 +16,11 @@ Runs are replayable: the serialized log is a pure function of the config and
 the input stores (wall-clock timings are kept out of the deterministic
 lines). RNG streams are derived from the run seed with distinct labels, so
 e.g. changing the round count never perturbs the partition.
+
+Load, partition (with its pseudo-label k-means) and client clustering do not
+depend on the strategy. ``compare_strategies`` and ``heterogeneity_sweep``
+run that prefix once per call and share it across strategies, so each row
+equals the metrics of a standalone ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .augment import (
     feddca_augment,
     random_sampling_augment,
 )
-from .clustering import assign_labels, kmeans
-from .errors import ValidationError, check_json
+from .clustering import CandidateCenters, assign_labels, kmeans
+from .errors import ValidationError, check_json, check_number
 from .metrics import MetricsReport, comm_cost, cross_client_coverage, icacs, ruai
 from .partition import (
     PartitionPlan,
@@ -137,13 +142,15 @@ class ExperimentConfig:
             raise ValidationError("clients_per_round exceeds n_clients")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
+        if self.alpha is not None:  # infinity disables filtering
+            check_number(self.alpha, "config field 'alpha'", finite=False)
         if isinstance(self.beta_or_mode, str):
             if self.beta_or_mode not in ("iid", "distinct"):
                 raise ValidationError(
                     f"beta_or_mode must be a positive number, 'iid', or 'distinct'; "
                     f"got {self.beta_or_mode!r}"
                 )
-        elif self.beta_or_mode <= 0:
+        elif check_number(self.beta_or_mode, "config field 'beta_or_mode'") <= 0:
             raise ValidationError("beta_or_mode must be > 0 when numeric")
         if self.xi > self.per_client_local:
             raise ValidationError("xi cannot exceed per_client_local")
@@ -227,12 +234,31 @@ def partition_domain(
     the partition draw use streams derived from it, so the plan equals the
     one a run with this seed writes.
     """
+    return _partition(domain_store, beta_or_mode, n_clients, per_client, label_clusters, seed)
+
+
+def _pseudo_labels(domain_store: EmbeddingStore, label_clusters: int, seed: int) -> np.ndarray:
+    """Pseudo-label of every domain record; independent of beta and strategy."""
+    k_lab = min(label_clusters, len(domain_store))
+    pseudo = kmeans(domain_store.vectors, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
+    return assign_labels(domain_store.vectors, pseudo)
+
+
+def _partition(
+    domain_store: EmbeddingStore,
+    beta_or_mode: float | str,
+    n_clients: int,
+    per_client: int,
+    label_clusters: int,
+    seed: int,
+    labels: np.ndarray | None = None,
+) -> PartitionPlan:
+    """``partition_domain``; ``labels``, when given, are its pseudo-labels."""
     partition_seed = derive_seed(seed, _STREAM_PARTITION)
     if beta_or_mode == "iid":
         return iid_partition(domain_store, n_clients, per_client, partition_seed)
-    k_lab = min(label_clusters, len(domain_store))
-    pseudo = kmeans(domain_store.vectors, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
-    labels = assign_labels(domain_store.vectors, pseudo)
+    if labels is None:
+        labels = _pseudo_labels(domain_store, label_clusters, seed)
     if beta_or_mode == "distinct":
         return distinct_cluster_partition(
             domain_store, labels, n_clients, per_client, partition_seed
@@ -280,18 +306,26 @@ def assemble_metrics(
     )
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    pool: EmbeddingStore | None = None,
-) -> ExperimentLog:
-    """Execute one seeded run end to end; persist artifacts when ``out_dir`` given.
+@dataclass(frozen=True)
+class _Prefix:
+    """The strategy-independent part of a run: its data, plan and client centers.
 
-    ``pool`` may be passed directly to skip re-reading ``config.pool_path``.
+    Configs that differ only in strategy share one prefix; everything here
+    is read, never mutated, by the per-strategy rest.
     """
-    config.validate()
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
+
+    pool: EmbeddingStore
+    domain_store: EmbeddingStore
+    plan: PartitionPlan
+    candidates: list[CandidateCenters]
+    uploads: tuple[ProtocolMessage, ...]
+    timings: dict[str, float]
+
+
+def _load(
+    config: ExperimentConfig, pool: EmbeddingStore | None
+) -> tuple[EmbeddingStore, EmbeddingStore]:
+    """The pool (read from ``config.pool_path`` unless given) and its domain records."""
     if pool is None:
         pool = ingest_binary(config.pool_path)
     domain_store = pool.subset_by_domain(config.domain_label)
@@ -299,18 +333,27 @@ def run_experiment(
         raise ValidationError(
             f"pool has no records with domain label {config.domain_label!r}"
         )
-    timings["load"] = time.perf_counter() - t0
+    return pool, domain_store
 
+
+def _run_prefix(
+    config: ExperimentConfig,
+    pool: EmbeddingStore,
+    domain_store: EmbeddingStore,
+    labels: np.ndarray | None = None,
+) -> _Prefix:
+    """Partition and client clustering; ``labels`` skips the pseudo-label k-means."""
+    timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    plan = partition_domain(
+    plan = _partition(
         domain_store, config.beta_or_mode, config.n_clients, config.per_client_local,
-        config.pseudo_label_clusters, config.seed,
+        config.pseudo_label_clusters, config.seed, labels,
     )
     timings["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     candidates = []
-    messages: list[ProtocolMessage] = []
+    uploads = []
     for k in range(config.n_clients):
         local = domain_store.vectors_for(plan.assignments[k])
         k_eff = min(config.xi, len(local))
@@ -318,16 +361,27 @@ def run_experiment(
             local, k_eff, derive_seed(config.seed, _STREAM_CLIENT_KMEANS, k), client_id=k
         )
         candidates.append(cand)
-        messages.append(ProtocolMessage(
+        uploads.append(ProtocolMessage(
             kind="UploadCenters", round=0, client=k,
             payload_size=cand.k * pool.dim, payload_ref=None,
         ))
     timings["client_clustering"] = time.perf_counter() - t0
+    return _Prefix(pool, domain_store, plan, candidates, tuple(uploads), timings)
 
+
+def _run_strategy(
+    config: ExperimentConfig, prefix: _Prefix, timings: dict[str, float]
+) -> ExperimentLog:
+    """Selection, augmentation, metrics and rounds on a shared prefix.
+
+    Stage times are added to ``timings``, which the log keeps.
+    """
+    pool = prefix.pool
+    messages = list(prefix.uploads)
     t0 = time.perf_counter()
     selection: CenterSelection | None = None
     if config.strategy == "feddca":
-        problem = SelectionProblem(candidates_per_client=candidates)
+        problem = SelectionProblem(candidates_per_client=prefix.candidates)
         selection = greedy_select(problem, derive_seed(config.seed, _STREAM_SELECTION))
         sel_payload = len(selection.slots) * pool.dim
     else:
@@ -342,7 +396,7 @@ def run_experiment(
     if config.strategy == "feddca":
         augsets = feddca_augment(pool, selection, config.per_client_aug, config.alpha)
     elif config.strategy == "direct":
-        augsets = direct_retrieval_augment(pool, candidates, config.per_client_aug)
+        augsets = direct_retrieval_augment(pool, prefix.candidates, config.per_client_aug)
     else:
         augsets = random_sampling_augment(
             pool, config.n_clients, config.per_client_aug,
@@ -358,7 +412,8 @@ def run_experiment(
 
     t0 = time.perf_counter()
     report = assemble_metrics(
-        domain_store, pool, plan.assignments, [result.ids() for result in augsets],
+        prefix.domain_store, pool, prefix.plan.assignments,
+        [result.ids() for result in augsets],
         config.xi, config.seed, selection.passes if selection is not None else 0,
     )
     timings["metrics"] = time.perf_counter() - t0
@@ -374,20 +429,36 @@ def run_experiment(
         ))
 
     messages.sort(key=ProtocolMessage.sort_key)
-    log = ExperimentLog(
+    return ExperimentLog(
         config=config, messages=messages, selection=selection,
-        plan=plan, augsets=augsets, metrics=report, timings=timings,
+        plan=prefix.plan, augsets=augsets, metrics=report, timings=timings,
     )
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    out_dir: str | Path | None = None,
+    pool: EmbeddingStore | None = None,
+) -> ExperimentLog:
+    """Execute one seeded run end to end; persist artifacts when ``out_dir`` given.
+
+    ``pool`` may be passed directly to skip re-reading ``config.pool_path``.
+    The run is the strategy-independent prefix (load, partition with its
+    pseudo-labels, client k-means) followed by the strategy's own stages.
+    """
+    config.validate()
+    t0 = time.perf_counter()
+    pool, domain_store = _load(config, pool)
+    load_s = time.perf_counter() - t0
+    prefix = _run_prefix(config, pool, domain_store)
+    log = _run_strategy(config, prefix, {"load": load_s, **prefix.timings})
     if out_dir is not None:
         log.persist(out_dir)
     return log
 
 
-def compare_strategies(
-    configs: list[ExperimentConfig],
-    pool: EmbeddingStore | None = None,
-) -> list[dict]:
-    """One metrics row per config; configs must differ only in strategy."""
+def _check_group(configs: list[ExperimentConfig]) -> None:
+    """Raise unless ``configs`` is nonempty, valid and differs only in strategy."""
     if not configs:
         raise ValidationError("no configs to compare")
     base = {k: v for k, v in configs[0].to_json_dict().items() if k != "strategy"}
@@ -395,12 +466,40 @@ def compare_strategies(
         other = {k: v for k, v in cfg.to_json_dict().items() if k != "strategy"}
         if other != base:
             raise ValidationError("configs must differ only in strategy")
+    for cfg in configs:
+        cfg.validate()
+
+
+def _compare(
+    configs: list[ExperimentConfig],
+    pool: EmbeddingStore,
+    domain_store: EmbeddingStore,
+    labels: np.ndarray | None = None,
+) -> list[dict]:
+    """One row per config of a checked group, all on one shared prefix."""
+    prefix = _run_prefix(configs[0], pool, domain_store, labels)
     rows = []
     for cfg in configs:
-        metrics = run_experiment(cfg, pool=pool).metrics.to_json_dict()
+        metrics = _run_strategy(cfg, prefix, dict(prefix.timings)).metrics.to_json_dict()
         del metrics["reference_size"]
         rows.append({"strategy": cfg.strategy, **metrics})
     return rows
+
+
+def compare_strategies(
+    configs: list[ExperimentConfig],
+    pool: EmbeddingStore | None = None,
+) -> list[dict]:
+    """One metrics row per config; configs must differ only in strategy.
+
+    The strategy-independent prefix (pool load, partition with its
+    pseudo-label k-means, client k-means) runs once per call and is shared
+    by every config, so each row equals the metrics of a standalone
+    ``run_experiment`` of its config. Nothing is cached across calls.
+    """
+    _check_group(configs)
+    pool, domain_store = _load(configs[0], pool)
+    return _compare(configs, pool, domain_store)
 
 
 def heterogeneity_sweep(
@@ -409,16 +508,26 @@ def heterogeneity_sweep(
     strategies: tuple[str, ...] = STRATEGIES,
     pool: EmbeddingStore | None = None,
 ) -> list[dict]:
-    """A compare_strategies block per beta; rows carry a leading beta column."""
+    """A compare_strategies block per beta; rows carry a leading beta column.
+
+    The pool is loaded and the pseudo-labels (which depend on the domain
+    records, ``pseudo_label_clusters`` and the seed, not on beta) are
+    computed once per call; each beta then runs one shared-prefix compare.
+    Every row equals the metrics of a standalone ``run_experiment``.
+    """
     if not betas:
         raise ValidationError("betas must be nonempty")
+    groups = [
+        [dataclasses.replace(base, beta_or_mode=float(beta), strategy=s) for s in strategies]
+        for beta in betas
+    ]
+    for configs in groups:
+        _check_group(configs)
+    pool, domain_store = _load(base, pool)
+    labels = _pseudo_labels(domain_store, base.pseudo_label_clusters, base.seed)
     rows = []
-    for beta in betas:
-        configs = [
-            dataclasses.replace(base, beta_or_mode=float(beta), strategy=s)
-            for s in strategies
-        ]
-        for row in compare_strategies(configs, pool=pool):
+    for beta, configs in zip(betas, groups):
+        for row in _compare(configs, pool, domain_store, labels):
             rows.append({"beta": beta, **row})
     return rows
 

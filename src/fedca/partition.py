@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_json, json_field
+from .errors import ValidationError, check_json, check_number, json_field
 from .store import EmbeddingStore
 
 
@@ -104,7 +104,7 @@ def dirichlet_partition(
     """Heterogeneity-controlled split: Dir(beta) over pseudo-label clusters."""
     if len(source) == 0:
         raise ValidationError("source store is empty")
-    if beta <= 0:
+    if check_number(beta, "beta") <= 0:
         raise ValidationError(f"beta must be > 0, got {beta}")
     if n_clients < 1 or per_client < 1:
         raise ValidationError("n_clients and per_client must be >= 1")

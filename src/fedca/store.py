@@ -267,7 +267,17 @@ def _utf8_encodable(text: str) -> bool:
     return True
 
 
-def _normalized_row(values: list, dim: int, line_no: int) -> np.ndarray:
+def _normalized_row(
+    values: list, dim: int, line_no: int, may_hold_bools: bool
+) -> np.ndarray:
+    """``values`` as a unit float32 row.
+
+    numpy reads booleans mixed with numbers as 1 and 0, so ``may_hold_bools``
+    runs a per-element pass that rejects them; only a line whose text holds
+    ``true`` or ``false`` needs it.
+    """
+    if may_hold_bools and any(isinstance(v, bool) for v in values):
+        raise ValidationError(f"line {line_no}: embedding values must be numbers")
     try:
         arr = np.asarray(values)
         if arr.dtype.kind == "O" and set(map(type, values)) <= {int, float}:
@@ -344,7 +354,11 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
             seen.add(rec_id)
             ids.append(rec_id)
             domains.append(domain)
-            rows.append(_normalized_row(embedding, dim, line_no))
+            # "true" holds a "u" and "false" an "s", which no number does; the
+            # one-character scans rule out most lines for a fraction of the cost
+            may_hold_bools = (("u" in line or "s" in line)
+                              and ("true" in line or "false" in line))
+            rows.append(_normalized_row(embedding, dim, line_no, may_hold_bools))
             texts.append(text)
     matrix = np.stack(rows) if rows else np.empty((0, dim), np.float32)
     return EmbeddingStore(dim, ids, domains, matrix, texts)

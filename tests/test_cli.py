@@ -116,6 +116,14 @@ def test_usage_error_exits_1():
     (["oracle", "beam", "--centers", "absent.fdca", "--widths", "a", "--out", "o.json"],
      "--widths"),
     (["ingest", "--in", "absent.jsonl", "--out", "o.fdca", "--dim", "-5"], "--dim"),
+    (["augment", "--pool", "absent.fdca", "--selection", "absent.json", "--per-client", "3",
+      "--alpha", "nan", "--out", "o.json"], "--alpha"),
+    (["partition", "--in", "absent.fdca", "--mode", "dirichlet", "--beta", "nan",
+      "--clients", "2", "--per-client", "3", "--out", "o.json"], "--beta"),
+    (["partition", "--in", "absent.fdca", "--mode", "dirichlet", "--beta", "-inf",
+      "--clients", "2", "--per-client", "3", "--out", "o.json"], "--beta"),
+    (["sweep", "--config", "absent.json", "--betas", "inf", "--out", "o.csv"], "--betas"),
+    (["sweep", "--config", "absent.json", "--betas", "0.1,nan", "--out", "o.csv"], "--betas"),
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
     # The input files do not exist: flag values are parsed before any file is read.
@@ -332,6 +340,43 @@ def test_compare_and_sweep_emit_csv(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "sweep.csv")]) == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 7  # header + 2 betas x 3 strategies
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", float("nan")), ("beta_or_mode", float("nan")),
+    ("beta_or_mode", float("inf")), ("beta_or_mode", 10**400),
+])
+def test_non_finite_config_numbers_exit_2_naming_the_field(workspace, tmp_path, capsys,
+                                                           field, value):
+    cfg = {
+        "version": 1, "pool_path": str(workspace / "pool.fdca"), "domain_label": "dom",
+        "n_clients": 3, "per_client_local": 12, "per_client_aug": 15, "xi": 3,
+        "alpha": 0.7, "beta_or_mode": 0.1, "rounds": 2, "clients_per_round": 1,
+        "seed": 1, "strategy": "feddca", "pseudo_label_clusters": 6, field: value,
+    }
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))  # NaN/Infinity literals
+    for argv in (["run", "--out", str(tmp_path / "runs")],
+                 ["compare", "--out", str(tmp_path / "cmp.csv")],
+                 ["sweep", "--out", str(tmp_path / "sweep.csv")]):
+        assert main([*argv, "--config", str(tmp_path / "exp.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"config field {field!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_infinite_alpha_disables_filtering(workspace, tmp_path, capsys):
+    sel = tmp_path / "sel.json"
+    centers = [str(workspace / f"client{k}.fdca") for k in range(3)]
+    assert main(["select", "--centers", *centers, "--out", str(sel)]) == 0
+    hits = {}
+    for alpha in ("inf", "1.5"):
+        out = tmp_path / f"aug_{alpha}.json"
+        assert main(["augment", "--pool", str(workspace / "pool.fdca"), "--selection", str(sel),
+                     "--per-client", "7", "--alpha", alpha, "--out", str(out)]) == 0
+        hits[alpha] = json.loads(out.read_text())
+    capsys.readouterr()
+    assert hits["inf"] == hits["1.5"]
+    assert all(len(a["ids"]) == 7 for a in hits["inf"])
 
 
 def test_selfcheck_passes_and_corrupt_fails(capsys):

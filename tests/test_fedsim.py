@@ -1,11 +1,16 @@
 import dataclasses
+import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from fedca import cli, fedsim
+from fedca.augment import feddca_augment, retrieve_topk
 from fedca.errors import ValidationError
 from fedca.fedsim import (
+    STRATEGIES,
     ExperimentConfig,
     compare_strategies,
     derive_seed,
@@ -13,6 +18,7 @@ from fedca.fedsim import (
     run_experiment,
     write_rows_csv,
 )
+from fedca.partition import dirichlet_partition
 from fedca.store import write_binary
 from fedca.synthetic import planted_cluster_pool
 
@@ -152,6 +158,98 @@ def test_heterogeneity_sweep_shape_and_csv(pool, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("beta,strategy,domain_coverage")
     assert len(lines) == 5
+
+
+def _standalone_row(cfg, pool):
+    metrics = run_experiment(cfg, pool=pool).metrics.to_json_dict()
+    del metrics["reference_size"]
+    return {"strategy": cfg.strategy, **metrics}
+
+
+@pytest.mark.parametrize("mode", [0.1, "iid", "distinct"])
+@pytest.mark.parametrize("order", [STRATEGIES, STRATEGIES[::-1]])
+def test_compare_rows_and_logs_equal_standalone_runs(pool, monkeypatch, mode, order):
+    logs = []
+    run_strategy = fedsim._run_strategy
+
+    def spy(*args, **kwargs):
+        logs.append(run_strategy(*args, **kwargs))
+        return logs[-1]
+
+    monkeypatch.setattr(fedsim, "_run_strategy", spy)
+    configs = [_config(beta_or_mode=mode, strategy=s) for s in order]
+    rows = compare_strategies(configs, pool=pool)
+    monkeypatch.undo()
+    assert [log.config for log in logs] == configs
+    for cfg, row, log in zip(configs, rows, logs):
+        assert row == _standalone_row(cfg, pool)
+        assert log.to_lines() == run_experiment(cfg, pool=pool).to_lines()
+
+
+def test_sweep_rows_equal_standalone_runs(pool):
+    cfg = _config(beta_or_mode="iid")
+    rows = heterogeneity_sweep(cfg, [0.1, 2], strategies=("random", "feddca"), pool=pool)
+    expected = [
+        {"beta": beta, **_standalone_row(
+            dataclasses.replace(cfg, beta_or_mode=float(beta), strategy=s), pool)}
+        for beta in (0.1, 2) for s in ("random", "feddca")
+    ]
+    assert rows == expected
+
+
+def _count_calls(monkeypatch, module, name):
+    """Counts of ``module.name`` calls, keyed by whether ``client_id`` was passed."""
+    counts = Counter()
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts["client" if "client_id" in kwargs else "other"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_compare_and_sweep_run_the_prefix_once(pool, monkeypatch):
+    kmeans_calls = _count_calls(monkeypatch, fedsim, "kmeans")
+    compare_strategies([_config(strategy=s) for s in STRATEGIES], pool=pool)
+    assert kmeans_calls == {"other": 1, "client": 6}  # pseudo-labels; one per client
+    kmeans_calls.clear()
+    heterogeneity_sweep(_config(), [0.1, 1.0, 10.0], pool=pool)
+    assert kmeans_calls == {"other": 1, "client": 3 * 6}
+
+
+def test_cli_compare_reads_the_pool_once(pool, tmp_path, monkeypatch, capsys):
+    write_binary(pool, tmp_path / "pool.fdca")
+    cfg = _config(pool_path=str(tmp_path / "pool.fdca"))
+    (tmp_path / "exp.json").write_text(json.dumps(cfg.to_json_dict()))
+    reads = _count_calls(monkeypatch, fedsim, "ingest_binary")
+    cli_reads = _count_calls(monkeypatch, cli, "ingest_binary")
+    assert cli.main(["compare", "--config", str(tmp_path / "exp.json"),
+                     "--out", str(tmp_path / "table.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 3
+    assert sum(reads.values()) + sum(cli_reads.values()) == 1
+
+
+def test_non_finite_alpha_and_beta_are_rejected(pool):
+    with pytest.raises(ValidationError, match="config field 'alpha'"):
+        _config(alpha=math.nan)
+    assert _config(alpha=math.inf).alpha == math.inf  # disables filtering
+    for beta in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValidationError, match="config field 'beta_or_mode'"):
+            _config(beta_or_mode=beta)
+    with pytest.raises(ValidationError, match="config field 'alpha'"):
+        ExperimentConfig.from_json_dict(
+            json.loads(json.dumps({**_config().to_json_dict(), "alpha": math.nan})))
+    labels = np.zeros(len(pool), dtype=np.int64)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="beta"):
+            dirichlet_partition(pool, labels, 2, 5, beta, 0)
+    with pytest.raises(ValidationError, match="threshold"):
+        retrieve_topk(pool, pool.vectors[0], 5, math.nan)
+    selection = run_experiment(_config(), pool=pool).selection
+    with pytest.raises(ValidationError, match="threshold"):
+        feddca_augment(pool, selection, 5, math.nan)
 
 
 def test_config_json_round_trip_and_validation(tmp_path):

@@ -63,13 +63,21 @@ def test_ingest_jsonl_rejects_bad_records(tmp_path, bad, match):
 
 
 @pytest.mark.parametrize("embedding", [["1.0", "x"], ["1.0", "2.0"], [1.0, None],
-                                       [True, False], [[1.0], [2.0, 3.0]]])
+                                       [True, False], [[1.0], [2.0, 3.0]],
+                                       [True, 0.5], [0.5, False], [1, True]])
 def test_ingest_jsonl_rejects_non_numeric_embedding_values(tmp_path, embedding):
     path = tmp_path / "x.jsonl"
     _write_lines(path, [{"id": 1, "domain": "a", "embedding": [1.0, 0.0]},
                         {"id": 2, "domain": "a", "embedding": embedding}])
     with pytest.raises(ValidationError, match="line 2: embedding values must be numbers"):
         ingest_jsonl(path, dim=2)
+
+
+def test_ingest_jsonl_reads_numbers_on_lines_that_mention_booleans(tmp_path):
+    # "true"/"false" elsewhere on the line only triggers the per-element pass
+    path = tmp_path / "x.jsonl"
+    _write_lines(path, [{"id": 1, "domain": "true", "embedding": [3, 4.0], "text": "false"}])
+    assert np.array_equal(ingest_jsonl(path, dim=2).vectors, np.float32([[0.6, 0.8]]))
 
 
 def test_ingest_jsonl_accepts_integers_beyond_int64(tmp_path):
