@@ -12,15 +12,23 @@ Two similarity sources, which can differ in the last bits:
 * ``direct_retrieval_augment`` reads canonical per-pair values from
   ``geometry._top_candidates``: the float32 centroids of the call are
   screened in one SGEMM over the store's float32 rows per block of 256, and
-  only rows that can reach a centroid's budget are widened and scored. It
-  never reads ``matrix64()``, and its hits are identical at any BLAS thread
-  count.
-* ``retrieve_topk`` (``feddca_augment``, ``data_select``) reads one
-  full-pool GEMV, ``pool.matrix64() @ q``, per query. The benchmark's naive
-  top-k check compares hit similarities bit for bit against that product,
-  and a GEMV over gathered candidate rows does not reproduce its bits (the
-  tail rows of a BLAS kernel round differently), so moving it onto the
-  kernel needs that check to change with it.
+  only rows that can reach a centroid's budget are widened and scored.
+* ``retrieve_topk`` and ``feddca_augment`` (``data_select`` too) rank by
+  GEMV values from ``geometry._gemv_rows``: each hit's similarity has the
+  bits of a single-threaded ``pool.matrix64() @ q``. ``feddca_augment``
+  makes one such pass over the pool for up to 256 selected centers, so each
+  cache-sized span of rows is widened once and read for all of them;
+  ``retrieve_topk`` is the one-query case. The pool is cut into full spans
+  of a multiple of 64 rows, one span of a multiple of 8 rows and a last
+  span of 4 to 11 rows, which keeps every row where one GEMV over the whole
+  pool puts it and gives each span the same bits at one and at two BLAS
+  threads, so the hits are identical at either. (One GEMV over the whole
+  pool is not: two threads split its rows in halves, and a half that is not
+  a multiple of 4 rounds its last rows differently.) The span rule was
+  checked at one and two threads only; direct hits are identical at any
+  thread count.
+
+Neither source reads ``matrix64()``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import ValidationError, check_json, check_number, json_field
-from .geometry import _top_candidates
+from .geometry import _QUERY_BLOCK, _gemv_rows, _top_candidates
 from .selection import CenterSelection
 from .store import EmbeddingStore
 
@@ -80,6 +88,40 @@ def _ranked_hits(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, f
     return [(int(ids[i]), float(sims[i])) for i in order]
 
 
+def _retrieve(
+    pool: EmbeddingStore, queries: list, k: int, threshold: float | None, clients: list[int]
+) -> list[RetrievalResult]:
+    """Threshold-filtered top-k of the pool for each query, from one
+    ``_gemv_rows`` pass over the pool per ``_QUERY_BLOCK`` queries."""
+    if len(pool) == 0:
+        raise ValidationError("pool is empty")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if threshold is not None:
+        check_number(threshold, "threshold", finite=False, minimum=-1.0)
+    for query in queries:
+        if np.ndim(query) != 1 or np.shape(query)[0] != pool.dim:
+            raise ValidationError(f"query must be a vector of dimension {pool.dim}")
+    results = []
+    for lo in range(0, len(queries), _QUERY_BLOCK):
+        block = queries[lo : lo + _QUERY_BLOCK]
+        sims_block = _gemv_rows(pool.vectors, np.stack(block).astype(np.float64))
+        for query, client, sims in zip(block, clients[lo:], sims_block):
+            if threshold is not None:
+                keep = sims <= threshold
+                ids, sims = pool.ids[keep], sims[keep]
+            else:
+                ids = pool.ids
+            results.append(RetrievalResult(
+                client_id=client,
+                query_center=np.asarray(query, dtype=np.float32),
+                hits=_ranked_hits(ids, sims, k),
+                requested=k,
+                threshold=threshold,
+            ))
+    return results
+
+
 def retrieve_topk(
     pool: EmbeddingStore,
     query,
@@ -91,32 +133,13 @@ def retrieve_topk(
     """Exact top-k scan of the pool for one query vector.
 
     Records with similarity strictly greater than ``threshold`` are excluded
-    before ranking; an infinite threshold excludes nothing, a NaN one is
-    rejected. Returns all survivors when fewer than ``k`` remain.
+    before ranking; an infinite threshold excludes nothing, a NaN one or one
+    below -1 (which would exclude every record) is rejected. Returns all
+    survivors when fewer than ``k`` remain. Similarities have the bits of a
+    single-threaded ``pool.matrix64() @ query`` at one or two BLAS threads
+    (see the module docstring); ``matrix64()`` is not built.
     """
-    if len(pool) == 0:
-        raise ValidationError("pool is empty")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if threshold is not None:
-        check_number(threshold, "threshold", finite=False)
-    q = np.ascontiguousarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != pool.dim:
-        raise ValidationError(f"query must be a vector of dimension {pool.dim}")
-    sims = pool.matrix64() @ q
-    if threshold is not None:
-        keep = sims <= threshold
-        ids, sims = pool.ids[keep], sims[keep]
-    else:
-        ids = pool.ids
-    hits = _ranked_hits(ids, sims, k)
-    return RetrievalResult(
-        client_id=client_id,
-        query_center=np.asarray(query, dtype=np.float32),
-        hits=hits,
-        requested=k,
-        threshold=threshold,
-    )
+    return _retrieve(pool, [query], k, threshold, [client_id])[0]
 
 
 def feddca_augment(
@@ -127,17 +150,17 @@ def feddca_augment(
 ) -> list[RetrievalResult]:
     """One threshold-filtered top-k retrieval per selected center.
 
-    Results are keyed by each slot's client of origin; duplicate ids across
-    clients are kept (redundancy is measured downstream, not removed).
+    Each result equals ``retrieve_topk`` for its slot, but the pool is read
+    once for up to 256 slots instead of once per slot. Results are keyed by
+    each slot's client of origin; duplicate ids across clients are kept
+    (redundancy is measured downstream, not removed).
     """
     if per_client < 1:
         raise ValidationError(f"per_client must be >= 1, got {per_client}")
     if not selection.slots:
         raise ValidationError("selection has no slots")
-    return [
-        retrieve_topk(pool, slot.vector, per_client, threshold, client_id=slot.client)
-        for slot in selection.slots
-    ]
+    return _retrieve(pool, [slot.vector for slot in selection.slots], per_client, threshold,
+                     [slot.client for slot in selection.slots])
 
 
 def direct_retrieval_augment(
@@ -160,8 +183,7 @@ def direct_retrieval_augment(
     reach a centroid's budget. The pool's norm bound is ``pool.max_norm``,
     so the call never reads ``pool.matrix64()``. Hits therefore equal a
     full-pool scan ranked by canonical value and are identical at any BLAS
-    thread count. (``retrieve_topk`` still ranks by a full-pool GEMV; see
-    the module docstring.) The SGEMM screen holds one float32 per pool row
+    thread count. The SGEMM screen holds one float32 per pool row
     for each centroid of one block, so its memory is bounded by 256 times
     the pool size (24 MB for the paper's 100 centroids over 60,000 rows, at
     most 61 MB for any number of centroids over that pool; twice that for a

@@ -80,6 +80,14 @@ def _number(text: str) -> float:
     return value
 
 
+def _threshold(text: str) -> float:
+    """argparse type for a similarity threshold: a number >= -1; infinity passes."""
+    value = _number(text)
+    if value < -1:
+        raise argparse.ArgumentTypeError(f"expected a number >= -1, got {text!r}")
+    return value
+
+
 def _finite_number(text: str) -> float:
     """argparse type for a finite float."""
     value = _number(text)
@@ -365,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", nargs="+", help="centers stores (direct strategy)")
     p.add_argument("--clients", type=int, help="client count (random strategy)")
     p.add_argument("--per-client", dest="per_client", type=int, required=True)
-    p.add_argument("--alpha", type=_number, default=0.7,
+    p.add_argument("--alpha", type=_threshold, default=0.7,
                    help="similarity threshold for the feddca strategy; hits above it "
                         "are excluded (values above 1 disable filtering)")
     p.add_argument("--strategy", choices=["feddca", "direct", "random"], default="feddca")

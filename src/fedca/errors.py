@@ -41,9 +41,10 @@ def check_json(value, kinds: tuple[type, ...], what: str, items: tuple[type, ...
     return value
 
 
-def check_number(value, what: str, finite: bool = True) -> float:
+def check_number(value, what: str, finite: bool = True, minimum: float | None = None) -> float:
     """``value`` as a float; a ValidationError naming ``what`` if it is NaN,
-    an integer beyond float range or, when ``finite``, infinite."""
+    an integer beyond float range, below ``minimum`` or, when ``finite``,
+    infinite."""
     try:
         number = float(value)
     except OverflowError:
@@ -51,6 +52,8 @@ def check_number(value, what: str, finite: bool = True) -> float:
     if math.isnan(number) or (finite and math.isinf(number)):
         kind = "a finite number" if finite else "a number, not NaN"
         raise ValidationError(f"{what} must be {kind}, got {number!r}")
+    if minimum is not None and number < minimum:
+        raise ValidationError(f"{what} must be >= {minimum:g}, got {number!r}")
     return number
 
 

@@ -142,8 +142,8 @@ class ExperimentConfig:
             raise ValidationError("clients_per_round exceeds n_clients")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
-        if self.alpha is not None:  # infinity disables filtering
-            check_number(self.alpha, "config field 'alpha'", finite=False)
+        if self.alpha is not None:  # infinity disables filtering; below -1 filters all
+            check_number(self.alpha, "config field 'alpha'", finite=False, minimum=-1.0)
         if isinstance(self.beta_or_mode, str):
             if self.beta_or_mode not in ("iid", "distinct"):
                 raise ValidationError(

@@ -40,6 +40,11 @@ value picks the rows to rescore, and only canonical values are returned.
 Sums over the reference set use ``math.fsum`` (exact compensated summation,
 whose result is independent of summation order), so reference-set sizes up
 to ~1e5 stay accurate to the last unit in the last place.
+
+``_gemv_rows`` is the other kernel: the GEMV values that selection columns
+and threshold-filtered retrieval rank by. Each of its rows is bit for bit a
+single-threaded ``matrix.astype(float64) @ v``, at one or two BLAS threads;
+see its docstring for the row spans that make it so.
 """
 
 from __future__ import annotations
@@ -63,8 +68,12 @@ _SINGLE_ROUNDOFF = 2.0**-24
 # absolute error of underflowing products (at most 2**-150 each) stays far
 # below the slack.
 _SINGLE_RANGE = (2.0**-60, 2.0**60)
-# Queries per `_top_candidates` screen: one pool pass for up to this many.
+# Queries per `_top_candidates` screen and per feddca retrieval pass: one
+# pool pass for up to this many.
 _QUERY_BLOCK = 256
+# Bytes of float64 rows per full `_gemv_rows` span: the span stays in cache
+# while every vector is applied to it (512 rows at d = 1,024).
+_GEMV_SPAN_BYTES = 4 << 20
 
 
 class SimilarityMode(Enum):
@@ -307,6 +316,54 @@ def _top_candidates(
             sims[lo : lo + rows] = _row_dots(part, np.broadcast_to(query, part.shape))
         found.append((cand, sims))
     return found
+
+
+def _gemv_spans(n: int, dim: int) -> list[tuple[int, int]]:
+    """Row spans ``[lo, hi)`` of an n x dim matrix for ``_gemv_rows``.
+
+    A BLAS GEMV over rows computes groups of four rows with one kernel and
+    the last n mod 4 rows with another, and two threads split the rows in
+    halves, so a row's bits depend on where it falls in the call. These
+    spans keep every row where one single-threaded GEMV over all n rows puts
+    it, and give each span the same bits at one and at two threads: full
+    spans of a multiple of 64 rows, then one span of a multiple of 8 rows
+    (an even split into groups of four), then the last 4 to 11 rows, which
+    hold the n mod 4 tail rows. Fewer than 12 rows form one span. (A 484-row
+    span, a multiple of 4 but not of 8, splits unevenly at two threads; a
+    final span of one row computes other bits.)
+    """
+    if n < 12:
+        return [(0, n)]
+    full = max(64, _GEMV_SPAN_BYTES // (8 * max(1, dim)) // 64 * 64)
+    end = (n - 4) // full * full
+    spans = [(lo, lo + full) for lo in range(0, end, full)]
+    last = n - 4 - (n - end - 4) % 8
+    if last > end:
+        spans.append((end, last))
+    spans.append((last, n))
+    return spans
+
+
+def _gemv_rows(matrix, vectors, name: str | None = None) -> np.ndarray:
+    """``out[i] = matrix @ vectors[i]`` in float64, shape (len(vectors), len(matrix)).
+
+    Row i is bit-identical to a single-threaded ``matrix.astype(np.float64)
+    @ vectors[i]``, at one or two BLAS threads. The matrix is read once, in
+    the row spans of ``_gemv_spans``: each span is widened from float32 once
+    (float64 rows are not copied) and every vector is applied to it while it
+    is in cache. With ``name``, a span holding a non-finite value raises a
+    ValidationError naming it, checked in the same pass.
+    """
+    mat = np.asarray(matrix)
+    vecs = np.ascontiguousarray(vectors, dtype=np.float64)
+    out = np.empty((vecs.shape[0], mat.shape[0]))
+    for lo, hi in _gemv_spans(*mat.shape):
+        span = np.ascontiguousarray(mat[lo:hi], dtype=np.float64)
+        if name is not None and not np.isfinite(span).all():
+            raise ValidationError(f"{name} has non-finite vectors")
+        for vec, row in zip(vecs, out):
+            np.matmul(span, vec, out=row[lo:hi])
+    return out
 
 
 def coverage(reference, covering, mode: SimilarityMode = SimilarityMode.RAW_COSINE) -> CoverageValue:

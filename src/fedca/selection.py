@@ -39,7 +39,14 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import BudgetExceededError, ValidationError, json_field
-from .geometry import _UNIT_ROUNDOFF, CoverageValue, SimilarityMode, _gamma, coverage
+from .geometry import (
+    _UNIT_ROUNDOFF,
+    CoverageValue,
+    SimilarityMode,
+    _gamma,
+    _gemv_rows,
+    coverage,
+)
 
 IMPROVEMENT_EPS = 1e-12
 DEFAULT_BRUTE_BUDGET = 10_000_000
@@ -196,15 +203,19 @@ class SelectionProblem:
 class _CoverageScorer:
     """Scores candidate subsets against a fixed reference.
 
-    ``columns`` holds one mode-applied similarity row per candidate, each a
-    GEMV over the reference (P x m for P candidates and m reference rows).
-    The mode map is monotone, so the maxima over a subset's member rows are
-    the mode-applied per-reference maxima, and the subset's value is their
-    mean by exact ``fsum``. Scorer values rank swaps and fill ``trace``; the
-    coverage a selection reports is always `geometry.coverage`. The columns
-    stay GEMVs: one GEMM over all candidates gives other bits, which can
-    vary with the BLAS thread count, and canonical ``einsum`` columns cost
-    two to three times as much.
+    ``columns`` holds one mode-applied similarity row per candidate (P x m
+    for P candidates and m reference rows), from one
+    ``geometry._gemv_rows`` pass: each cache-sized span of the reference is
+    read once for all candidates, and its finiteness is checked in the same
+    pass. Each row has the bits of a single-threaded GEMV of the reference
+    with that candidate, at one or two BLAS threads. The mode map is
+    monotone, so the maxima over a subset's member rows are the mode-applied
+    per-reference maxima, and the subset's value is their mean by exact
+    ``fsum``. Scorer values rank swaps and fill ``trace``; the coverage a
+    selection reports is always `geometry.coverage`. The columns stay GEMVs:
+    one GEMM over all candidates gives other bits, which can vary with the
+    BLAS thread count, and canonical ``einsum`` columns cost two to three
+    times as much.
 
     Many values are compared at once. A block of maxima rows is summed with
     ``np.sum``, which lies within ``gamma_(m-1) * sum|v|`` of the exact sum
@@ -220,13 +231,9 @@ class _CoverageScorer:
     """
 
     def __init__(self, reference64: np.ndarray, pool: list[SelectedCenter], mode: SimilarityMode):
-        if not np.isfinite(reference64).all():
-            raise ValidationError("reference has non-finite vectors")
         self.m = reference64.shape[0]
-        columns = np.empty((len(pool), self.m))
-        for i, c in enumerate(pool):
-            columns[i] = reference64 @ np.ascontiguousarray(c.vector, dtype=np.float64)
-        self.columns = mode.apply(columns)
+        vectors = np.stack([c.vector for c in pool])
+        self.columns = mode.apply(_gemv_rows(reference64, vectors, "reference"))
         self.abs_sums = np.abs(self.columns).sum(axis=1)
         self.rows = max(1, _BLOCK_BYTES // (8 * self.m))
         self.slack = _gamma(self.m - 1) + 16 * _UNIT_ROUNDOFF

@@ -81,10 +81,11 @@ class EmbeddingStore:
 
     Records are kept sorted by id ascending. Vectors are stored as one
     float32 matrix, which the coverage and direct-retrieval kernels screen
-    as it is (``geometry``'s SGEMM screen, bounded by ``max_norm``);
-    ``matrix64()`` builds a float64 copy lazily and caches it, for the
-    full-pool GEMV of ``augment.retrieve_topk`` and the logging sims of
-    ``random_sampling_augment``. The store keeps a private copy of
+    as it is (``geometry``'s SGEMM screen, bounded by ``max_norm``) and
+    feddca retrieval widens one cache-sized span at a time
+    (``geometry._gemv_rows``). ``matrix64()`` builds a float64 copy lazily
+    and caches it; in the package only the logging sims of
+    ``random_sampling_augment`` read it. The store keeps a private copy of
     ``vectors``; constructing it allocates that float32 matrix plus one row
     block of checks.
     """
@@ -175,7 +176,11 @@ class EmbeddingStore:
         return dict(self._domain_index)
 
     def matrix64(self) -> np.ndarray:
-        """C-contiguous float64 copy of the vectors, cached."""
+        """C-contiguous float64 copy of the vectors, cached.
+
+        Only ``augment.random_sampling_augment`` reads it in the package;
+        the similarity kernels read ``vectors`` and widen rows as they go.
+        """
         if self._matrix64 is None:
             m = np.ascontiguousarray(self._vectors, dtype=np.float64)
             m.flags.writeable = False

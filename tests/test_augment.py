@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -17,8 +18,8 @@ from fedca.augment import (
 )
 from fedca.clustering import CandidateCenters
 from fedca.errors import ValidationError
-from fedca.geometry import SimilarityMode
-from fedca.selection import greedy_select
+from fedca.geometry import CoverageValue, SimilarityMode
+from fedca.selection import CenterSelection, SelectedCenter, greedy_select
 from fedca.store import EmbeddingStore
 from fedca.synthetic import random_selection_problem, random_store, random_unit_vectors
 
@@ -120,6 +121,45 @@ def test_feddca_augment_saturation():
     results = feddca_augment(pool, selection, per_client=5, threshold=None)
     for r in results:
         assert sorted(r.ids()) == [int(i) for i in pool.ids]
+
+
+def test_feddca_augment_equals_retrieve_topk_per_slot():
+    # 300 slots span two query blocks of one pool pass each.
+    rng = np.random.default_rng(40)
+    pool = random_store(1_001, 16, seed=41)
+    vectors = np.concatenate([random_unit_vectors(150, 16, rng),
+                              pool.vectors[rng.choice(len(pool), 150)]])
+    selection = CenterSelection(
+        [SelectedCenter(client=k % 7, cluster=k, vector=v) for k, v in enumerate(vectors)],
+        CoverageValue(0.0, 1), 0, 0, [])
+    for per_client, threshold in ((1, None), (9, 0.5), (40, 0.95), (2_000, None), (5, -1.0)):
+        got = feddca_augment(pool, selection, per_client, threshold)
+        want = [retrieve_topk(pool, s.vector, per_client, threshold, client_id=s.client)
+                for s in selection.slots]
+        assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
+        assert all(np.array_equal(g.query_center, w.query_center) and g.requested == w.requested
+                   and g.threshold == w.threshold for g, w in zip(got, want))
+
+
+def test_retrieval_does_not_build_the_float64_pool():
+    pool = random_store(300, 8, seed=42)
+    selection = greedy_select(random_selection_problem(3, 2, 8, seed=43))
+    retrieve_topk(pool, pool.vectors[3], 5, 0.7)
+    feddca_augment(pool, selection, 5, 0.7)
+    assert pool._matrix64 is None
+
+
+def test_threshold_below_minus_one_is_rejected():
+    pool = random_store(40, 6, seed=44)
+    selection = greedy_select(random_selection_problem(2, 2, 6, seed=45))
+    for threshold in (-1.5, -2, -math.inf):
+        with pytest.raises(ValidationError, match="threshold must be >= -1"):
+            retrieve_topk(pool, pool.vectors[0], 5, threshold)
+        with pytest.raises(ValidationError, match="threshold must be >= -1"):
+            feddca_augment(pool, selection, 5, threshold)
+    # -1 is the smallest cosine: it keeps only records at -1, here none
+    assert retrieve_topk(pool, pool.vectors[0], 5, -1.0).hits == []
+    assert len(retrieve_topk(pool, pool.vectors[0], 5, math.inf).hits) == 5
 
 
 def test_direct_retrieval_xi_one_equals_topk():
@@ -332,4 +372,32 @@ def test_direct_retrieval_float64_centers_is_invariant_to_blas_threads():
     # float64 centroids take the DGEMM screen, which with OpenBLAS 0.3.31
     # differs at 1 and 2 threads for this shape.
     digests = _probe_digests(_DIRECT_THREAD_PROBE.format(dtype="float64"))
+    assert digests[0] == digests[1]
+
+
+# float64 queries near the rows where two BLAS threads split one GEMV over
+# all 10,001 rows; every record is ranked, so every similarity is hashed.
+_GEMV_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from fedca.augment import augments_to_json, feddca_augment, retrieve_topk
+from fedca.geometry import CoverageValue
+from fedca.selection import CenterSelection, SelectedCenter
+from fedca.synthetic import random_store
+pool = random_store(10001, 1024, seed=11)
+rng = np.random.default_rng(12)
+near = pool.vectors[[4999, 5000, 5001, 9999, 10000]] + 0.02 * rng.standard_normal((5, 1024))
+near /= np.linalg.norm(near, axis=1, keepdims=True)
+hits = [retrieve_topk(pool, q, len(pool)).to_json_dict() for q in near]
+slots = [SelectedCenter(client=k, cluster=0, vector=q) for k, q in enumerate(near)]
+selection = CenterSelection(slots, CoverageValue(0.0, 1), 0, 0, [])
+hits += augments_to_json(feddca_augment(pool, selection, len(pool), threshold=0.99))
+print(hashlib.sha256(json.dumps(hits).encode()).hexdigest())
+"""
+
+
+def test_feddca_retrieval_is_invariant_to_blas_threads():
+    # With OpenBLAS 0.3.31, one GEMV over this pool gives rows 5,000 and
+    # 10,000 other bits at 2 threads than at 1.
+    digests = _probe_digests(_GEMV_THREAD_PROBE)
     assert digests[0] == digests[1]

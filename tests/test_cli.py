@@ -124,6 +124,10 @@ def test_usage_error_exits_1():
       "--clients", "2", "--per-client", "3", "--out", "o.json"], "--beta"),
     (["sweep", "--config", "absent.json", "--betas", "inf", "--out", "o.csv"], "--betas"),
     (["sweep", "--config", "absent.json", "--betas", "0.1,nan", "--out", "o.csv"], "--betas"),
+    (["augment", "--pool", "absent.fdca", "--selection", "absent.json", "--per-client", "3",
+      "--alpha", "-2", "--out", "o.json"], "--alpha"),
+    (["augment", "--pool", "absent.fdca", "--selection", "absent.json", "--per-client", "3",
+      "--alpha", "-inf", "--out", "o.json"], "--alpha"),
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
     # The input files do not exist: flag values are parsed before any file is read.
@@ -361,6 +365,24 @@ def test_non_finite_config_numbers_exit_2_naming_the_field(workspace, tmp_path, 
         assert main([*argv, "--config", str(tmp_path / "exp.json")]) == 2
         err = capsys.readouterr().err
         assert f"config field {field!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_alpha_below_minus_one_exits_2_naming_the_field(workspace, tmp_path, capsys):
+    # Such an alpha would filter out every pool record.
+    cfg = {
+        "version": 1, "pool_path": str(workspace / "pool.fdca"), "domain_label": "dom",
+        "n_clients": 3, "per_client_local": 12, "per_client_aug": 15, "xi": 3,
+        "alpha": -2, "beta_or_mode": 0.1, "rounds": 2, "clients_per_round": 1,
+        "seed": 1, "strategy": "feddca", "pseudo_label_clusters": 6,
+    }
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    for argv in (["run", "--out", str(tmp_path / "runs")],
+                 ["compare", "--out", str(tmp_path / "cmp.csv")],
+                 ["sweep", "--out", str(tmp_path / "sweep.csv")]):
+        assert main([*argv, "--config", str(tmp_path / "exp.json")]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'alpha' must be >= -1" in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 

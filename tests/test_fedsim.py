@@ -241,6 +241,10 @@ def test_non_finite_alpha_and_beta_are_rejected(pool):
     with pytest.raises(ValidationError, match="config field 'alpha'"):
         ExperimentConfig.from_json_dict(
             json.loads(json.dumps({**_config().to_json_dict(), "alpha": math.nan})))
+    for alpha in (-1.0000001, -2, -math.inf):
+        with pytest.raises(ValidationError, match="config field 'alpha' must be >= -1"):
+            _config(alpha=alpha)
+    assert _config(alpha=-1).alpha == -1
     labels = np.zeros(len(pool), dtype=np.int64)
     for beta in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="beta"):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +15,8 @@ from fedca import geometry
 from fedca.errors import ValidationError
 from fedca.geometry import (
     SimilarityMode,
+    _gemv_rows,
+    _gemv_spans,
     _top_candidates,
     best_similarity,
     cosine,
@@ -362,3 +366,53 @@ def test_top_candidates_screen_memory_is_bounded_per_query_block():
         canon = np.array([np.einsum("i,i->", x, queries[j]) for x in pool])
         assert np.array_equal(sims, canon[rows])
         assert set(np.lexsort((np.arange(len(pool)), -canon))[:4]) <= set(rows.tolist())
+
+
+_GEMV_CASES = [(n, dim, dtype) for n in (1, 2, 3, 5, 11, 12, 13, 1_001, 4_097, 10_001)
+               for dim in (3, 64, 1024) for dtype in ("float32", "float64")]
+
+# Prints, per case, the sha256 of one GEMV per vector over the whole matrix.
+_GEMV_REFERENCE = """
+import hashlib, json, sys
+import numpy as np
+for n, dim, dtype in json.loads(sys.argv[1]):
+    rng = np.random.default_rng([n, dim])
+    matrix = rng.standard_normal((n, dim)).astype(dtype)
+    vectors = rng.standard_normal((3, dim))
+    out = np.stack([matrix.astype(np.float64) @ v for v in vectors])
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_gemv_rows_equals_single_threaded_gemv_bit_for_bit():
+    # The vectors are float64, so products round and the BLAS kernels that
+    # handle groups of four rows and the tail rows give different bits.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _GEMV_REFERENCE, json.dumps(_GEMV_CASES)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    want = proc.stdout.split()
+    got = []
+    for n, dim, dtype in _GEMV_CASES:
+        rng = np.random.default_rng([n, dim])
+        matrix = rng.standard_normal((n, dim)).astype(dtype)
+        vectors = rng.standard_normal((3, dim))
+        out = _gemv_rows(matrix, vectors)
+        assert out.shape == (3, n) and out.dtype == np.float64
+        got.append(hashlib.sha256(out.tobytes()).hexdigest())
+    assert [case for case, g, w in zip(_GEMV_CASES, got, want) if g != w] == []
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64, 1024, 10_000])
+def test_gemv_spans_follow_the_span_rule(dim):
+    for n in (0, 1, 11, 12, 13, 19, 20, 100, 515, 1_001, 4_097, 60_003, 200_001):
+        spans = _gemv_spans(n, dim)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        sizes = [hi - lo for lo, hi in spans]
+        if n < 12:
+            assert sizes == [n]
+            continue
+        assert all(size == sizes[0] and size % 64 == 0 for size in sizes[:-2])
+        assert all(size % 8 == 0 for size in sizes[:-1])
+        assert 4 <= sizes[-1] <= 11
+

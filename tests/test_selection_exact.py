@@ -21,6 +21,7 @@ import fedca
 from fedca.clustering import CandidateCenters
 from fedca.errors import ValidationError
 from fedca.geometry import SimilarityMode, coverage
+from fedca import selection
 from fedca.selection import (
     CenterSelection,
     SelectionProblem,
@@ -190,15 +191,67 @@ print(hashlib.sha256(json.dumps([s.to_json_dict() for s in out]).encode()).hexdi
 """
 
 
-def test_selection_is_invariant_to_blas_threads():
-    # With OpenBLAS 0.3.31, one GEMM of all 301 columns of this instance differs
-    # at 1 and 2 threads; the per-candidate GEMV columns must not.
+def _probe_digests(probe: str) -> list[str]:
+    """stdout of ``probe`` run at 1 and at 2 OpenBLAS threads."""
     src = str(Path(fedca.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         digests.append(proc.stdout.strip())
+    return digests
+
+
+def test_selection_is_invariant_to_blas_threads():
+    # With OpenBLAS 0.3.31, one GEMM of all 301 columns of this instance differs
+    # at 1 and 2 threads; the per-candidate GEMV columns must not.
+    digests = _probe_digests(_THREAD_PROBE)
     assert digests[0] == digests[1]
+
+
+# Candidates span the first 512 coordinates and every reference row but the
+# two where two BLAS threads split one GEMV over all 1,001 rows (500 and
+# 1,000) spans the rest, so each trace value is the exact sum of those two
+# rows' maxima over m and shows a one-ulp change in either.
+_GEMV_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from fedca.clustering import CandidateCenters
+from fedca.selection import SelectionProblem, greedy_select
+rng = np.random.default_rng(13)
+def unit(n, lo, hi):
+    x = np.zeros((n, 1024))
+    x[:, lo:hi] = rng.standard_normal((n, hi - lo))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+reference = unit(1001, 512, 1024)
+reference[[500, 1000]] = unit(2, 0, 1024)
+clients = [CandidateCenters(client_id=k, centers=unit(10, 0, 512)) for k in range(10)]
+selection = greedy_select(SelectionProblem(clients, reference=reference))
+print(hashlib.sha256(json.dumps(selection.to_json_dict()).encode()).hexdigest())
+"""
+
+
+def test_greedy_gemv_columns_are_invariant_to_blas_threads():
+    # With OpenBLAS 0.3.31, one GEMV per candidate over this float64
+    # reference gives rows 500 and 1,000 other bits at 2 threads than at 1,
+    # and the last trace value moves by one ulp.
+    digests = _probe_digests(_GEMV_THREAD_PROBE)
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("mode", [RAW, AFFINE])
+def test_scorer_columns_equal_one_gemv_per_candidate(mode):
+    # m = 1,000 is a multiple of 8 and the pooled 40 x 64 reference is below
+    # the size BLAS threads a GEMV at, so the per-candidate GEMV below has
+    # single-thread bits at any thread count.
+    rng = np.random.default_rng(46)
+    clients = [CandidateCenters(k, random_unit_vectors(10, 64, rng)) for k in range(4)]
+    wide = rng.standard_normal((1_000, 64))
+    for reference in (None, wide / np.linalg.norm(wide, axis=1, keepdims=True)):
+        problem = SelectionProblem(clients, reference=reference, mode=mode)
+        ref64 = problem.reference_matrix()
+        scorer = selection._CoverageScorer(ref64, problem.pool(), mode)
+        want = [mode.apply(ref64 @ c.vector.astype(np.float64)) for c in problem.pool()]
+        assert np.array_equal(scorer.columns, np.stack(want))
