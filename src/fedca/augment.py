@@ -24,9 +24,11 @@ Two similarity sources, which can differ in the last bits:
   pool puts it and gives each span the same bits at one and at two BLAS
   threads, so the hits are identical at either. (One GEMV over the whole
   pool is not: two threads split its rows in halves, and a half that is not
-  a multiple of 4 rounds its last rows differently.) The span rule was
-  checked at one and two threads only; direct hits are identical at any
-  thread count.
+  a multiple of 4 rounds its last rows differently.) At three or more
+  threads the hits can still change: the library cuts a span into pieces
+  of ceil(rows / threads) rows, which need not be multiples of 4 (three
+  threads cut a 512-row span into 171, 171 and 170 rows). Direct hits are
+  identical at any thread count.
 
 Neither source reads ``matrix64()``.
 """
@@ -105,7 +107,7 @@ def _retrieve(
     results = []
     for lo in range(0, len(queries), _QUERY_BLOCK):
         block = queries[lo : lo + _QUERY_BLOCK]
-        sims_block = _gemv_rows(pool.vectors, np.stack(block).astype(np.float64))
+        sims_block = _gemv_rows(pool.vectors, np.stack(block))
         for query, client, sims in zip(block, clients[lo:], sims_block):
             if threshold is not None:
                 keep = sims <= threshold

@@ -43,8 +43,8 @@ to ~1e5 stay accurate to the last unit in the last place.
 
 ``_gemv_rows`` is the other kernel: the GEMV values that selection columns
 and threshold-filtered retrieval rank by. Each of its rows is bit for bit a
-single-threaded ``matrix.astype(float64) @ v``, at one or two BLAS threads;
-see its docstring for the row spans that make it so.
+single-threaded ``matrix.astype(float64) @ v`` at one or two BLAS threads,
+but not at more; see ``_gemv_spans`` for the row spans that make it so.
 """
 
 from __future__ import annotations
@@ -331,6 +331,12 @@ def _gemv_spans(n: int, dim: int) -> list[tuple[int, int]]:
     hold the n mod 4 tail rows. Fewer than 12 rows form one span. (A 484-row
     span, a multiple of 4 but not of 8, splits unevenly at two threads; a
     final span of one row computes other bits.)
+
+    Three or more threads can still change the bits. OpenBLAS gives each
+    thread ceil(rows / threads) rows of a call without rounding to four, so
+    three threads cut a 512-row span into 171, 171 and 170 rows, and each
+    such piece sends its last rows through the tail kernel. No span size
+    splits evenly at every count. (Only one and two threads are tested.)
     """
     if n < 12:
         return [(0, n)]
@@ -348,7 +354,8 @@ def _gemv_rows(matrix, vectors, name: str | None = None) -> np.ndarray:
     """``out[i] = matrix @ vectors[i]`` in float64, shape (len(vectors), len(matrix)).
 
     Row i is bit-identical to a single-threaded ``matrix.astype(np.float64)
-    @ vectors[i]``, at one or two BLAS threads. The matrix is read once, in
+    @ vectors[i]`` at one or two BLAS threads (not at more; see
+    ``_gemv_spans``). The matrix is read once, in
     the row spans of ``_gemv_spans``: each span is widened from float32 once
     (float64 rows are not copied) and every vector is applied to it while it
     is in cache. With ``name``, a span holding a non-finite value raises a

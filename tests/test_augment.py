@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import full_sort_retrieval, naive_direct_retrieval
+from probes import probe_digests
 
-import fedca
 from fedca.augment import (
     data_select,
     direct_retrieval_augment,
@@ -346,32 +342,19 @@ print(hashlib.sha256(json.dumps(hits).encode()).hexdigest())
 """
 
 
-def _probe_digests(probe: str) -> list[str]:
-    """stdout of ``probe`` run at 1 and at 2 OpenBLAS threads."""
-    src = str(Path(fedca.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        digests.append(proc.stdout.strip())
-    return digests
-
-
 def test_direct_retrieval_is_invariant_to_blas_threads():
     # 400 float32 centroids x 301 float32 pool rows: the SGEMM screen. With
     # OpenBLAS 0.3.31 on x86-64 its raw values of this shape were the same at
     # 1 and 2 threads, so this guards BLAS builds whose SGEMM splits its sums
     # by thread.
-    digests = _probe_digests(_DIRECT_THREAD_PROBE.format(dtype="float32"))
+    digests = probe_digests(_DIRECT_THREAD_PROBE.format(dtype="float32"))
     assert digests[0] == digests[1]
 
 
 def test_direct_retrieval_float64_centers_is_invariant_to_blas_threads():
     # float64 centroids take the DGEMM screen, which with OpenBLAS 0.3.31
     # differs at 1 and 2 threads for this shape.
-    digests = _probe_digests(_DIRECT_THREAD_PROBE.format(dtype="float64"))
+    digests = probe_digests(_DIRECT_THREAD_PROBE.format(dtype="float64"))
     assert digests[0] == digests[1]
 
 
@@ -399,5 +382,5 @@ print(hashlib.sha256(json.dumps(hits).encode()).hexdigest())
 def test_feddca_retrieval_is_invariant_to_blas_threads():
     # With OpenBLAS 0.3.31, one GEMV over this pool gives rows 5,000 and
     # 10,000 other bits at 2 threads than at 1.
-    digests = _probe_digests(_GEMV_THREAD_PROBE)
+    digests = probe_digests(_GEMV_THREAD_PROBE)
     assert digests[0] == digests[1]

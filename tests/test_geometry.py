@@ -1,21 +1,15 @@
-import hashlib
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import double_loop_coverage, double_loop_facility, per_pair_best_similarity
+from probes import probe_digests
 
-import fedca
 from fedca import geometry
 from fedca.errors import ValidationError
 from fedca.geometry import (
     SimilarityMode,
-    _gemv_rows,
     _gemv_spans,
     _top_candidates,
     best_similarity,
@@ -224,22 +218,9 @@ print(hashlib.sha256(best_similarity(ref, cov).tobytes()).hexdigest())
 """
 
 
-def _probe_digests(probe: str) -> list[str]:
-    """stdout of ``probe`` run at 1 and at 2 OpenBLAS threads."""
-    src = str(Path(fedca.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        digests.append(proc.stdout.strip())
-    return digests
-
-
 def test_best_similarity_is_invariant_to_blas_threads():
     # With OpenBLAS 0.3.31, raw GEMM row maxima of this instance differ at 1 and 2 threads.
-    digests = _probe_digests(_THREAD_PROBE.format(dtype="float64"))
+    digests = probe_digests(_THREAD_PROBE.format(dtype="float64"))
     assert digests[0] == digests[1]
 
 
@@ -247,7 +228,7 @@ def test_best_similarity_float32_is_invariant_to_blas_threads():
     # The SGEMM screen. With OpenBLAS 0.3.31 on x86-64 its raw row maxima of
     # this instance were the same at 1 and 2 threads, so this guards BLAS
     # builds whose SGEMM splits its sums by thread.
-    digests = _probe_digests(_THREAD_PROBE.format(dtype="float32"))
+    digests = probe_digests(_THREAD_PROBE.format(dtype="float32"))
     assert digests[0] == digests[1]
 
 
@@ -348,7 +329,6 @@ def test_top_candidates_hold_each_canonical_top_k():
         assert set(top) <= set(rows.tolist())
 
 
-
 def test_top_candidates_screen_memory_is_bounded_per_query_block():
     rng = np.random.default_rng(28)
     pool = random_unit_vectors(2_000, 16, rng).astype(np.float64)
@@ -371,35 +351,34 @@ def test_top_candidates_screen_memory_is_bounded_per_query_block():
 _GEMV_CASES = [(n, dim, dtype) for n in (1, 2, 3, 5, 11, 12, 13, 1_001, 4_097, 10_001)
                for dim in (3, 64, 1024) for dtype in ("float32", "float64")]
 
-# Prints, per case, the sha256 of one GEMV per vector over the whole matrix.
-_GEMV_REFERENCE = """
+# Prints, per case, the sha256 of ``_gemv_rows`` and of one GEMV per vector
+# over the whole matrix.
+_GEMV_PROBE = """
 import hashlib, json, sys
 import numpy as np
+from fedca.geometry import _gemv_rows
 for n, dim, dtype in json.loads(sys.argv[1]):
     rng = np.random.default_rng([n, dim])
     matrix = rng.standard_normal((n, dim)).astype(dtype)
     vectors = rng.standard_normal((3, dim))
-    out = np.stack([matrix.astype(np.float64) @ v for v in vectors])
-    print(hashlib.sha256(out.tobytes()).hexdigest())
+    out = _gemv_rows(matrix, vectors)
+    assert out.shape == (3, n) and out.dtype == np.float64
+    want = np.stack([matrix.astype(np.float64) @ v for v in vectors])
+    print(hashlib.sha256(out.tobytes()).hexdigest(), hashlib.sha256(want.tobytes()).hexdigest())
 """
 
 
 def test_gemv_rows_equals_single_threaded_gemv_bit_for_bit():
     # The vectors are float64, so products round and the BLAS kernels that
-    # handle groups of four rows and the tail rows give different bits.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _GEMV_REFERENCE, json.dumps(_GEMV_CASES)],
-                          env=env, capture_output=True, text=True, timeout=300, check=True)
-    want = proc.stdout.split()
-    got = []
-    for n, dim, dtype in _GEMV_CASES:
-        rng = np.random.default_rng([n, dim])
-        matrix = rng.standard_normal((n, dim)).astype(dtype)
-        vectors = rng.standard_normal((3, dim))
-        out = _gemv_rows(matrix, vectors)
-        assert out.shape == (3, n) and out.dtype == np.float64
-        got.append(hashlib.sha256(out.tobytes()).hexdigest())
-    assert [case for case, g, w in zip(_GEMV_CASES, got, want) if g != w] == []
+    # handle groups of four rows and the tail rows give different bits. The
+    # kernel's bits are promised at 1 and 2 BLAS threads only, so both sides
+    # run in subprocesses pinned to those counts, never at this process's.
+    one, two = (out.splitlines() for out in probe_digests(_GEMV_PROBE, json.dumps(_GEMV_CASES)))
+    want = [line.split()[1] for line in one]
+    assert len(want) == len(_GEMV_CASES)
+    for lines in (one, two):
+        got = [line.split()[0] for line in lines]
+        assert [case for case, g, w in zip(_GEMV_CASES, got, want, strict=True) if g != w] == []
 
 
 @pytest.mark.parametrize("dim", [1, 3, 64, 1024, 10_000])

@@ -7,21 +7,16 @@ candidates and candidates that gain nothing.
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import dict_beam, literal_brute, literal_greedy
+from probes import probe_digests
 
-import fedca
 from fedca.clustering import CandidateCenters
 from fedca.errors import ValidationError
 from fedca.geometry import SimilarityMode, coverage
-from fedca import selection
 from fedca.selection import (
     CenterSelection,
     SelectionProblem,
@@ -191,23 +186,10 @@ print(hashlib.sha256(json.dumps([s.to_json_dict() for s in out]).encode()).hexdi
 """
 
 
-def _probe_digests(probe: str) -> list[str]:
-    """stdout of ``probe`` run at 1 and at 2 OpenBLAS threads."""
-    src = str(Path(fedca.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        digests.append(proc.stdout.strip())
-    return digests
-
-
 def test_selection_is_invariant_to_blas_threads():
     # With OpenBLAS 0.3.31, one GEMM of all 301 columns of this instance differs
     # at 1 and 2 threads; the per-candidate GEMV columns must not.
-    digests = _probe_digests(_THREAD_PROBE)
+    digests = probe_digests(_THREAD_PROBE)
     assert digests[0] == digests[1]
 
 
@@ -237,21 +219,40 @@ def test_greedy_gemv_columns_are_invariant_to_blas_threads():
     # With OpenBLAS 0.3.31, one GEMV per candidate over this float64
     # reference gives rows 500 and 1,000 other bits at 2 threads than at 1,
     # and the last trace value moves by one ulp.
-    digests = _probe_digests(_GEMV_THREAD_PROBE)
+    digests = probe_digests(_GEMV_THREAD_PROBE)
     assert digests[0] == digests[1]
+
+
+# Prints, for the pooled 40 x 64 reference and a 1,000-row one, the sha256
+# of the scorer's columns and of one GEMV per candidate.
+_COLUMNS_PROBE = """
+import hashlib, sys
+import numpy as np
+from fedca.clustering import CandidateCenters
+from fedca.geometry import SimilarityMode
+from fedca.selection import SelectionProblem, _CoverageScorer
+from fedca.synthetic import random_unit_vectors
+mode = SimilarityMode[sys.argv[1]]
+rng = np.random.default_rng(46)
+clients = [CandidateCenters(k, random_unit_vectors(10, 64, rng)) for k in range(4)]
+wide = rng.standard_normal((1_000, 64))
+for reference in (None, wide / np.linalg.norm(wide, axis=1, keepdims=True)):
+    problem = SelectionProblem(clients, reference=reference, mode=mode)
+    ref64 = problem.reference_matrix()
+    got = _CoverageScorer(ref64, problem.pool(), mode).columns
+    want = np.stack([mode.apply(ref64 @ c.vector.astype(np.float64)) for c in problem.pool()])
+    assert got.shape == want.shape
+    print(hashlib.sha256(got.tobytes()).hexdigest(), hashlib.sha256(want.tobytes()).hexdigest())
+"""
 
 
 @pytest.mark.parametrize("mode", [RAW, AFFINE])
 def test_scorer_columns_equal_one_gemv_per_candidate(mode):
-    # m = 1,000 is a multiple of 8 and the pooled 40 x 64 reference is below
-    # the size BLAS threads a GEMV at, so the per-candidate GEMV below has
-    # single-thread bits at any thread count.
-    rng = np.random.default_rng(46)
-    clients = [CandidateCenters(k, random_unit_vectors(10, 64, rng)) for k in range(4)]
-    wide = rng.standard_normal((1_000, 64))
-    for reference in (None, wide / np.linalg.norm(wide, axis=1, keepdims=True)):
-        problem = SelectionProblem(clients, reference=reference, mode=mode)
-        ref64 = problem.reference_matrix()
-        scorer = selection._CoverageScorer(ref64, problem.pool(), mode)
-        want = [mode.apply(ref64 @ c.vector.astype(np.float64)) for c in problem.pool()]
-        assert np.array_equal(scorer.columns, np.stack(want))
+    # The columns keep single-thread GEMV bits at 1 and 2 BLAS threads only,
+    # so both sides run in subprocesses pinned to those counts: the columns
+    # at each must equal the per-candidate GEMVs at 1 thread.
+    one, two = (out.splitlines() for out in probe_digests(_COLUMNS_PROBE, mode.name))
+    want = [line.split()[1] for line in one]
+    assert len(want) == 2
+    for lines in (one, two):
+        assert [line.split()[0] for line in lines] == want
