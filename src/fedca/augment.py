@@ -7,30 +7,13 @@ the query exceeds it *before* the top-k cut, so filtered records never
 consume budget; if fewer than k records survive, the shortfall is reported
 rather than raised.
 
-Two similarity sources, which can differ in the last bits:
-
-* ``direct_retrieval_augment`` reads canonical per-pair values from
-  ``geometry._top_candidates``: the float32 centroids of the call are
-  screened in one SGEMM over the store's float32 rows per block of 256, and
-  only rows that can reach a centroid's budget are widened and scored.
-* ``retrieve_topk`` and ``feddca_augment`` (``data_select`` too) rank by
-  GEMV values from ``geometry._gemv_rows``: each hit's similarity has the
-  bits of a single-threaded ``pool.matrix64() @ q``. ``feddca_augment``
-  makes one such pass over the pool for up to 256 selected centers, so each
-  cache-sized span of rows is widened once and read for all of them;
-  ``retrieve_topk`` is the one-query case. The pool is cut into full spans
-  of a multiple of 64 rows, one span of a multiple of 8 rows and a last
-  span of 4 to 11 rows, which keeps every row where one GEMV over the whole
-  pool puts it and gives each span the same bits at one and at two BLAS
-  threads, so the hits are identical at either. (One GEMV over the whole
-  pool is not: two threads split its rows in halves, and a half that is not
-  a multiple of 4 rounds its last rows differently.) At three or more
-  threads the hits can still change: the library cuts a span into pieces
-  of ceil(rows / threads) rows, which need not be multiples of 4 (three
-  threads cut a 512-row span into 171, 171 and 170 rows). Direct hits are
-  identical at any thread count.
-
-Neither source reads ``matrix64()``.
+Similarities follow the value contract stated in the ``geometry`` module
+docstring. ``direct_retrieval_augment`` and the logging sims of
+``random_sampling_augment`` are canonical values, the same at any BLAS
+thread count. ``retrieve_topk``, ``feddca_augment`` and ``data_select``
+rank by ``geometry._gemv_rows`` values, the same at one and two BLAS
+threads; ``feddca_augment`` reads the pool once for up to 256 selected
+centers.
 """
 
 from __future__ import annotations
@@ -41,7 +24,7 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import ValidationError, check_json, check_number, json_field
-from .geometry import _QUERY_BLOCK, _gemv_rows, _top_candidates
+from .geometry import _QUERY_BLOCK, _gemv_rows, _row_dots, _top_candidates, _wide
 from .selection import CenterSelection
 from .store import EmbeddingStore
 
@@ -101,9 +84,11 @@ def _retrieve(
         raise ValidationError(f"k must be >= 1, got {k}")
     if threshold is not None:
         check_number(threshold, "threshold", finite=False, minimum=-1.0)
-    for query in queries:
+    for j, query in enumerate(queries):
         if np.ndim(query) != 1 or np.shape(query)[0] != pool.dim:
             raise ValidationError(f"query must be a vector of dimension {pool.dim}")
+        if not np.isfinite(query).all():
+            raise ValidationError(f"query {j} has non-finite values")
     results = []
     for lo in range(0, len(queries), _QUERY_BLOCK):
         block = queries[lo : lo + _QUERY_BLOCK]
@@ -137,9 +122,8 @@ def retrieve_topk(
     Records with similarity strictly greater than ``threshold`` are excluded
     before ranking; an infinite threshold excludes nothing, a NaN one or one
     below -1 (which would exclude every record) is rejected. Returns all
-    survivors when fewer than ``k`` remain. Similarities have the bits of a
-    single-threaded ``pool.matrix64() @ query`` at one or two BLAS threads
-    (see the module docstring); ``matrix64()`` is not built.
+    survivors when fewer than ``k`` remain. Similarities are
+    ``geometry._gemv_rows`` values (see the module docstring).
     """
     return _retrieve(pool, [query], k, threshold, [client_id])[0]
 
@@ -178,18 +162,14 @@ def direct_retrieval_augment(
     a duplicate backfills from its own next-ranked hits, so the result holds
     per_client unique ids whenever the pool permits.
 
-    Similarities are canonical values from ``geometry._top_candidates``: one
-    screened GEMM over the store's float32 rows per block of up to 256
-    centroids (SGEMM for float32 centroids, DGEMM when any centroid is
-    float64), then a float64 per-pair dot product for the rows that can
-    reach a centroid's budget. The pool's norm bound is ``pool.max_norm``,
-    so the call never reads ``pool.matrix64()``. Hits therefore equal a
-    full-pool scan ranked by canonical value and are identical at any BLAS
-    thread count. The SGEMM screen holds one float32 per pool row
-    for each centroid of one block, so its memory is bounded by 256 times
-    the pool size (24 MB for the paper's 100 centroids over 60,000 rows, at
-    most 61 MB for any number of centroids over that pool; twice that for a
-    DGEMM screen).
+    Similarities are canonical values from ``geometry._top_candidates``,
+    which screens the store's float32 rows once per block of up to 256
+    centroids, bounded by ``pool.max_norm``; hits equal a full-pool scan
+    ranked by canonical value. The SGEMM screen holds one float32 per pool
+    row for each centroid of one block, so its memory is bounded by 256
+    times the pool size (24 MB for the paper's 100 centroids over 60,000
+    rows, at most 61 MB for any number of centroids over that pool; twice
+    that for a DGEMM screen).
     """
     if per_client < 1:
         raise ValidationError(f"per_client must be >= 1, got {per_client}")
@@ -258,8 +238,8 @@ def random_sampling_augment(
 ) -> list[RetrievalResult]:
     """Uniform without-replacement sample per client, independent across clients.
 
-    The similarity field is the cosine to the (normalized) pool mean, kept
-    for logging only.
+    The similarity field is the canonical cosine to the (normalized) pool
+    mean, kept for logging only.
     """
     if per_client < 1 or n_clients < 1:
         raise ValidationError("n_clients and per_client must be >= 1")
@@ -267,8 +247,7 @@ def random_sampling_augment(
         raise ValidationError(
             f"per_client={per_client} exceeds pool size {len(pool)}"
         )
-    mat = pool.matrix64()
-    mean = mat.mean(axis=0)
+    mean = pool.vectors.mean(axis=0, dtype=np.float64)
     norm = float(np.linalg.norm(mean))
     center = mean / norm if norm > 0 else mean
     results = []
@@ -276,7 +255,8 @@ def random_sampling_augment(
         rng = np.random.default_rng([seed, client])
         pos = rng.choice(len(pool), size=per_client, replace=False)
         ids = pool.ids[pos]
-        sims = mat[pos] @ center
+        rows = _wide(pool.vectors[pos])
+        sims = _row_dots(rows, np.broadcast_to(center, rows.shape))
         results.append(
             RetrievalResult(
                 client_id=client,

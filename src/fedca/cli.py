@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -22,7 +21,7 @@ from .augment import (
     random_sampling_augment,
 )
 from .clustering import CandidateCenters, kmeans
-from .errors import BudgetExceededError, FedcaError, ValidationError
+from .errors import BudgetExceededError, FedcaError, ValidationError, check_number
 from .fedsim import (
     ExperimentConfig,
     assemble_metrics,
@@ -69,31 +68,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _number(text: str) -> float:
-    """argparse type for a float other than NaN; infinities pass."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    return value
+def _number(finite: bool = True, minimum: float | None = None):
+    """argparse type for a float that ``errors.check_number`` accepts with
+    these arguments."""
 
+    def number(text: str) -> float:
+        try:
+            return check_number(text, "value", finite, minimum)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _threshold(text: str) -> float:
-    """argparse type for a similarity threshold: a number >= -1; infinity passes."""
-    value = _number(text)
-    if value < -1:
-        raise argparse.ArgumentTypeError(f"expected a number >= -1, got {text!r}")
-    return value
-
-
-def _finite_number(text: str) -> float:
-    """argparse type for a finite float."""
-    value = _number(text)
-    if math.isinf(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+    return number
 
 
 def _comma_list(parse):
@@ -340,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="split a store into per-client local sets")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", choices=["dirichlet", "iid", "distinct"], required=True)
-    p.add_argument("--beta", type=_finite_number, default=0.1)
+    p.add_argument("--beta", type=_number(), default=0.1)
     p.add_argument("--clients", type=int, required=True)
     p.add_argument("--per-client", dest="per_client", type=int, required=True)
     p.add_argument("--seed", type=int, default=42,
@@ -373,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", nargs="+", help="centers stores (direct strategy)")
     p.add_argument("--clients", type=int, help="client count (random strategy)")
     p.add_argument("--per-client", dest="per_client", type=int, required=True)
-    p.add_argument("--alpha", type=_threshold, default=0.7,
+    p.add_argument("--alpha", type=_number(finite=False, minimum=-1.0), default=0.7,
                    help="similarity threshold for the feddca strategy; hits above it "
                         "are excluded (values above 1 disable filtering)")
     p.add_argument("--strategy", choices=["feddca", "direct", "random"], default="feddca")
@@ -386,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", required=True, help="store resolving every id")
     p.add_argument("--plan", required=True)
     p.add_argument("--augsets", required=True)
-    p.add_argument("--xi", type=int, default=10, help="centers per client for upload accounting")
+    p.add_argument("--xi", type=_positive_int, default=10,
+                   help="centers per client for upload accounting")
     p.add_argument("--selection",
                    help="selection.json, to report convergence passes (0 without it)")
     p.add_argument("--seed", type=int, default=42,
@@ -401,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="heterogeneity sweep over beta values")
     p.add_argument("--config", required=True)
-    p.add_argument("--betas", type=_comma_list(_finite_number), default="0.01,0.1,1,10")
+    p.add_argument("--betas", type=_comma_list(_number()), default="0.01,0.1,1,10")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_sweep)
 

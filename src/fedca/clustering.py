@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import _row_norms, _vectors
 
 DEFAULT_MAX_ITERS = 100
 _UNIT_TOLERANCE = 1e-3
@@ -49,14 +50,10 @@ class CandidateCenters:
 
 
 def _points64(points) -> np.ndarray:
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValidationError("points must be a 2-d vector set")
+    pts = _vectors(points, "points")
     if pts.shape[0] == 0:
         raise ValidationError("cannot cluster an empty point set")
-    # squared norms by einsum: no n x d temporary, unlike np.linalg.norm
-    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    if np.any(np.abs(norms - 1.0) > _UNIT_TOLERANCE):
+    if np.any(np.abs(_row_norms(pts) - 1.0) > _UNIT_TOLERANCE):
         raise ValidationError("points must be unit-norm")
     return pts
 
@@ -169,11 +166,9 @@ def kmeans(
 
 def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:
     """Label each point by its nearest center (cosine), ties to lowest index."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValidationError("points must be a 2-d vector set")
-    cmat = centers.centers if isinstance(centers, CandidateCenters) else centers
-    cmat = np.ascontiguousarray(cmat, dtype=np.float64)
+    pts = _vectors(points, "points")
+    cmat = _vectors(centers.centers if isinstance(centers, CandidateCenters) else centers,
+                    "centers")
     if pts.shape[1] != cmat.shape[1]:
         raise ValidationError(
             f"dimension mismatch: points {pts.shape[1]} vs centers {cmat.shape[1]}"

@@ -295,7 +295,9 @@ def assemble_metrics(
             [universe.vectors_for(ids) for ids in aug_ids],
             seed=derive_seed(seed, _STREAM_ICACS),
         )
-    upload, download = comm_cost(n_clients, xi, universe.dim, aug_ids)
+    # client k uploads the min(xi, |local_ids[k]|) centers its k-means returns
+    _, download = comm_cost(n_clients, xi, universe.dim, aug_ids)
+    upload = sum(min(xi, len(ids)) for ids in local_ids) * universe.dim
     return MetricsReport(
         domain_coverage=domain_cov,
         icacs=icacs_value,

@@ -3,16 +3,31 @@
 All inputs are unit-norm vectors, so cosine similarity is a plain dot
 product. Coverage of a covering set over a reference set is the mean, over
 reference points, of each point's best similarity to the covering set; the
-facility value is the same quantity unnormalized.
+facility value is the same quantity unnormalized. ``_vectors`` checks every
+vector-set argument here and in ``clustering``, and ``_row_norms`` is the
+package's one blocked row-norm pass.
 
-Determinism contract: ``best_similarity`` is the only source of the
-similarity values that ``coverage``, ``facility_value`` and ``marginal_gain``
-reduce, and every value it returns is *canonical*: the dot product of two
-rows widened to float64, as ``np.einsum("ij,ij->i", a, b)`` computes it,
-which does not depend on which other rows share the call, on their order,
-or on the BLAS thread count. It screens blocks of reference rows against
-the covering set with one GEMM, whose values can move in the last bits with
-blocking and BLAS threads. There are two screens:
+Value contract. This is the one statement of which similarity values the
+package computes and what they may depend on; the other modules and the
+README refer to it.
+
+* Canonical values are the dot product of two rows widened to float64, as
+  ``np.einsum("ij,ij->i", a, b)`` (``_row_dots``) computes it. They do not
+  depend on which other rows share the call, on their order, or on the BLAS
+  thread count. ``best_similarity`` (so ``coverage``, ``facility_value``
+  and ``marginal_gain``), ``_top_candidates`` (direct retrieval) and the
+  logging sims of random sampling return canonical values only.
+* GEMV values come from ``_gemv_rows``, which the selection columns and
+  threshold-filtered retrieval rank by. Each row is bit for bit a
+  single-threaded ``matrix.astype(float64) @ v`` at one or two BLAS
+  threads, but not at more; see ``_gemv_spans``.
+* k-means assignment (``clustering``) takes an argmax over GEMM output,
+  which is not guaranteed to be the same at every BLAS thread count.
+
+Both canonical kernels screen with one GEMM, whose values can move in the
+last bits with blocking and BLAS threads, and rescore only the pairs that
+the screen cannot rule out; ``_screen_operands`` sets every screen up.
+There are two screens:
 
 * SGEMM, when both operands are float32 (store rows, k-means centers) and
   every nonzero norm product ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, so
@@ -32,19 +47,11 @@ canonically. Each per-reference maximum is therefore the exact maximum of
 canonical values over the whole covering set: bit-identical under any
 chunking or ordering of either set, for either screen, and at any BLAS
 thread count. Widening float32 to float64 is exact, so float32 input and
-the same input widened to float64 give the same bits.
-``_top_candidates``, the batched top-k that direct retrieval ranks by, keeps
-the same contract with the same two screens: one GEMM screens each block of
-queries against the pool, the same bound below each query's k-th screen
-value picks the rows to rescore, and only canonical values are returned.
+the same input widened to float64 give the same bits. ``_top_candidates``
+keeps each query's top k by the same bound below its k-th screen value.
 Sums over the reference set use ``math.fsum`` (exact compensated summation,
 whose result is independent of summation order), so reference-set sizes up
 to ~1e5 stay accurate to the last unit in the last place.
-
-``_gemv_rows`` is the other kernel: the GEMV values that selection columns
-and threshold-filtered retrieval rank by. Each of its rows is bit for bit a
-single-threaded ``matrix.astype(float64) @ v`` at one or two BLAS threads,
-but not at more; see ``_gemv_spans`` for the row spans that make it so.
 """
 
 from __future__ import annotations
@@ -60,6 +67,10 @@ from .errors import ValidationError
 # Bytes of screen output per best_similarity block, and of gathered rows
 # per rescoring chunk in both kernels.
 _SCREEN_BLOCK_BYTES = 4 << 20
+# Bytes of widened rows per `_row_norms` block. Of 128 KB to 4 MB, 512 KB
+# was fastest at 60,000 x 1,024 and 20,000 x 64 (2-vCPU x86-64), and it
+# keeps the store's unit-norm check a small allocation beside its matrix.
+_NORM_BLOCK_BYTES = 512 << 10
 _UNIT_ROUNDOFF = 2.0**-53
 # Unit roundoff of a float32 screen.
 _SINGLE_ROUNDOFF = 2.0**-24
@@ -108,38 +119,20 @@ class CoverageValue:
     reference_size: int
 
 
-def _matrix64(x, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-d vector set, got ndim={arr.ndim}")
+def _vectors(x, name: str, ndim: int = 2, dtype=np.float64) -> np.ndarray:
+    """``x`` as a C-contiguous array of ``dtype``; a ValidationError naming
+    ``name`` unless it has ``ndim`` dimensions (a vector set by default)."""
+    arr = np.ascontiguousarray(x, dtype=dtype)
+    if arr.ndim != ndim:
+        kind = "a 2-d vector set" if ndim == 2 else "a 1-d vector"
+        raise ValidationError(f"{name} must be {kind}, got ndim={arr.ndim}")
     return arr
-
-
-def _vector64(x, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-d vector, got ndim={arr.ndim}")
-    return arr
-
-
-def _screen_operands(a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """Both operands as C-contiguous 2-d arrays of one dtype: float32 when
-    both are float32, float64 otherwise (widening is exact)."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.dtype == b.dtype == np.float32:
-        pair = (np.ascontiguousarray(a), np.ascontiguousarray(b))
-    else:
-        pair = (np.ascontiguousarray(a, np.float64), np.ascontiguousarray(b, np.float64))
-    for arr, name in zip(pair, names):
-        if arr.ndim != 2:
-            raise ValidationError(f"{name} must be a 2-d vector set, got ndim={arr.ndim}")
-    return pair
 
 
 def cosine(a, b) -> float:
     """Cosine similarity of two unit vectors (their dot product)."""
-    va = _vector64(a, "a")
-    vb = _vector64(b, "b")
+    va = _vectors(a, "a", ndim=1)
+    vb = _vectors(b, "b", ndim=1)
     if va.shape[0] != vb.shape[0]:
         raise ValidationError(
             f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}"
@@ -159,7 +152,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Float64 L2 norm of every row, widening one block of rows at a time."""
-    rows = max(1, _SCREEN_BLOCK_BYTES // (8 * max(1, x.shape[1])))
+    rows = max(1, _NORM_BLOCK_BYTES // (8 * max(1, x.shape[1])))
     sq = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], rows):
         part = _wide(x[lo : lo + rows])
@@ -199,6 +192,39 @@ def _screen_roundoff(dtype: np.dtype, left_norms: np.ndarray, right_norm: float)
     return _SINGLE_ROUNDOFF if in_range else _UNIT_ROUNDOFF
 
 
+def _screen_operands(
+    rows, others, names: tuple[str, str], others_norm: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The set-up of a screen of every row of ``rows`` against ``others``:
+    both as non-empty C-contiguous vector sets of one width and one dtype,
+    and each row's slack.
+
+    Both stay float32 when both are float32 and ``_screen_roundoff`` allows
+    an SGEMM screen; both are widened to float64 otherwise (exactly).
+    ``slack[i]`` is ``_screen_slack(d, u) * max_j |others_j| * |rows_i|`` at
+    the screen's unit roundoff u. ``others_norm``, when given, is the largest
+    float64 row norm of ``others`` and spares a pass over it. Errors name the
+    operands by ``names``.
+    """
+    a, b = np.asarray(rows), np.asarray(others)
+    dtype = np.float32 if a.dtype == b.dtype == np.float32 else np.float64
+    a, b = _vectors(a, names[0], dtype=dtype), _vectors(b, names[1], dtype=dtype)
+    for arr, name in zip((a, b), names):
+        if arr.shape[0] == 0:
+            raise ValidationError(f"{name} set is empty")
+    if a.shape[1] != b.shape[1]:
+        raise ValidationError(
+            f"dimension mismatch: {names[0]} {a.shape[1]} vs {names[1]} {b.shape[1]}"
+        )
+    row_norms = _row_norms(a)
+    if others_norm is None:
+        others_norm = float(_row_norms(b).max())
+    u = _screen_roundoff(dtype, row_norms, others_norm)
+    if u == _UNIT_ROUNDOFF:
+        a, b = _wide(a), _wide(b)
+    return a, b, _screen_slack(a.shape[1], u) * others_norm * row_norms
+
+
 def best_similarity(reference, covering) -> np.ndarray:
     """Per-reference-point maximum raw cosine over the covering set.
 
@@ -214,23 +240,9 @@ def best_similarity(reference, covering) -> np.ndarray:
     either set, for float32 input and the same input widened to float64,
     and at any BLAS thread count.
     """
-    ref, cov = _screen_operands(reference, covering, ("reference", "covering"))
-    if cov.shape[0] == 0:
-        raise ValidationError("covering set is empty")
-    if ref.shape[0] == 0:
-        raise ValidationError("reference set is empty")
-    if ref.shape[1] != cov.shape[1]:
-        raise ValidationError(
-            f"dimension mismatch: reference {ref.shape[1]} vs covering {cov.shape[1]}"
-        )
+    ref, cov, slack = _screen_operands(reference, covering, ("reference", "covering"))
     m, dim = ref.shape
     n = cov.shape[0]
-    ref_norms = _row_norms(ref)
-    cov_norm = float(_row_norms(cov).max())
-    u = _screen_roundoff(ref.dtype, ref_norms, cov_norm)
-    if u == _UNIT_ROUNDOFF:
-        ref, cov = _wide(ref), _wide(cov)
-    slack = _screen_slack(dim, u) * cov_norm * ref_norms
     # Rows per block: the screen output and the gathered winner rows each fit
     # in the block at the screen's precision (winners twice that once widened).
     rows = max(1, _SCREEN_BLOCK_BYTES // (ref.itemsize * max(n, dim)))
@@ -284,18 +296,10 @@ def _top_candidates(
     BLAS thread count.
     ``pool_norm``, when given, is the pool's largest float64 row norm
     (``EmbeddingStore.max_norm``) and spares a pass over the pool.
-    The caller passes a non-empty pool of the queries' dimension and
-    budgets >= 1.
+    The caller passes budgets >= 1.
     """
-    mat, qs = _screen_operands(pool, queries, ("pool", "queries"))
+    qs, mat, slack = _screen_operands(queries, pool, ("queries", "pool"), pool_norm)
     n, dim = mat.shape
-    if pool_norm is None:
-        pool_norm = float(_row_norms(mat).max())
-    query_norms = _row_norms(qs)
-    u = _screen_roundoff(qs.dtype, query_norms, pool_norm)
-    if u == _UNIT_ROUNDOFF:
-        mat, qs = _wide(mat), _wide(qs)
-    slack = _screen_slack(dim, u) * pool_norm * query_norms
     rows = max(1, _SCREEN_BLOCK_BYTES // (8 * dim))
     found = []
     for j, budget in enumerate(budgets):
@@ -405,18 +409,13 @@ def marginal_gain(
     prior best is the mode's floor (-1 raw, 0 affine). Under
     ``AFFINE_SHIFTED`` the result is always >= 0.
     """
-    ref = _matrix64(reference, "reference")
-    if ref.shape[0] == 0:
-        raise ValidationError("reference set is empty")
-    cand = _vector64(candidate, "candidate")
-    if ref.shape[1] != cand.shape[0]:
-        raise ValidationError(
-            f"dimension mismatch: reference {ref.shape[1]} vs candidate {cand.shape[0]}"
-        )
+    ref = _vectors(reference, "reference")
+    cand = _vectors(candidate, "candidate", ndim=1)
+    after = mode.apply(best_similarity(ref, cand[None]))
     sel = np.asarray(selected, dtype=np.float64)
     if sel.size == 0:
         prior = np.full(ref.shape[0], mode.floor)
     else:
         prior = mode.apply(best_similarity(ref, sel))
-    gain = np.maximum(0.0, mode.apply(best_similarity(ref, cand[None])) - prior)
+    gain = np.maximum(0.0, after - prior)
     return fsum(gain.tolist())

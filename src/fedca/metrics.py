@@ -159,7 +159,8 @@ def comm_cost(n_clients: int, xi: int, dim: int, augsets: list) -> tuple[int, in
 
     Upload is n_clients * xi * dim floats; download counts every hit in every
     augmented set. ``augsets`` entries may be RetrievalResults or plain hit
-    lists.
+    lists. ``fedsim.assemble_metrics`` counts uploads per client instead: a
+    client with fewer than xi local records uploads one center per record.
     """
     upload = n_clients * xi * dim
     download = 0

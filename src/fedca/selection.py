@@ -14,13 +14,14 @@ one scoring path, so their coverage values are directly comparable, and the
 reported coverage always equals `geometry.coverage` recomputed from scratch.
 
 Scoring: a subset's value is the exact ``fsum`` mean of its per-reference
-maxima over one GEMV similarity column per candidate. The searches score
-whole blocks of candidates at once: ``np.sum`` gives each row's sum within
-a rigorous error bound, and only rows whose bounds overlap a decision are
-summed exactly, so every comparison and tie-break is the one exact
-per-candidate sums would give. Blocks hold at most 1 MB of rows; the beam
-keeps states as index rows, not maxima, so its memory does not grow with
-width times reference size.
+maxima over one GEMV similarity column per candidate (``_gemv_rows``
+values; see the value contract in the ``geometry`` module docstring). The
+searches score whole blocks of candidates at once: ``np.sum`` gives each
+row's sum within a rigorous error bound, and only rows whose bounds overlap
+a decision are summed exactly, so every comparison and tie-break is the one
+exact per-candidate sums would give. Blocks hold at most 1 MB of rows; the
+beam keeps states as index rows, not maxima, so its memory does not grow
+with width times reference size.
 
 Determinism: candidate scans run in ascending (client, cluster) order, value
 ties break toward the lexicographically smallest identity, and a swap is
@@ -38,7 +39,7 @@ from math import fsum
 import numpy as np
 
 from .clustering import CandidateCenters
-from .errors import BudgetExceededError, ValidationError, json_field
+from .errors import BudgetExceededError, ValidationError, check_number, json_field
 from .geometry import (
     _UNIT_ROUNDOFF,
     CoverageValue,
@@ -104,22 +105,32 @@ class CenterSelection:
         slots = []
         for k, s in enumerate(json_field(obj, "slots", (list,), "selection")):
             owner = f"selection slot {k}"
+            values = json_field(s, "vector", (list,), owner, items=number)
+            try:
+                with np.errstate(over="ignore"):  # beyond float32 range reads as inf
+                    vector = np.asarray(values, dtype=np.float32)
+                finite = np.isfinite(vector).all()
+            except OverflowError:  # an integer beyond float64 range
+                finite = False
+            if not finite:
+                raise ValidationError(
+                    f"{owner} field 'vector' holds a value that is not a finite float32")
             slots.append(SelectedCenter(
                 client=json_field(s, "client", (int,), owner),
                 cluster=json_field(s, "cluster", (int,), owner),
-                vector=np.asarray(json_field(s, "vector", (list,), owner, items=number),
-                                  dtype=np.float32),
+                vector=vector,
             ))
         return cls(
             slots=slots,
             coverage=CoverageValue(
-                float(json_field(obj, "coverage", number, "selection")),
+                check_number(json_field(obj, "coverage", number, "selection"),
+                             "selection field 'coverage'"),
                 json_field(obj, "reference_size", (int,), "selection", default=0),
             ),
             passes=json_field(obj, "passes", (int,), "selection", default=0),
             swaps=json_field(obj, "swaps", (int,), "selection", default=0),
-            trace=[float(x) for x in
-                   json_field(obj, "trace", (list,), "selection", items=number, default=[])],
+            trace=[check_number(x, f"selection field 'trace'[{i}]") for i, x in enumerate(
+                json_field(obj, "trace", (list,), "selection", items=number, default=[]))],
         )
 
 
@@ -194,7 +205,8 @@ class SelectionProblem:
                 if self.reference is not None
                 else np.stack([c.vector for c in self._pool])
             )
-            ref = np.ascontiguousarray(src, dtype=np.float64)
+            # a view, so a float64 reference passed in keeps its own flag
+            ref = np.ascontiguousarray(src, dtype=np.float64).view()
             ref.flags.writeable = False
             self._reference64 = ref
         return self._reference64
@@ -207,15 +219,13 @@ class _CoverageScorer:
     for P candidates and m reference rows), from one
     ``geometry._gemv_rows`` pass: each cache-sized span of the reference is
     read once for all candidates, and its finiteness is checked in the same
-    pass. Each row has the bits of a single-threaded GEMV of the reference
-    with that candidate, at one or two BLAS threads. The mode map is
-    monotone, so the maxima over a subset's member rows are the mode-applied
-    per-reference maxima, and the subset's value is their mean by exact
-    ``fsum``. Scorer values rank swaps and fill ``trace``; the coverage a
-    selection reports is always `geometry.coverage`. The columns stay GEMVs:
-    one GEMM over all candidates gives other bits, which can vary with the
-    BLAS thread count, and canonical ``einsum`` columns cost two to three
-    times as much.
+    pass. The mode map is monotone, so the maxima over a subset's member
+    rows are the mode-applied per-reference maxima, and the subset's value
+    is their mean by exact ``fsum``. Scorer values rank swaps and fill
+    ``trace``; the coverage a selection reports is always
+    `geometry.coverage`. The columns stay GEMVs: one GEMM over all
+    candidates gives other bits, which can vary with the BLAS thread count,
+    and canonical ``einsum`` columns cost two to three times as much.
 
     Many values are compared at once. A block of maxima rows is summed with
     ``np.sum``, which lies within ``gamma_(m-1) * sum|v|`` of the exact sum

@@ -30,6 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import _row_norms
 
 MAGIC = b"FDCA"
 FORMAT_VERSION = 1
@@ -54,15 +55,10 @@ def _check_unit_rows(vec: np.ndarray, ids: np.ndarray) -> float:
     """Every row finite with float64 L2 norm within NORM_TOLERANCE of 1;
     returns the largest norm (0.0 for no rows).
 
-    Norms are taken in float64 row blocks of about 512 KB, so the check
-    never holds a float64 copy of the matrix; each row's norm is the same as
-    over the whole matrix at once. (At 60,000 x 1,024 this block size took
-    0.12 s, 4 MB blocks 0.70 s and the whole matrix 0.50 s.)
+    Norms come from ``geometry._row_norms``, which widens one row block at a
+    time, so the check never holds a float64 copy of the matrix.
     """
-    rows = max(1, (512 << 10) // (8 * vec.shape[1]))
-    norms = np.empty(vec.shape[0])
-    for lo in range(0, vec.shape[0], rows):
-        norms[lo : lo + rows] = np.linalg.norm(vec[lo : lo + rows].astype(np.float64), axis=1)
+    norms = _row_norms(vec)
     finite = np.isfinite(norms)
     if not np.all(finite):
         bad = int(np.argmin(finite))
@@ -80,14 +76,12 @@ class EmbeddingStore:
     """Immutable, id-indexed collection of embedded instructions.
 
     Records are kept sorted by id ascending. Vectors are stored as one
-    float32 matrix, which the coverage and direct-retrieval kernels screen
-    as it is (``geometry``'s SGEMM screen, bounded by ``max_norm``) and
-    feddca retrieval widens one cache-sized span at a time
-    (``geometry._gemv_rows``). ``matrix64()`` builds a float64 copy lazily
-    and caches it; in the package only the logging sims of
-    ``random_sampling_augment`` read it. The store keeps a private copy of
-    ``vectors``; constructing it allocates that float32 matrix plus one row
-    block of checks.
+    float32 matrix, which every similarity kernel reads as it is, widening
+    rows as it goes (the value contract in the ``geometry`` module
+    docstring says which values each kernel computes); ``max_norm`` bounds
+    the screens. The store keeps a private copy of ``vectors``;
+    constructing it allocates that float32 matrix plus one row block of
+    checks.
     """
 
     def __init__(
@@ -178,8 +172,7 @@ class EmbeddingStore:
     def matrix64(self) -> np.ndarray:
         """C-contiguous float64 copy of the vectors, cached.
 
-        Only ``augment.random_sampling_augment`` reads it in the package;
-        the similarity kernels read ``vectors`` and widen rows as they go.
+        Nothing in the package reads it; it is kept for external callers.
         """
         if self._matrix64 is None:
             m = np.ascontiguousarray(self._vectors, dtype=np.float64)
@@ -390,14 +383,14 @@ def write_binary(store: EmbeddingStore, path: str | Path) -> None:
     """Write the binary format. Text payloads are dropped (format carries none)."""
     path = Path(path)
     parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, store.dim), _COUNT.pack(len(store))]
-    vec_fmt = struct.Struct(f"<{store.dim}f")
+    vectors = store.vectors.astype("<f4", copy=False)
     for i in range(len(store)):
         domain = store.domains[i].encode("utf-8")
         if len(domain) > 0xFFFF:
             raise ValidationError(f"domain label too long for record id {int(store.ids[i])}")
         parts.append(_REC_FIXED.pack(int(store.ids[i]), len(domain)))
         parts.append(domain)
-        parts.append(vec_fmt.pack(*store.vectors[i].tolist()))
+        parts.append(vectors[i].tobytes())
     path.write_bytes(b"".join(parts))
 
 

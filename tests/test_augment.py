@@ -145,6 +145,20 @@ def test_retrieval_does_not_build_the_float64_pool():
     assert pool._matrix64 is None
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_queries_are_rejected(bad):
+    pool = random_store(40, 6, seed=44)
+    query = pool.vectors[0].copy()
+    query[2] = bad
+    with pytest.raises(ValidationError, match="query 0 has non-finite values"):
+        retrieve_topk(pool, query, 5, 0.7)
+    slots = [SelectedCenter(client=k, cluster=0, vector=v)
+             for k, v in enumerate([pool.vectors[1], query])]
+    selection = CenterSelection(slots, CoverageValue(0.0, 1), 0, 0, [])
+    with pytest.raises(ValidationError, match="query 1 has non-finite values"):
+        feddca_augment(pool, selection, 5, 0.7)
+
+
 def test_threshold_below_minus_one_is_rejected():
     pool = random_store(40, 6, seed=44)
     selection = greedy_select(random_selection_problem(2, 2, 6, seed=45))
@@ -383,4 +397,23 @@ def test_feddca_retrieval_is_invariant_to_blas_threads():
     # With OpenBLAS 0.3.31, one GEMV over this pool gives rows 5,000 and
     # 10,000 other bits at 2 threads than at 1.
     digests = probe_digests(_GEMV_THREAD_PROBE)
+    assert digests[0] == digests[1]
+
+
+# 1,001 and 1,003 sampled rows: one GEMV over either splits unevenly between
+# two threads, and the logging sims of every hit are hashed.
+_RANDOM_THREAD_PROBE = """
+import hashlib, json
+from fedca.augment import augments_to_json, random_sampling_augment
+from fedca.synthetic import random_store
+pool = random_store(3000, 1024, seed=13)
+hits = []
+for per_client in (1001, 1003):
+    hits += augments_to_json(random_sampling_augment(pool, 2, per_client, seed=14))
+print(hashlib.sha256(json.dumps(hits).encode()).hexdigest())
+"""
+
+
+def test_random_sampling_is_invariant_to_blas_threads():
+    digests = probe_digests(_RANDOM_THREAD_PROBE)
     assert digests[0] == digests[1]

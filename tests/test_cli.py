@@ -128,6 +128,8 @@ def test_usage_error_exits_1():
       "--alpha", "-2", "--out", "o.json"], "--alpha"),
     (["augment", "--pool", "absent.fdca", "--selection", "absent.json", "--per-client", "3",
       "--alpha", "-inf", "--out", "o.json"], "--alpha"),
+    (["metrics", "--domain", "absent.fdca", "--universe", "absent.fdca", "--plan", "p.json",
+      "--augsets", "a.json", "--xi", "-1", "--out", "o.json"], "--xi"),
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
     # The input files do not exist: flag values are parsed before any file is read.
@@ -252,6 +254,10 @@ def _without(obj, key):
                  lambda sel: {**sel, "slots": [_without(sel["slots"][0], "cluster"),
                                                *sel["slots"][1:]]},
                  "'cluster'", id="selection-slot-without-cluster"),
+    pytest.param("selection.json", lambda sel: {**sel, "coverage": 10**400}, "'coverage'",
+                 id="selection-coverage-beyond-float"),
+    pytest.param("selection.json", lambda sel: {**sel, "trace": [0.5, 10**400]}, "'trace'[1]",
+                 id="selection-trace-beyond-float"),
     pytest.param("config.json", lambda cfg: {**cfg, "n_clients": "3"}, "'n_clients'",
                  id="config-n-clients-string"),
 ])
@@ -278,6 +284,25 @@ def test_malformed_json_inputs_exit_2_with_named_error(
     err = capsys.readouterr().err
     assert str(tmp_path / name) in err and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e39", "1" + "0" * 400],
+                         ids=["inf", "-inf", "nan", "beyond-float32", "beyond-float64"])
+def test_non_finite_slot_vector_exits_2_naming_the_slot(runs, workspace, tmp_path, capsys,
+                                                        value):
+    # Python's json reads Infinity and NaN; 1e39 is beyond float32 and 10**400
+    # beyond float64.
+    _, run_dir = runs["feddca"]
+    selection = json.loads((run_dir / "selection.json").read_text())
+    selection["slots"][1]["vector"][0] = "VALUE"
+    (tmp_path / "selection.json").write_text(json.dumps(selection).replace('"VALUE"', value))
+    capsys.readouterr()
+    assert main(["augment", "--pool", str(workspace / "pool.fdca"), "--strategy", "feddca",
+                 "--selection", str(tmp_path / "selection.json"), "--per-client", "3",
+                 "--out", str(tmp_path / "aug.json")]) == 2
+    err = capsys.readouterr().err
+    assert "selection slot 1 field 'vector' holds a value that is not a finite float32" in err
+    assert not (tmp_path / "aug.json").exists()
 
 
 def test_oracle_brute_budget_refusal_exits_3(tmp_path, capsys):

@@ -66,6 +66,15 @@ def test_upload_payloads_match_comm_accounting(pool):
     assert upload == log.metrics.comm_upload_floats
     download = sum(m.payload_size for m in log.messages if m.kind == "AugmentedSet")
     assert download == log.metrics.comm_download_records
+    # a 36-record domain for 4 clients x 10 records: the last client holds 6
+    # records, so its k-means returns 6 centers, not xi = 8
+    small, _ = planted_cluster_pool(n_clusters=4, per_cluster=9, out_records=100, dim=16,
+                                    seed=2, noise=0.18)
+    log = run_experiment(_config(n_clients=4, per_client_local=10, per_client_aug=10, xi=8,
+                                 pseudo_label_clusters=4), pool=small)
+    uploads = [m.payload_size for m in log.messages if m.kind == "UploadCenters"]
+    assert uploads == [8 * 16, 8 * 16, 8 * 16, 6 * 16]
+    assert sum(uploads) == log.metrics.comm_upload_floats
 
 
 def test_replay_determinism_and_persistence(pool, tmp_path):

@@ -7,6 +7,7 @@ from oracles import double_loop_coverage, double_loop_facility, per_pair_best_si
 from probes import probe_digests
 
 from fedca import geometry
+from fedca.clustering import assign_labels, kmeans
 from fedca.errors import ValidationError
 from fedca.geometry import (
     SimilarityMode,
@@ -72,6 +73,27 @@ def test_coverage_errors_on_empty_sets():
         coverage(np.empty((0, 4)), np.stack([E1]))
     with pytest.raises(ValidationError, match="empty"):
         coverage(np.stack([E1]), np.empty((0, 4)))
+
+
+_FLAT = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: cosine(E1[None], E1), "a"),
+    (lambda: cosine(E1, E1[None]), "b"),
+    (lambda: best_similarity(E1, E1[None]), "reference"),
+    (lambda: best_similarity(E1[None], E1), "covering"),
+    (lambda: marginal_gain(E1, E1[None], E2), "reference"),
+    (lambda: marginal_gain(E1[None], E1[None], E2[None]), "candidate"),
+    (lambda: kmeans(_FLAT, 1, seed=0), "points"),
+    (lambda: assign_labels(_FLAT, E1[None]), "points"),
+    (lambda: assign_labels(E1[None], _FLAT), "centers"),
+], ids=["cosine-a", "cosine-b", "best_similarity-reference", "best_similarity-covering",
+        "marginal_gain-reference", "marginal_gain-candidate", "kmeans-points",
+        "assign_labels-points", "assign_labels-centers"])
+def test_wrong_ndim_input_is_rejected_naming_the_argument(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be a [12]-d vector"):
+        call()
 
 
 def test_facility_value_is_coverage_times_reference_size():

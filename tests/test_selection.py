@@ -257,6 +257,16 @@ def test_selection_json_round_trip():
     np.testing.assert_array_equal(again.slot_vectors(), result.slot_vectors())
 
 
+def test_reference_matrix_leaves_the_callers_array_writeable():
+    problem = random_selection_problem(3, 2, 5, seed=4)
+    reference = problem.reference_matrix().copy()  # writeable float64
+    problem = SelectionProblem(problem.candidates_per_client, reference=reference)
+    greedy_select(problem)
+    assert reference.flags.writeable
+    assert not problem.reference_matrix().flags.writeable
+    assert np.shares_memory(problem.reference_matrix(), reference)
+
+
 def test_problem_validation():
     with pytest.raises(ValidationError, match="at least one client"):
         SelectionProblem(candidates_per_client=[])

@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,16 @@ def test_binary_round_trip_is_bit_exact(tmp_path):
     again = ingest_binary(path)
     assert again == store
     assert np.array_equal(again.vectors, store.vectors)
+
+
+def test_binary_bytes_follow_the_record_layout(tmp_path):
+    store = random_store(301, 7, seed=9, domain="méd")
+    write_binary(store, tmp_path / "x.fdca")
+    domain = "méd".encode("utf-8")
+    want = [struct.pack("<4sIIQ", b"FDCA", 1, 7, 301)]
+    for rid, vec in zip(store.ids.tolist(), store.vectors.tolist()):
+        want.append(struct.pack(f"<QH{len(domain)}s7f", rid, len(domain), domain, *vec))
+    assert (tmp_path / "x.fdca").read_bytes() == b"".join(want)
 
 
 def test_binary_empty_store_preserves_dim(tmp_path):
