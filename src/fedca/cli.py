@@ -58,14 +58,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _integer(minimum: int = 1):
+    """argparse type for an integer of at least ``minimum``."""
+
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _number(finite: bool = True, minimum: float | None = None):
@@ -305,7 +310,7 @@ def _cmd_selfcheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fedca", description=__doc__)
     parser.add_argument(
-        "--threads", type=_positive_int, default=None,
+        "--threads", type=_integer(), default=None,
         help="accepted for compatibility; every subcommand runs the same work "
              "at any value",
     )
@@ -314,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate and convert a JSONL embedding file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=_positive_int, default=1024)
+    p.add_argument("--dim", type=_integer(), default=1024)
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("cluster", help="seeded k-means over a store")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_integer(0), default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_cluster)
 
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_number(), default=0.1)
     p.add_argument("--clients", type=int, required=True)
     p.add_argument("--per-client", dest="per_client", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--seed", type=_integer(0), default=42,
                    help="run seed; the pseudo-label and partition streams are derived "
                         "from it as in 'fedca run'")
     p.add_argument("--label-clusters", dest="label_clusters", type=int, default=100,
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=64, help="beam width")
     p.add_argument("--reference", default="call",
                    help="'call' scores against the pooled candidates; otherwise a store path")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_integer(0), default=42)
     p.add_argument("--budget", type=int, default=DEFAULT_BRUTE_BUDGET)
     p.add_argument("--per-client-slots", dest="per_client_slots", action="store_true",
                    help="restrict slot i's replacements to client i's own candidates")
@@ -364,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="similarity threshold for the feddca strategy; hits above it "
                         "are excluded (values above 1 disable filtering)")
     p.add_argument("--strategy", choices=["feddca", "direct", "random"], default="feddca")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_integer(0), default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_augment)
 
@@ -373,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", required=True, help="store resolving every id")
     p.add_argument("--plan", required=True)
     p.add_argument("--augsets", required=True)
-    p.add_argument("--xi", type=_positive_int, default=10,
+    p.add_argument("--xi", type=_integer(), default=10,
                    help="centers per client for upload accounting")
     p.add_argument("--selection",
                    help="selection.json, to report convergence passes (0 without it)")
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--seed", type=_integer(0), default=42,
                    help="run seed; the ICACS stream is derived from it as in 'fedca run'")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_metrics)
@@ -407,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of beam widths")
     p.add_argument("--budget", type=int, default=DEFAULT_BRUTE_BUDGET)
     p.add_argument("--greedy", help="greedy selection.json for the approximation ratio")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_integer(0), default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_oracle)
 

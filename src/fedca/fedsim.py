@@ -138,6 +138,8 @@ class ExperimentConfig:
                      "rounds", "clients_per_round", "pseudo_label_clusters"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise ValidationError(f"config field 'seed' must be >= 0, got {self.seed}")
         if self.clients_per_round > self.n_clients:
             raise ValidationError("clients_per_round exceeds n_clients")
         if self.strategy not in STRATEGIES:

@@ -15,13 +15,15 @@ reported coverage always equals `geometry.coverage` recomputed from scratch.
 
 Scoring: a subset's value is the exact ``fsum`` mean of its per-reference
 maxima over one GEMV similarity column per candidate (``_gemv_rows``
-values; see the value contract in the ``geometry`` module docstring). The
-searches score whole blocks of candidates at once: ``np.sum`` gives each
-row's sum within a rigorous error bound, and only rows whose bounds overlap
-a decision are summed exactly, so every comparison and tie-break is the one
-exact per-candidate sums would give. Blocks hold at most 1 MB of rows; the
-beam keeps states as index rows, not maxima, so its memory does not grow
-with width times reference size.
+values; see the value contract in the ``geometry`` module docstring). All
+three searches score a candidate as an expansion of a parent subset
+(greedy's other slots, a beam state, a brute-force subset's first N - 1
+members) through one builder, ``_CoverageScorer.intervals``, in blocks of
+at most 1 MB of rows: ``np.sum`` gives each row's sum within a rigorous
+error bound, and only rows whose bounds overlap a decision are summed
+exactly, so every comparison and tie-break is the one exact per-candidate
+sums would give. The beam keeps states as index rows, not maxima, so its
+memory does not grow with width times reference size.
 
 Determinism: candidate scans run in ascending (client, cluster) order, value
 ties break toward the lexicographically smallest identity, and a swap is
@@ -102,6 +104,13 @@ class CenterSelection:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CenterSelection":
         number = (int, float)
+
+        def count(name: str) -> int:
+            value = json_field(obj, name, (int,), "selection", default=0)
+            if value < 0:
+                raise ValidationError(f"selection field {name!r} must be >= 0, got {value}")
+            return value
+
         slots = []
         for k, s in enumerate(json_field(obj, "slots", (list,), "selection")):
             owner = f"selection slot {k}"
@@ -125,10 +134,10 @@ class CenterSelection:
             coverage=CoverageValue(
                 check_number(json_field(obj, "coverage", number, "selection"),
                              "selection field 'coverage'"),
-                json_field(obj, "reference_size", (int,), "selection", default=0),
+                count("reference_size"),
             ),
-            passes=json_field(obj, "passes", (int,), "selection", default=0),
-            swaps=json_field(obj, "swaps", (int,), "selection", default=0),
+            passes=count("passes"),
+            swaps=count("swaps"),
             trace=[check_number(x, f"selection field 'trace'[{i}]") for i, x in enumerate(
                 json_field(obj, "trace", (list,), "selection", items=number, default=[]))],
         )
@@ -227,7 +236,8 @@ class _CoverageScorer:
     candidates gives other bits, which can vary with the BLAS thread count,
     and canonical ``einsum`` columns cost two to three times as much.
 
-    Many values are compared at once. A block of maxima rows is summed with
+    ``intervals``, the one place that bounds sums, rebuilds each block's
+    parent maxima from their members. A block of maxima rows is summed with
     ``np.sum``, which lies within ``gamma_(m-1) * sum|v|`` of the exact sum
     in any order of its additions (Higham, *Accuracy and Stability of
     Numerical Algorithms*, sec. 4.2). ``slack`` adds ``16u`` to that factor,
@@ -248,10 +258,12 @@ class _CoverageScorer:
         self.rows = max(1, _BLOCK_BYTES // (8 * self.m))
         self.slack = _gamma(self.m - 1) + 16 * _UNIT_ROUNDOFF
 
-    def best_over(self, indices) -> np.ndarray:
-        best = np.full(self.m, -np.inf)
-        for i in indices:
-            best = np.maximum(best, self.columns[i])
+    def best_over(self, members) -> np.ndarray:
+        """Per-reference maxima over the last axis of ``members``; -inf for none."""
+        members = np.asarray(members, dtype=np.intp)
+        best = np.full((*members.shape[:-1], self.m), -np.inf)
+        for j in range(members.shape[-1]):
+            np.maximum(best, self.columns[members[..., j]], out=best)
         return best
 
     def value_of_best(self, best: np.ndarray) -> float:
@@ -261,27 +273,30 @@ class _CoverageScorer:
         return self.value_of_best(self.best_over(indices))
 
     def intervals(
-        self,
-        base: np.ndarray,
-        base_abs: np.ndarray,
-        cols: np.ndarray,
-        which: np.ndarray | None = None,
+        self, parents: np.ndarray, parent_of: np.ndarray, added: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds on the exact sum of each row ``np.maximum(base[w], columns[c])``
-        for c in ``cols`` and w in ``which`` (0 for all when omitted).
-
-        ``base_abs[w]`` bounds ``sum|base[w]|``, so ``slack`` times it plus
+        """Bounds on the exact sum of each expansion's maxima row: expansion
+        e adds column ``added[e]`` to the members of ``parents[parent_of[e]]``
+        (``parent_of`` ascending). A block whose expansions share one parent
+        broadcasts its row. ``slack`` times the parent's ``sum|maxima|`` plus
         the column's ``abs_sums`` bounds the error of the row's ``np.sum``.
         """
-        lo = np.empty(cols.size)
-        hi = np.empty(cols.size)
-        for start in range(0, cols.size, self.rows):
+        lo = np.empty(added.size)
+        hi = np.empty(added.size)
+        held = None
+        for start in range(0, added.size, self.rows):
             part = slice(start, start + self.rows)
-            w = 0 if which is None else which[part]
-            block = self.columns[cols[part]]
+            owner = parent_of[part]
+            first, last = int(owner[0]), int(owner[-1])
+            if held != (first, last):
+                held = (first, last)
+                base = self.best_over(parents[first : last + 1])
+                base_abs = np.abs(base).sum(axis=1) if parents.shape[1] else np.zeros(len(base))
+            w = 0 if first == last else owner - first
+            block = self.columns[added[part]]
             np.maximum(base[w], block, out=block)
             sums = block.sum(axis=1)
-            errs = self.slack * (base_abs[w] + self.abs_sums[cols[part]])
+            errs = self.slack * (base_abs[w] + self.abs_sums[added[part]])
             lo[part] = sums - errs
             hi[part] = sums + errs
         return lo, hi
@@ -348,9 +363,8 @@ def _scan_slot(
     cand = np.array([idx for idx in allowed if idx not in occupied], dtype=np.intp)
     if cand.size == 0:
         return -math.inf, None
+    lo, hi = scorer.intervals(np.array([others], dtype=np.intp), np.zeros_like(cand), cand)
     others_best = scorer.best_over(others)
-    others_abs = np.abs(others_best).sum(keepdims=True) if others else np.zeros(1)
-    lo, hi = scorer.intervals(others_best[None], others_abs, cand)
     unchanged: list[float] = []
 
     def exact(positions):
@@ -444,7 +458,9 @@ def brute_force_select(
     Refuses to run (raising :class:`BudgetExceededError`) when the number of
     subsets exceeds ``budget``. Ties break toward the lexicographically
     smallest subset of (client, cluster) identities. Subsets are scored in
-    blocks of the scorer's size, the leader so far carried into each block.
+    blocks of the scorer's size, each as an expansion of its first N - 1
+    members (runs of equal prefixes in ``itertools.combinations`` order),
+    the leader so far carried into each block.
     """
     pool = problem.pool()
     n_slots = problem.n_clients
@@ -462,14 +478,13 @@ def brute_force_select(
         combos = np.fromiter(flat, dtype=np.intp).reshape(-1, n_slots)
         if combos.size == 0:
             break
-        best = scorer.columns[combos[:, 0]]
-        for j in range(1, n_slots):
-            np.maximum(best, scorer.columns[combos[:, j]], out=best)
-        sums = best.sum(axis=1)
-        errs = scorer.slack * scorer.abs_sums[combos].sum(axis=1)
+        prefixes = combos[:, :-1]
+        new = np.ones(len(combos), dtype=bool)
+        new[1:] = np.any(prefixes[1:] != prefixes[:-1], axis=1)
+        lo, hi = scorer.intervals(prefixes[new], np.cumsum(new) - 1, combos[:, -1])
         combos = np.concatenate([lead, combos])
-        lo = np.concatenate([lead_lo, sums - errs])
-        hi = np.concatenate([lead_hi, sums + errs])
+        lo = np.concatenate([lead_lo, lo])
+        hi = np.concatenate([lead_hi, hi])
         pos, best_val = _leader(lo, hi, lambda pos: [scorer.value(combos[p]) for p in pos])
         lead, lead_lo, lead_hi = combos[pos : pos + 1], lo[pos : pos + 1], hi[pos : pos + 1]
     return _build_selection(problem, lead[0].tolist(), passes=0, swaps=0, trace=[best_val])
@@ -484,9 +499,9 @@ def beam_select(problem: SelectionProblem, width: int) -> CenterSelection:
     identity tuple). ``width=1`` is sequential greedy-by-slot; width at
     least C(pool, N) is exhaustive and matches `brute_force_select`.
 
-    States are sorted rows of pool indices. Expansions are scored in blocks
-    from their parent's maxima, rebuilt per block from the parent's members,
-    and only the states survive a level, so memory holds the P x m columns,
+    States are sorted rows of pool indices. Expansions are scored by
+    ``_CoverageScorer.intervals`` from their parent states, and only the
+    states survive a level, so memory holds the P x m columns,
     a few dozen bytes per expansion and a few scoring blocks, but no maxima
     row per state.
     """
@@ -528,35 +543,13 @@ def _beam_level(scorer: _CoverageScorer, states: np.ndarray, keep: int) -> np.nd
     unique = firsts[rank]
     del firsts
     if unique.size > keep:
-        lo, hi = _expansion_intervals(scorer, states, per, unique, added)
+        lo, hi = scorer.intervals(states, unique // per, added[unique])
 
         def exact(positions):
             return [scorer.value(grown[e]) for e in unique[positions]]
 
         unique = unique[_top(lo, hi, keep, exact, keys=rank)]
     return grown[unique]
-
-
-def _expansion_intervals(
-    scorer: _CoverageScorer, states: np.ndarray, per: int, expansions: np.ndarray, added: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum intervals of ``expansions`` (ascending), expansion e adding
-    ``added[e]`` to ``states[e // per]``; the parents' maxima are rebuilt
-    from their members a chunk of parents at a time."""
-    lo = np.empty(expansions.size)
-    hi = np.empty(expansions.size)
-    step = max(1, scorer.rows // per)
-    ends = np.searchsorted(expansions, np.arange(0, len(states) + step, step) * per)
-    for p0, start, stop in zip(range(0, len(states), step), ends, ends[1:]):
-        part = expansions[start:stop]
-        parents = states[p0 : p0 + step]
-        base = np.full((len(parents), scorer.m), -np.inf)
-        for j in range(states.shape[1]):
-            np.maximum(base, scorer.columns[parents[:, j]], out=base)
-        base_abs = np.abs(base).sum(axis=1) if states.shape[1] else np.zeros(len(base))
-        which = part // per - p0
-        lo[start:stop], hi[start:stop] = scorer.intervals(base, base_abs, added[part], which)
-    return lo, hi
 
 
 @dataclass

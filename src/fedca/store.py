@@ -134,7 +134,6 @@ class EmbeddingStore:
         for i, d in enumerate(self._domains):
             index.setdefault(d, []).append(int(ids_arr[i]))
         self._domain_index = {d: np.asarray(v, dtype=np.uint64) for d, v in index.items()}
-        self._matrix64: np.ndarray | None = None
 
     # ------------------------------------------------------------------ views
 
@@ -170,15 +169,11 @@ class EmbeddingStore:
         return dict(self._domain_index)
 
     def matrix64(self) -> np.ndarray:
-        """C-contiguous float64 copy of the vectors, cached.
+        """A new C-contiguous float64 copy of the vectors on every call.
 
         Nothing in the package reads it; it is kept for external callers.
         """
-        if self._matrix64 is None:
-            m = np.ascontiguousarray(self._vectors, dtype=np.float64)
-            m.flags.writeable = False
-            self._matrix64 = m
-        return self._matrix64
+        return self._vectors.astype(np.float64)
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -130,6 +130,17 @@ def test_usage_error_exits_1():
       "--alpha", "-inf", "--out", "o.json"], "--alpha"),
     (["metrics", "--domain", "absent.fdca", "--universe", "absent.fdca", "--plan", "p.json",
       "--augsets", "a.json", "--xi", "-1", "--out", "o.json"], "--xi"),
+    (["cluster", "--in", "absent.fdca", "--k", "2", "--seed", "-1", "--out", "o.fdca"],
+     "--seed"),
+    (["partition", "--in", "absent.fdca", "--mode", "iid", "--clients", "2", "--per-client",
+      "3", "--seed", "-1", "--out", "o.json"], "--seed"),
+    (["augment", "--pool", "absent.fdca", "--strategy", "random", "--clients", "2",
+      "--per-client", "3", "--seed", "-1", "--out", "o.json"], "--seed"),
+    (["select", "--centers", "absent.fdca", "--seed", "-1", "--out", "o.json"], "--seed"),
+    (["metrics", "--domain", "absent.fdca", "--universe", "absent.fdca", "--plan", "p.json",
+      "--augsets", "a.json", "--seed", "-1", "--out", "o.json"], "--seed"),
+    (["oracle", "beam", "--centers", "absent.fdca", "--seed", "x", "--out", "o.json"],
+     "--seed"),
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
     # The input files do not exist: flag values are parsed before any file is read.
@@ -260,6 +271,11 @@ def _without(obj, key):
                  id="selection-trace-beyond-float"),
     pytest.param("config.json", lambda cfg: {**cfg, "n_clients": "3"}, "'n_clients'",
                  id="config-n-clients-string"),
+    pytest.param("config.json", lambda cfg: {**cfg, "seed": -1}, "config field 'seed'",
+                 id="config-negative-seed"),
+    *[pytest.param("selection.json", lambda sel, f=f: {**sel, f: -3}, f"selection field {f!r}",
+                   id=f"selection-negative-{f.replace('_', '-')}")
+      for f in ("passes", "swaps", "reference_size")],
 ])
 def test_malformed_json_inputs_exit_2_with_named_error(
     runs, workspace, tmp_path, capsys, name, corrupt, field

@@ -14,6 +14,7 @@ import pytest
 from oracles import dict_beam, literal_brute, literal_greedy
 from probes import probe_digests
 
+from fedca import selection
 from fedca.clustering import CandidateCenters
 from fedca.errors import ValidationError
 from fedca.geometry import SimilarityMode, coverage
@@ -134,6 +135,19 @@ def test_selection_equals_per_candidate_oracles_on_near_ties(kind, mode):
         assert beam_select(problem, width).to_json_dict() == expected(state, 0, 0, [val]), width
     state, val = literal_brute(vectors, ref, problem.n_clients, affine)
     assert brute_force_select(problem).to_json_dict() == expected(state, 0, 0, [val])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("mode", [RAW, AFFINE], ids=["raw", "affine"])
+@pytest.mark.parametrize("kind", sorted(INSTANCES))
+def test_selection_equals_oracles_with_few_rows_per_block(kind, mode, rows, monkeypatch):
+    # At the default size every instance fits one scoring block. One and
+    # three rows per block split a parent's expansions, beam parent chunks
+    # and brute-force prefix runs across blocks, so both the broadcast and
+    # the gather of parent rows run.
+    m = INSTANCES[kind](mode).reference_matrix().shape[0]
+    monkeypatch.setattr(selection, "_BLOCK_BYTES", 8 * m * rows)
+    test_selection_equals_per_candidate_oracles_on_near_ties(kind, mode)
 
 
 def test_non_finite_vectors_are_rejected():
