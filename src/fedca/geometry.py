@@ -15,10 +15,12 @@ README refer to it.
   ``np.einsum("ij,ij->i", a, b)`` (``_row_dots``) computes it. They do not
   depend on which other rows share the call, on their order, or on the BLAS
   thread count. ``best_similarity`` (so ``coverage``, ``facility_value``
-  and ``marginal_gain``), ``_top_candidates`` (direct retrieval) and the
-  logging sims of random sampling return canonical values only.
-* GEMV values come from ``_gemv_rows``, which the selection columns and
-  threshold-filtered retrieval rank by. Each row is bit for bit a
+  and ``marginal_gain``), ``_top_candidates`` (direct retrieval), the
+  selection scorer (so every greedy, beam and brute-force decision, trace
+  and coverage value) and the logging sims of random sampling return
+  canonical values only.
+* GEMV values come from ``_gemv_rows``, which threshold-filtered (feddca)
+  retrieval ranks by, the last path that does. Each row is bit for bit a
   single-threaded ``matrix.astype(float64) @ v`` at one or two BLAS
   threads, but not at more; see ``_gemv_spans``.
 * k-means assignment (``clustering``) takes an argmax over GEMM output,
@@ -27,6 +29,7 @@ README refer to it.
 Both canonical kernels screen with one GEMM, whose values can move in the
 last bits with blocking and BLAS threads, and rescore only the pairs that
 the screen cannot rule out; ``_screen_operands`` sets every screen up.
+(The selection scorer follows the same rule with its own DGEMM screen.)
 There are two screens:
 
 * SGEMM, when both operands are float32 (store rows, k-means centers) and
@@ -65,7 +68,7 @@ import numpy as np
 from .errors import ValidationError
 
 # Bytes of screen output per best_similarity block, and of gathered rows
-# per rescoring chunk in both kernels.
+# per rescoring chunk in both kernels and in the selection scorer.
 _SCREEN_BLOCK_BYTES = 4 << 20
 # Bytes of widened rows per `_row_norms` block. Of 128 KB to 4 MB, 512 KB
 # was fastest at 60,000 x 1,024 and 20,000 x 64 (2-vCPU x86-64), and it
@@ -354,7 +357,7 @@ def _gemv_spans(n: int, dim: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _gemv_rows(matrix, vectors, name: str | None = None) -> np.ndarray:
+def _gemv_rows(matrix, vectors) -> np.ndarray:
     """``out[i] = matrix @ vectors[i]`` in float64, shape (len(vectors), len(matrix)).
 
     Row i is bit-identical to a single-threaded ``matrix.astype(np.float64)
@@ -362,16 +365,13 @@ def _gemv_rows(matrix, vectors, name: str | None = None) -> np.ndarray:
     ``_gemv_spans``). The matrix is read once, in
     the row spans of ``_gemv_spans``: each span is widened from float32 once
     (float64 rows are not copied) and every vector is applied to it while it
-    is in cache. With ``name``, a span holding a non-finite value raises a
-    ValidationError naming it, checked in the same pass.
+    is in cache.
     """
     mat = np.asarray(matrix)
     vecs = np.ascontiguousarray(vectors, dtype=np.float64)
     out = np.empty((vecs.shape[0], mat.shape[0]))
     for lo, hi in _gemv_spans(*mat.shape):
         span = np.ascontiguousarray(mat[lo:hi], dtype=np.float64)
-        if name is not None and not np.isfinite(span).all():
-            raise ValidationError(f"{name} has non-finite vectors")
         for vec, row in zip(vecs, out):
             np.matmul(span, vec, out=row[lo:hi])
     return out

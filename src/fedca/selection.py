@@ -13,16 +13,20 @@ per slot; at full width it degenerates to exhaustive search. All three share
 one scoring path, so their coverage values are directly comparable, and the
 reported coverage always equals `geometry.coverage` recomputed from scratch.
 
-Scoring: a subset's value is the exact ``fsum`` mean of its per-reference
-maxima over one GEMV similarity column per candidate (``_gemv_rows``
-values; see the value contract in the ``geometry`` module docstring). All
+Scoring: a subset's value is the exact ``fsum`` mean of its canonical
+per-reference maxima (see the value contract in the ``geometry`` module
+docstring), so it equals `geometry.coverage` of the subset bit for bit and
+no selection, beam, brute-force or trace value depends on the BLAS thread
+count. One DGEMM screens every candidate against the reference; only the
+entries that may hold a maximum are rescored canonically, once each. All
 three searches score a candidate as an expansion of a parent subset
 (greedy's other slots, a beam state, a brute-force subset's first N - 1
 members) through one builder, ``_CoverageScorer.intervals``, in blocks of
-at most 1 MB of rows: ``np.sum`` gives each row's sum within a rigorous
-error bound, and only rows whose bounds overlap a decision are summed
-exactly, so every comparison and tie-break is the one exact per-candidate
-sums would give. The beam keeps states as index rows, not maxima, so its
+at most 1 MB of rows: ``np.sum`` of the screened maxima gives each row's
+sum within a rigorous bound on its rounding and screen errors, and only
+rows whose bounds overlap a decision are settled canonically, so every
+comparison and tie-break is the one exact per-candidate sums of canonical
+values would give. The beam keeps states as index rows, not maxima, so its
 memory does not grow with width times reference size.
 
 Determinism: candidate scans run in ascending (client, cluster) order, value
@@ -43,12 +47,14 @@ import numpy as np
 from .clustering import CandidateCenters
 from .errors import BudgetExceededError, ValidationError, check_number, json_field
 from .geometry import (
+    _SCREEN_BLOCK_BYTES,
     _UNIT_ROUNDOFF,
     CoverageValue,
     SimilarityMode,
     _gamma,
-    _gemv_rows,
-    coverage,
+    _row_dots,
+    _row_norms,
+    _screen_slack,
 )
 
 IMPROVEMENT_EPS = 1e-12
@@ -161,6 +167,7 @@ class SelectionProblem:
 
     _pool: list[SelectedCenter] = field(init=False, repr=False, default_factory=list)
     _reference64: np.ndarray | None = field(init=False, repr=False, default=None)
+    _reference_norms: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if len(self.candidates_per_client) < 1:
@@ -220,66 +227,121 @@ class SelectionProblem:
             self._reference64 = ref
         return self._reference64
 
+    def reference_norms(self) -> np.ndarray:
+        """Float64 row norms of the reference, cached; a ValidationError if
+        the reference holds a non-finite value."""
+        if self._reference_norms is None:
+            ref = self.reference_matrix()
+            norms = _row_norms(ref)
+            if not np.isfinite(norms).all():
+                raise ValidationError("reference has non-finite vectors" if not np.isfinite(
+                    ref).all() else "reference has a row whose norm overflows float64")
+            self._reference_norms = norms
+        return self._reference_norms
+
 
 class _CoverageScorer:
     """Scores candidate subsets against a fixed reference.
 
-    ``columns`` holds one mode-applied similarity row per candidate (P x m
-    for P candidates and m reference rows), from one
-    ``geometry._gemv_rows`` pass: each cache-sized span of the reference is
-    read once for all candidates, and its finiteness is checked in the same
-    pass. The mode map is monotone, so the maxima over a subset's member
-    rows are the mode-applied per-reference maxima, and the subset's value
-    is their mean by exact ``fsum``. Scorer values rank swaps and fill
-    ``trace``; the coverage a selection reports is always
-    `geometry.coverage`. The columns stay GEMVs: one GEMM over all
-    candidates gives other bits, which can vary with the BLAS thread count,
-    and canonical ``einsum`` columns cost two to three times as much.
+    ``columns`` holds one raw similarity row per candidate (P x m for P
+    candidates and m reference rows), from one DGEMM screen of the
+    candidates, widened to float64, against the reference. A screen value
+    lies within ``2 * gamma_(d+1) * |v| * |x_r|`` of the canonical value
+    (see the value contract in the ``geometry`` module docstring), so the
+    canonical maximum of a row over a subset is among the members whose
+    entry lies within ``near[r] = 4 * gamma_(d+1) * max|v| * |x_r|`` of the
+    row's largest entry, as in ``best_similarity``. ``best`` rescores only
+    those members, once each: a rescored entry is overwritten in place by its
+    canonical value and marked in ``canonical``. Every exact value is
+    therefore canonical, the ``fsum`` mean of the mode-applied canonical
+    maxima, and equals `geometry.coverage` of the subset bit for bit at any
+    BLAS thread count.
 
     ``intervals``, the one place that bounds sums, rebuilds each block's
     parent maxima from their members. A block of maxima rows is summed with
     ``np.sum``, which lies within ``gamma_(m-1) * sum|v|`` of the exact sum
-    in any order of its additions (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, sec. 4.2). ``slack`` adds ``16u`` to that factor,
-    covering the roundings of the exact sum, of the division by m and of the
-    interval ends, so a row whose interval lies wholly below another's has a
-    strictly smaller value. Only rows whose intervals leave a decision open
-    are summed with ``fsum``; every decision, tie-breaks included, is the one
-    a per-candidate ``fsum`` scan would make. A block holds at most
-    ``_BLOCK_BYTES`` of rows, so scoring adds a few blocks to the P x m
-    columns.
+    of its entries in any order of its additions (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 4.2), and those entries lie
+    within ``spread = 2 * gamma_(d+1) * max|v| * sum_r |x_r|`` in total of
+    the canonical maxima. ``slack`` adds ``18u`` to the first factor,
+    covering the roundings of the exact sum, of the division by m, of the
+    affine map and of the interval ends, so a row whose interval lies wholly
+    below another's has a strictly smaller canonical value. Only rows whose
+    intervals leave a decision open are settled canonically; every
+    decision, tie-breaks included, is the one a per-candidate scan of
+    canonical values would make. A block holds at most ``_BLOCK_BYTES`` of
+    rows, so scoring adds a few blocks and a P x m mask to the columns.
     """
 
-    def __init__(self, reference64: np.ndarray, pool: list[SelectedCenter], mode: SimilarityMode):
-        self.m = reference64.shape[0]
-        vectors = np.stack([c.vector for c in pool])
-        self.columns = mode.apply(_gemv_rows(reference64, vectors, "reference"))
-        self.abs_sums = np.abs(self.columns).sum(axis=1)
+    def __init__(self, problem: SelectionProblem):
+        ref = problem.reference_matrix()
+        norms = problem.reference_norms()
+        self.m, dim = ref.shape
+        self.mode = problem.mode
+        self.reference = ref
+        self.vectors = np.stack([c.vector for c in problem.pool()]).astype(np.float64)
+        self.columns = self.vectors @ ref.T
+        self.canonical = np.zeros(self.columns.shape, dtype=bool)
+        reach = _screen_slack(dim, _UNIT_ROUNDOFF) * float(_row_norms(self.vectors).max())
+        self.near = reach * norms
+        self.spread = 0.5 * reach * fsum(norms.tolist())
+        self.abs_sums = np.abs(self.mode.apply(self.columns)).sum(axis=1)
         self.rows = max(1, _BLOCK_BYTES // (8 * self.m))
-        self.slack = _gamma(self.m - 1) + 16 * _UNIT_ROUNDOFF
+        self.pairs = max(1, _SCREEN_BLOCK_BYTES // (8 * dim))
+        self.slack = _gamma(self.m - 1) + 18 * _UNIT_ROUNDOFF
 
     def best_over(self, members) -> np.ndarray:
-        """Per-reference maxima over the last axis of ``members``; -inf for none."""
+        """Per-reference maxima of the entries over the last axis of
+        ``members``; -inf for none."""
         members = np.asarray(members, dtype=np.intp)
         best = np.full((*members.shape[:-1], self.m), -np.inf)
         for j in range(members.shape[-1]):
             np.maximum(best, self.columns[members[..., j]], out=best)
         return best
 
+    def best(self, members, base: np.ndarray | None = None) -> np.ndarray:
+        """Canonical per-reference maxima over ``members`` and, when given,
+        the canonical maxima row ``base``."""
+        members = np.asarray(members, dtype=np.intp)
+        if members.size == 0:
+            return np.full(self.m, -np.inf) if base is None else base.copy()
+        cols = self.columns[members]
+        top = cols.max(axis=0)
+        if base is not None:
+            np.maximum(top, base, out=top)
+        near = cols >= top - self.near
+        todo = near & ~self.canonical[members]
+        for k in np.flatnonzero(todo.any(axis=1)):
+            rows = np.flatnonzero(todo[k])
+            self._rescore(int(members[k]), rows)
+            cols[k, rows] = self.columns[members[k], rows]
+        cols[~near] = -np.inf
+        best = cols.max(axis=0)
+        return best if base is None else np.maximum(best, base, out=best)
+
+    def _rescore(self, j: int, rows: np.ndarray) -> None:
+        """Overwrite candidate j's entries at ``rows`` by canonical values."""
+        for lo in range(0, rows.size, self.pairs):
+            r = rows[lo : lo + self.pairs]
+            part = self.reference[r]
+            self.columns[j, r] = _row_dots(part, np.broadcast_to(self.vectors[j], part.shape))
+        self.canonical[j, rows] = True
+
     def value_of_best(self, best: np.ndarray) -> float:
-        return fsum(best.tolist()) / self.m
+        return fsum(self.mode.apply(best).tolist()) / self.m
 
     def value(self, indices) -> float:
-        return self.value_of_best(self.best_over(indices))
+        return self.value_of_best(self.best(indices))
 
     def intervals(
         self, parents: np.ndarray, parent_of: np.ndarray, added: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds on the exact sum of each expansion's maxima row: expansion
-        e adds column ``added[e]`` to the members of ``parents[parent_of[e]]``
-        (``parent_of`` ascending). A block whose expansions share one parent
-        broadcasts its row. ``slack`` times the parent's ``sum|maxima|`` plus
-        the column's ``abs_sums`` bounds the error of the row's ``np.sum``.
+        """Bounds on the exact sum of each expansion's canonical maxima
+        row: expansion e adds column ``added[e]`` to the members of
+        ``parents[parent_of[e]]`` (``parent_of`` ascending). A block whose
+        expansions share one parent broadcasts its row. ``slack`` times the
+        parent's ``sum|maxima|`` plus the column's ``abs_sums`` bounds the
+        error of the row's ``np.sum``, and ``spread`` that of its entries.
         """
         lo = np.empty(added.size)
         hi = np.empty(added.size)
@@ -291,12 +353,13 @@ class _CoverageScorer:
             if held != (first, last):
                 held = (first, last)
                 base = self.best_over(parents[first : last + 1])
-                base_abs = np.abs(base).sum(axis=1) if parents.shape[1] else np.zeros(len(base))
+                base_abs = (np.abs(self.mode.apply(base)).sum(axis=1) if parents.shape[1]
+                            else np.zeros(len(base)))
             w = 0 if first == last else owner - first
             block = self.columns[added[part]]
             np.maximum(base[w], block, out=block)
-            sums = block.sum(axis=1)
-            errs = self.slack * (base_abs[w] + self.abs_sums[added[part]])
+            sums = self.mode.apply(block).sum(axis=1)
+            errs = self.slack * (base_abs[w] + self.abs_sums[added[part]]) + self.spread
             lo[part] = sums - errs
             hi[part] = sums + errs
         return lo, hi
@@ -345,10 +408,11 @@ def _build_selection(
     swaps: int,
     trace: list[float],
 ) -> CenterSelection:
+    """``trace[-1]``, the canonical value of the slots, is their coverage."""
     pool = problem.pool()
-    slots = [pool[i] for i in slot_indices]
-    cov = coverage(problem.reference_matrix(), np.stack([s.vector for s in slots]), problem.mode)
-    return CenterSelection(slots=slots, coverage=cov, passes=passes, swaps=swaps, trace=trace)
+    cov = CoverageValue(trace[-1], problem.reference_matrix().shape[0])
+    return CenterSelection(slots=[pool[i] for i in slot_indices], coverage=cov, passes=passes,
+                           swaps=swaps, trace=trace)
 
 
 def _scan_slot(
@@ -356,21 +420,32 @@ def _scan_slot(
     slot_indices: list[int],
     i: int,
     allowed: range | list[int],
-) -> tuple[float, int | None]:
-    """Best replacement for slot ``i``: (value, pool index), lex-first on ties."""
+    current: float,
+) -> tuple[float, int]:
+    """Best replacement for slot ``i``: (value, pool index), lex-first on ties.
+
+    The occupant is always a candidate, and its value is ``current``, the
+    value of ``slot_indices``; the other slots' canonical maxima are built
+    only when another candidate's exact value is needed.
+    """
+    occupant = slot_indices[i]
     others = slot_indices[:i] + slot_indices[i + 1 :]
     occupied = set(others)
     cand = np.array([idx for idx in allowed if idx not in occupied], dtype=np.intp)
-    if cand.size == 0:
-        return -math.inf, None
     lo, hi = scorer.intervals(np.array([others], dtype=np.intp), np.zeros_like(cand), cand)
-    others_best = scorer.best_over(others)
+    others_best = None
     unchanged: list[float] = []
 
     def exact(positions):
+        nonlocal others_best
         vals = []
         for idx in cand[positions]:
-            best = np.maximum(others_best, scorer.columns[idx])
+            if idx == occupant:
+                vals.append(current)
+                continue
+            if others_best is None:
+                others_best = scorer.best(others)
+            best = scorer.best([idx], others_best)
             if np.array_equal(best, others_best):  # gains nothing: all share one value
                 if not unchanged:
                     unchanged.append(scorer.value_of_best(others_best))
@@ -409,8 +484,7 @@ def greedy_select(
     scans in both modes, so it also equals that search's sweep count.
     """
     pool = problem.pool()
-    ref = problem.reference_matrix()
-    scorer = _CoverageScorer(ref, pool, problem.mode)
+    scorer = _CoverageScorer(problem)
 
     by_client: dict[int, list[int]] = {}
     for idx, cand in enumerate(pool):
@@ -436,8 +510,8 @@ def greedy_select(
     while idle < idle_limit:
         i = scans % n_slots
         scans += 1
-        best_val, best_idx = _scan_slot(scorer, slot_indices, i, allowed_for(i))
-        if best_idx is None or best_val <= current + IMPROVEMENT_EPS:
+        best_val, best_idx = _scan_slot(scorer, slot_indices, i, allowed_for(i), current)
+        if best_val <= current + IMPROVEMENT_EPS:
             idle += 1
             continue
         slot_indices[i] = best_idx
@@ -469,7 +543,7 @@ def brute_force_select(
         raise BudgetExceededError(
             f"brute force refused: {total} candidate subsets exceed the budget of {budget}"
         )
-    scorer = _CoverageScorer(problem.reference_matrix(), pool, problem.mode)
+    scorer = _CoverageScorer(problem)
     subsets = itertools.combinations(range(len(pool)), n_slots)
     lead = np.empty((0, n_slots), dtype=np.intp)
     lead_lo = lead_hi = np.empty(0)
@@ -509,7 +583,7 @@ def beam_select(problem: SelectionProblem, width: int) -> CenterSelection:
         raise ValidationError(f"beam width must be >= 1, got {width}")
     pool = problem.pool()
     n_slots = problem.n_clients
-    scorer = _CoverageScorer(problem.reference_matrix(), pool, problem.mode)
+    scorer = _CoverageScorer(problem)
     n = len(pool)
 
     states = np.empty((1, 0), dtype=np.min_scalar_type(n))

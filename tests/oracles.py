@@ -113,14 +113,15 @@ def best_two_partition_cost(points) -> float:
 
 
 # Per-candidate selection searches, scoring each subset by one fsum over the
-# per-reference maxima of GEMV similarity columns, as the selection module's
-# scorer defines its values.
+# per-reference maxima of canonical similarity columns: the pair value
+# ``np.einsum("i,i->", r, v)`` of rows widened to float64, one pair at a time.
 SWAP_EPS = 1e-12
 
 
-def _gemv_columns(pool_vectors, reference):
-    ref = np.ascontiguousarray(reference, dtype=np.float64)
-    return [ref @ np.ascontiguousarray(v, dtype=np.float64) for v in pool_vectors]
+def canonical_columns(pool_vectors, reference):
+    ref = np.asarray(reference, dtype=np.float64)
+    return [np.array([float(np.einsum("i,i->", r, vec)) for r in ref])
+            for vec in np.asarray(pool_vectors, dtype=np.float64)]
 
 
 def _subset_value(columns, members, affine: bool) -> float:
@@ -139,7 +140,7 @@ def literal_greedy(pool_clients, pool_vectors, reference, affine=False, *, seed=
     ``pool_clients[i]`` is pool entry i's client, the pool sorted by
     (client, cluster). Returns (slot pool indices, passes, swaps, trace).
     """
-    columns = _gemv_columns(pool_vectors, reference)
+    columns = canonical_columns(pool_vectors, reference)
     by_client: dict[int, list[int]] = {}
     for idx, client in enumerate(pool_clients):
         by_client.setdefault(client, []).append(idx)
@@ -185,7 +186,7 @@ def literal_greedy(pool_clients, pool_vectors, reference, affine=False, *, seed=
 def dict_beam(pool_vectors, reference, n_slots: int, width: int, affine=False):
     """Beam search holding every expansion's maxima in a dict keyed by the
     sorted subset. Returns (best subset, its value)."""
-    columns = _gemv_columns(pool_vectors, reference)
+    columns = canonical_columns(pool_vectors, reference)
     beam = [()]
     for _ in range(n_slots):
         expanded = {}
@@ -201,7 +202,7 @@ def dict_beam(pool_vectors, reference, n_slots: int, width: int, affine=False):
 
 def literal_brute(pool_vectors, reference, n_slots: int, affine=False):
     """First subset in lexicographic order with the largest value, and that value."""
-    columns = _gemv_columns(pool_vectors, reference)
+    columns = canonical_columns(pool_vectors, reference)
     best_val, best = -np.inf, None
     for combo in itertools.combinations(range(len(columns)), n_slots):
         val = _subset_value(columns, combo, affine)

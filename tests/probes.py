@@ -1,4 +1,4 @@
-"""Run a probe script in fresh interpreters pinned to 1 and to 2 BLAS threads.
+"""Run a probe script in fresh interpreters pinned to given BLAS thread counts.
 
 A BLAS library reads its thread count once, at load, so bits that may
 depend on it are compared across subprocesses rather than in the test
@@ -15,12 +15,13 @@ from pathlib import Path
 import fedca
 
 
-def probe_digests(probe: str, *args: str) -> list[str]:
-    """Stripped stdout of ``python -c probe *args`` at 1 and at 2 OpenBLAS threads."""
+def probe_digests(probe: str, *args: str, threads=(1, 2)) -> list[str]:
+    """Stripped stdout of ``python -c probe *args`` at each OpenBLAS thread
+    count in ``threads``."""
     src = str(Path(fedca.__file__).resolve().parents[1])
     digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+    for count in threads:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(count),
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                               capture_output=True, text=True, timeout=300, check=True)

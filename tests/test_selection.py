@@ -148,9 +148,9 @@ def test_greedy_stops_once_every_slot_is_idle(literal, monkeypatch):
     scans = []
     scan_slot = selection._scan_slot
 
-    def recording(scorer, slot_indices, i, allowed):
+    def recording(scorer, slot_indices, i, *rest):
         scans.append((i, list(slot_indices)))
-        return scan_slot(scorer, slot_indices, i, allowed)
+        return scan_slot(scorer, slot_indices, i, *rest)
 
     monkeypatch.setattr(selection, "_scan_slot", recording)
     result = greedy_select(problem, literal_termination=literal)

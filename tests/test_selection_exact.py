@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dict_beam, literal_brute, literal_greedy
+from oracles import canonical_columns, dict_beam, literal_brute, literal_greedy
 from probes import probe_digests
 
 from fedca import selection
@@ -99,7 +99,41 @@ def _no_gain(mode):
     return _problem([[axis, far[0], far[1]], [far[2], axis, far[3]], [far[4], far[5]]], ref, mode)
 
 
+def _absorbed_gains(mode):
+    # The parent e_0 starts every lane of np.sum's first two 128-value blocks
+    # at 1.0. Adding e_1 gains t = 0.99 * 2**-53 at 240 rows of those blocks,
+    # where each gain is rounded away; adding -e_1 gains t at 240 rows of the
+    # last two blocks, where they add up. The two expansions tie exactly, but
+    # np.sum puts the second 7 ulps ahead, which only the parent's own
+    # sum|maxima| in the error bound covers.
+    t = 0.99 * 2.0**-53
+    ref = np.zeros((512, 2))
+    for start in (0, 128):
+        ref[start : start + 8, 0] = 1.0
+        ref[start + 8 : start + 128, 1] = t
+    ref[256:496, 1] = -t
+    return _problem([[[1.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]]], ref, mode)
+
+
+def _cancelled_screen(mode):
+    # Each reference row is 1, 2**-60 and -1 in three coordinates that one
+    # candidate reads. Both candidates' canonical values tie at 2**-61, but
+    # with OpenBLAS 0.3.31 the screen rounds the small term away for the
+    # first candidate only, so only the screen term of the error bound keeps
+    # the tie open.
+    t = 2.0**-60
+    ref = np.zeros((2, 32))
+    ref[0, [7, 9, 13]] = [1.0, t, -1.0]
+    ref[1, [31, 20, 17]] = [1.0, t, -1.0]
+    halves = np.zeros((2, 32))
+    halves[0, :16] = 1.0
+    halves[1, 16:] = 1.0
+    return _problem([halves], ref, mode)
+
+
 INSTANCES = {
+    "absorbed-gains": _absorbed_gains,
+    "cancelled-screen": _cancelled_screen,
     "orbits-one-client": lambda mode: _orbits(mode, 1),
     "orbits": lambda mode: _orbits(mode, 3),
     "ulp-columns": _ulp_columns,
@@ -202,16 +236,17 @@ print(hashlib.sha256(json.dumps([s.to_json_dict() for s in out]).encode()).hexdi
 
 def test_selection_is_invariant_to_blas_threads():
     # With OpenBLAS 0.3.31, one GEMM of all 301 columns of this instance differs
-    # at 1 and 2 threads; the per-candidate GEMV columns must not.
-    digests = probe_digests(_THREAD_PROBE)
-    assert digests[0] == digests[1]
+    # at 1 and 2 threads; canonical scores must not.
+    digests = probe_digests(_THREAD_PROBE, threads=(1, 2, 3, 4))
+    assert len(set(digests)) == 1, digests
 
 
-# Candidates span the first 512 coordinates and every reference row but the
-# two where two BLAS threads split one GEMV over all 1,001 rows (500 and
-# 1,000) spans the rest, so each trace value is the exact sum of those two
-# rows' maxima over m and shows a one-ulp change in either.
-_GEMV_THREAD_PROBE = """
+# Candidates span the first 512 coordinates and every reference row but two
+# (500 and 1,000) spans the rest, so each trace value is the exact sum of
+# those two rows' maxima over m and shows a one-ulp change in either. With
+# OpenBLAS 0.3.31 the screen GEMM of this instance gives those two rows
+# other bits at 2 threads than at 1, and so did one GEMV per candidate.
+_GREEDY_THREAD_PROBE = """
 import hashlib, json
 import numpy as np
 from fedca.clustering import CandidateCenters
@@ -229,44 +264,49 @@ print(hashlib.sha256(json.dumps(selection.to_json_dict()).encode()).hexdigest())
 """
 
 
-def test_greedy_gemv_columns_are_invariant_to_blas_threads():
-    # With OpenBLAS 0.3.31, one GEMV per candidate over this float64
-    # reference gives rows 500 and 1,000 other bits at 2 threads than at 1,
-    # and the last trace value moves by one ulp.
-    digests = probe_digests(_GEMV_THREAD_PROBE)
-    assert digests[0] == digests[1]
+def test_greedy_on_split_rows_is_invariant_to_blas_threads():
+    digests = probe_digests(_GREEDY_THREAD_PROBE, threads=(1, 2, 3, 4))
+    assert len(set(digests)) == 1, digests
 
 
-# Prints, for the pooled 40 x 64 reference and a 1,000-row one, the sha256
-# of the scorer's columns and of one GEMV per candidate.
-_COLUMNS_PROBE = """
-import hashlib, sys
-import numpy as np
-from fedca.clustering import CandidateCenters
-from fedca.geometry import SimilarityMode
-from fedca.selection import SelectionProblem, _CoverageScorer
-from fedca.synthetic import random_unit_vectors
-mode = SimilarityMode[sys.argv[1]]
-rng = np.random.default_rng(46)
-clients = [CandidateCenters(k, random_unit_vectors(10, 64, rng)) for k in range(4)]
-wide = rng.standard_normal((1_000, 64))
-for reference in (None, wide / np.linalg.norm(wide, axis=1, keepdims=True)):
-    problem = SelectionProblem(clients, reference=reference, mode=mode)
-    ref64 = problem.reference_matrix()
-    got = _CoverageScorer(ref64, problem.pool(), mode).columns
-    want = np.stack([mode.apply(ref64 @ c.vector.astype(np.float64)) for c in problem.pool()])
-    assert got.shape == want.shape
-    print(hashlib.sha256(got.tobytes()).hexdigest(), hashlib.sha256(want.tobytes()).hexdigest())
-"""
+@pytest.mark.parametrize("mode", [RAW, AFFINE], ids=["raw", "affine"])
+def test_rescored_entries_equal_per_pair_values(mode, monkeypatch):
+    # Every entry a search rescored holds the per-pair einsum value, and
+    # every entry left from the screen lies within its bound of that value.
+    rng = np.random.default_rng(17)
+    clients = [CandidateCenters(k, random_unit_vectors(5, 64, rng)) for k in range(4)]
+    problem = SelectionProblem(clients, reference=random_unit_vectors(500, 64, rng), mode=mode)
+    scorers = []
+
+    class Recording(selection._CoverageScorer):
+        def __init__(self, problem):
+            super().__init__(problem)
+            scorers.append(self)
+
+    monkeypatch.setattr(selection, "_CoverageScorer", Recording)
+    greedy_select(problem)
+    beam_select(problem, 8)
+    brute_force_select(problem)
+    ref = problem.reference_matrix()
+    vectors = np.stack([c.vector for c in problem.pool()]).astype(np.float64)
+    want = np.array(canonical_columns(vectors, ref))
+    d = ref.shape[1]
+    gamma = (d + 1) * 2.0**-53 / (1 - (d + 1) * 2.0**-53)
+    bound = 2 * gamma * np.outer(np.linalg.norm(vectors, axis=1), np.linalg.norm(ref, axis=1))
+    assert len(scorers) == 3
+    for scorer in scorers:
+        assert scorer.canonical.any()
+        assert np.array_equal(scorer.columns[scorer.canonical], want[scorer.canonical])
+        assert np.all(np.abs(scorer.columns - want) <= bound)
 
 
-@pytest.mark.parametrize("mode", [RAW, AFFINE])
-def test_scorer_columns_equal_one_gemv_per_candidate(mode):
-    # The columns keep single-thread GEMV bits at 1 and 2 BLAS threads only,
-    # so both sides run in subprocesses pinned to those counts: the columns
-    # at each must equal the per-candidate GEMVs at 1 thread.
-    one, two = (out.splitlines() for out in probe_digests(_COLUMNS_PROBE, mode.name))
-    want = [line.split()[1] for line in one]
-    assert len(want) == 2
-    for lines in (one, two):
-        assert [line.split()[0] for line in lines] == want
+@pytest.mark.parametrize("mode", [RAW, AFFINE], ids=["raw", "affine"])
+def test_trace_ends_at_recomputed_coverage_bit_for_bit(mode):
+    # Trace values are canonical, so the last one is geometry.coverage of
+    # the selected slots to the last bit, and so is the reported coverage.
+    for seed in range(40):
+        problem = random_selection_problem(3 + seed % 2, 3, 16, seed=seed, mode=mode)
+        ref = problem.reference_matrix()
+        for found in (greedy_select(problem), beam_select(problem, 4), brute_force_select(problem)):
+            want = coverage(ref, found.slot_vectors(), mode).value
+            assert (found.trace[-1], found.coverage.value) == (want, want), seed
