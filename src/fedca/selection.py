@@ -167,7 +167,6 @@ class SelectionProblem:
 
     _pool: list[SelectedCenter] = field(init=False, repr=False, default_factory=list)
     _reference64: np.ndarray | None = field(init=False, repr=False, default=None)
-    _reference_norms: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if len(self.candidates_per_client) < 1:
@@ -227,25 +226,15 @@ class SelectionProblem:
             self._reference64 = ref
         return self._reference64
 
-    def reference_norms(self) -> np.ndarray:
-        """Float64 row norms of the reference, cached; a ValidationError if
-        the reference holds a non-finite value."""
-        if self._reference_norms is None:
-            ref = self.reference_matrix()
-            norms = _row_norms(ref)
-            if not np.isfinite(norms).all():
-                raise ValidationError("reference has non-finite vectors" if not np.isfinite(
-                    ref).all() else "reference has a row whose norm overflows float64")
-            self._reference_norms = norms
-        return self._reference_norms
-
 
 class _CoverageScorer:
     """Scores candidate subsets against a fixed reference.
 
     ``columns`` holds one raw similarity row per candidate (P x m for P
     candidates and m reference rows), from one DGEMM screen of the
-    candidates, widened to float64, against the reference. A screen value
+    candidates, widened to float64, against the reference; one
+    ``_row_norms`` pass gives the reference row norms that the bounds
+    below need and rejects a non-finite reference. A screen value
     lies within ``2 * gamma_(d+1) * |v| * |x_r|`` of the canonical value
     (see the value contract in the ``geometry`` module docstring), so the
     canonical maximum of a row over a subset is among the members whose
@@ -275,7 +264,10 @@ class _CoverageScorer:
 
     def __init__(self, problem: SelectionProblem):
         ref = problem.reference_matrix()
-        norms = problem.reference_norms()
+        norms = _row_norms(ref)
+        if not np.isfinite(norms).all():
+            raise ValidationError("reference has non-finite vectors" if not np.isfinite(
+                ref).all() else "reference has a row whose norm overflows float64")
         self.m, dim = ref.shape
         self.mode = problem.mode
         self.reference = ref
