@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import ValidationError, check_json, check_number, json_field
-from .geometry import _QUERY_BLOCK, _gemv_rows, _row_dots, _top_candidates, _wide
+from .geometry import _QUERY_BLOCK, _canonical_dots, _gemv_rows, _top_candidates
 from .selection import CenterSelection
 from .store import EmbeddingStore
 
@@ -254,14 +254,12 @@ def random_sampling_augment(
     for client in range(n_clients):
         rng = np.random.default_rng([seed, client])
         pos = rng.choice(len(pool), size=per_client, replace=False)
-        ids = pool.ids[pos]
-        rows = _wide(pool.vectors[pos])
-        sims = _row_dots(rows, np.broadcast_to(center, rows.shape))
+        sims = _canonical_dots(pool.vectors, pos, center)
         results.append(
             RetrievalResult(
                 client_id=client,
                 query_center=center.astype(np.float32),
-                hits=_ranked_hits(ids, sims, per_client),
+                hits=_ranked_hits(pool.ids[pos], sims, per_client),
                 requested=per_client,
                 threshold=None,
             )

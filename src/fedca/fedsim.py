@@ -228,34 +228,17 @@ def partition_domain(
     per_client: int,
     label_clusters: int,
     seed: int,
+    *,
+    labels: np.ndarray | None = None,
 ) -> PartitionPlan:
     """Split the domain records into per-client local sets.
 
     ``beta_or_mode`` is a Dirichlet concentration, ``"iid"`` or
     ``"distinct"``. ``seed`` is the run seed: the pseudo-label k-means and
     the partition draw use streams derived from it, so the plan equals the
-    one a run with this seed writes.
+    one a run with this seed writes. ``labels``, when given, are the
+    pseudo-labels that k-means would compute.
     """
-    return _partition(domain_store, beta_or_mode, n_clients, per_client, label_clusters, seed)
-
-
-def _pseudo_labels(domain_store: EmbeddingStore, label_clusters: int, seed: int) -> np.ndarray:
-    """Pseudo-label of every domain record; independent of beta and strategy."""
-    k_lab = min(label_clusters, len(domain_store))
-    pseudo = kmeans(domain_store.vectors, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
-    return assign_labels(domain_store.vectors, pseudo)
-
-
-def _partition(
-    domain_store: EmbeddingStore,
-    beta_or_mode: float | str,
-    n_clients: int,
-    per_client: int,
-    label_clusters: int,
-    seed: int,
-    labels: np.ndarray | None = None,
-) -> PartitionPlan:
-    """``partition_domain``; ``labels``, when given, are its pseudo-labels."""
     partition_seed = derive_seed(seed, _STREAM_PARTITION)
     if beta_or_mode == "iid":
         return iid_partition(domain_store, n_clients, per_client, partition_seed)
@@ -268,6 +251,13 @@ def _partition(
     return dirichlet_partition(
         domain_store, labels, n_clients, per_client, float(beta_or_mode), partition_seed
     )
+
+
+def _pseudo_labels(domain_store: EmbeddingStore, label_clusters: int, seed: int) -> np.ndarray:
+    """Pseudo-label of every domain record; independent of beta and strategy."""
+    k_lab = min(label_clusters, len(domain_store))
+    pseudo = kmeans(domain_store.vectors, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
+    return assign_labels(domain_store.vectors, pseudo)
 
 
 def assemble_metrics(
@@ -349,9 +339,9 @@ def _run_prefix(
     """Partition and client clustering; ``labels`` skips the pseudo-label k-means."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    plan = _partition(
+    plan = partition_domain(
         domain_store, config.beta_or_mode, config.n_clients, config.per_client_local,
-        config.pseudo_label_clusters, config.seed, labels,
+        config.pseudo_label_clusters, config.seed, labels=labels,
     )
     timings["partition"] = time.perf_counter() - t0
 
@@ -521,12 +511,12 @@ def heterogeneity_sweep(
     """
     if not betas:
         raise ValidationError("betas must be nonempty")
+    if not strategies:
+        raise ValidationError("no configs to compare")
     groups = [
         [dataclasses.replace(base, beta_or_mode=float(beta), strategy=s) for s in strategies]
         for beta in betas
     ]
-    for configs in groups:
-        _check_group(configs)
     pool, domain_store = _load(base, pool)
     labels = _pseudo_labels(domain_store, base.pseudo_label_clusters, base.seed)
     rows = []

@@ -14,11 +14,11 @@ README refer to it.
 * Canonical values are the dot product of two rows widened to float64, as
   ``np.einsum("ij,ij->i", a, b)`` (``_row_dots``) computes it. They do not
   depend on which other rows share the call, on their order, or on the BLAS
-  thread count. ``best_similarity`` (so ``coverage``, ``facility_value``
-  and ``marginal_gain``), ``_top_candidates`` (direct retrieval), the
-  selection scorer (so every greedy, beam and brute-force decision, trace
-  and coverage value) and the logging sims of random sampling return
-  canonical values only.
+  thread count. ``cosine``, ``best_similarity`` (so ``coverage``,
+  ``facility_value`` and ``marginal_gain``), ``_top_candidates`` (direct
+  retrieval), the selection scorer (so every greedy, beam and brute-force
+  decision, trace and coverage value) and the logging sims of random
+  sampling return canonical values only.
 * GEMV values come from ``_gemv_rows``, which threshold-filtered (feddca)
   retrieval ranks by, the last path that does. Each row is bit for bit a
   single-threaded ``matrix.astype(float64) @ v`` at one or two BLAS
@@ -26,11 +26,16 @@ README refer to it.
 * k-means assignment (``clustering``) takes an argmax over GEMM output,
   which is not guaranteed to be the same at every BLAS thread count.
 
-Both canonical kernels screen with one GEMM, whose values can move in the
-last bits with blocking and BLAS threads, and rescore only the pairs that
-the screen cannot rule out; ``_screen_operands`` sets every screen up.
-(The selection scorer follows the same rule with its own DGEMM screen.)
-There are two screens:
+One kernel, ``_screened_pairs``, computes every canonical value that a
+GEMM screen selects. Per block of ``_QUERY_BLOCK`` rows it runs one GEMM,
+whose values can move in the last bits with blocking and BLAS threads,
+keeps each row's pairs that may rank among the row's top k by canonical
+value (its docstring holds the bound), and rescores only those, through
+``_canonical_dots``. ``best_similarity`` is its k = 1 case: the maximum of
+each row's kept pairs. ``_top_candidates`` (direct retrieval) splits the
+pairs per query. The selection scorer follows the same rule with its own
+DGEMM screen and rescores through ``_canonical_dots`` too.
+``_screen_operands`` sets every screen up as one of:
 
 * SGEMM, when both operands are float32 (store rows, k-means centers) and
   every nonzero norm product ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, so
@@ -40,21 +45,14 @@ There are two screens:
   dtypes, and float32 inputs whose norms are out of that range or not
   finite; u = 2**-53.
 
-A screen value lies within gamma_d(u) * |x| * |y| of the exact dot product
-and a canonical value within gamma_d(2**-53) * |x| * |y| (gamma_d =
-d*u / (1 - d*u); Higham, *Accuracy and Stability of Numerical Algorithms*,
-sec. 3.1), so the column with the largest canonical value is always among
-the columns within 4 * gamma_(d+1)(u) * |x| * max|y| of the row's screen
-maximum (about 2.4e-4 at d = 1,024 for SGEMM); only those are rescored
-canonically. Each per-reference maximum is therefore the exact maximum of
-canonical values over the whole covering set: bit-identical under any
-chunking or ordering of either set, for either screen, and at any BLAS
-thread count. Widening float32 to float64 is exact, so float32 input and
-the same input widened to float64 give the same bits. ``_top_candidates``
-keeps each query's top k by the same bound below its k-th screen value.
-Sums over the reference set use ``math.fsum`` (exact compensated summation,
-whose result is independent of summation order), so reference-set sizes up
-to ~1e5 stay accurate to the last unit in the last place.
+Screen values never leave the kernel, so each per-reference maximum is the
+exact maximum of canonical values over the whole covering set: bit-identical
+under any chunking or ordering of either set, for either screen, and at any
+BLAS thread count. Widening float32 to float64 is exact, so float32 input
+and the same input widened to float64 give the same bits. Sums over the
+reference set use ``math.fsum`` (exact compensated summation, whose result
+is independent of summation order), so reference-set sizes up to ~1e5 stay
+accurate to the last unit in the last place.
 """
 
 from __future__ import annotations
@@ -67,9 +65,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Bytes of screen output per best_similarity block, and of gathered rows
-# per rescoring chunk in both kernels and in the selection scorer.
-_SCREEN_BLOCK_BYTES = 4 << 20
+# Bytes of gathered rows per `_canonical_dots` chunk.
+_GATHER_BYTES = 4 << 20
 # Bytes of widened rows per `_row_norms` block. Of 128 KB to 4 MB, 512 KB
 # was fastest at 60,000 x 1,024 and 20,000 x 64 (2-vCPU x86-64), and it
 # keeps the store's unit-norm check a small allocation beside its matrix.
@@ -82,8 +79,8 @@ _SINGLE_ROUNDOFF = 2.0**-24
 # absolute error of underflowing products (at most 2**-150 each) stays far
 # below the slack.
 _SINGLE_RANGE = (2.0**-60, 2.0**60)
-# Queries per `_top_candidates` screen and per feddca retrieval pass: one
-# pool pass for up to this many.
+# Rows per `_screened_pairs` screen and queries per feddca retrieval pass:
+# one pass over the other set for up to this many.
 _QUERY_BLOCK = 256
 # Bytes of float64 rows per full `_gemv_rows` span: the span stays in cache
 # while every vector is applied to it (512 rows at d = 1,024).
@@ -133,14 +130,14 @@ def _vectors(x, name: str, ndim: int = 2, dtype=np.float64) -> np.ndarray:
 
 
 def cosine(a, b) -> float:
-    """Cosine similarity of two unit vectors (their dot product)."""
+    """Cosine similarity of two unit vectors: their canonical dot product."""
     va = _vectors(a, "a", ndim=1)
     vb = _vectors(b, "b", ndim=1)
     if va.shape[0] != vb.shape[0]:
         raise ValidationError(
             f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}"
         )
-    return float(va @ vb)
+    return float(_row_dots(va[None], vb[None])[0])
 
 
 def _wide(x: np.ndarray) -> np.ndarray:
@@ -170,12 +167,8 @@ def _gamma(n: int, u: float = _UNIT_ROUNDOFF) -> float:
 
 def _screen_slack(dim: int, u: float) -> float:
     """``4 * gamma_(d+1)`` at the screen's unit roundoff ``u``: times
-    ``|x| * max|y|``, the widest gap between a screen value and the
-    canonical value that can outrank it.
-
-    A screen value lies within ``gamma_d(u) * |x| * |y|`` of the exact dot
-    product and a canonical value within ``gamma_d(2**-53) * |x| * |y|``, so
-    two of them can be ``2 * gamma_d(u)`` apart each way; the extra unit in
+    ``|x| * max|y|``, the widest gap between a screen value and a canonical
+    value that can outrank it (see ``_screened_pairs``); the extra unit in
     ``d + 1`` covers the rounding of the norms and of the threshold itself.
     """
     return 4.0 * _gamma(dim + 1, u)
@@ -228,100 +221,99 @@ def _screen_operands(
     return a, b, _screen_slack(a.shape[1], u) * others_norm * row_norms
 
 
-def best_similarity(reference, covering) -> np.ndarray:
-    """Per-reference-point maximum raw cosine over the covering set.
+def _canonical_dots(
+    rows: np.ndarray, at: np.ndarray, other: np.ndarray, other_at=None
+) -> np.ndarray:
+    """Canonical similarity of each pair ``(rows[at[p]], other[other_at[p]])``,
+    or of each ``rows[at[p]]`` with the one float64 vector ``other`` when
+    ``other_at`` is None; rows are gathered and widened in chunks of at most
+    ``_GATHER_BYTES``."""
+    step = max(1, _GATHER_BYTES // (16 * rows.shape[1]))
+    out = np.empty(len(at))
+    for lo in range(0, len(at), step):
+        part = _wide(rows[at[lo : lo + step]])
+        if other_at is None:
+            with_ = np.broadcast_to(other, part.shape)
+        else:
+            with_ = _wide(other[other_at[lo : lo + step]])
+        out[lo : lo + step] = _row_dots(part, with_)
+    return out
 
-    Each block of reference rows is screened against the whole covering set
-    with one GEMM: SGEMM when both sets are float32 and their norms are in
-    range (see the module docstring), DGEMM otherwise. A row keeps its
-    screen argmax and every column whose screen value is within
-    ``_screen_slack(d, u) * |x_i| * max_j |y_j|`` of it, so the column with
-    the largest canonical value is always kept. The row's result is the
-    largest canonical value, ``np.einsum("ij,ij->i")`` over rows widened to
-    float64, among the kept columns; screen values are never returned. The
-    result is therefore bit-identical under any chunking or ordering of
-    either set, for float32 input and the same input widened to float64,
-    and at any BLAS thread count.
+
+def _screened_pairs(rows, others, names: tuple[str, str], budgets=None, others_norm=None):
+    """Yield ``(starts, cols, values)`` per block of ``_QUERY_BLOCK`` rows of
+    ``rows``: row-major, the pairs (row, column of ``others``) that may rank
+    among the row's top k = ``budgets[i]`` (1 for every row when None) by
+    canonical value. ``starts[r]`` is the position of block row r's first
+    pair, ``cols`` the pairs' columns and ``values`` their canonical values;
+    every row has at least one pair.
+
+    Each block is screened against all of ``others`` with one GEMM set up by
+    ``_screen_operands``, so the screen holds ``_QUERY_BLOCK * len(others)``
+    values at most. Let g_k be the k-th largest screen value of row i, u the
+    screen's unit roundoff and e = ``gamma_d(u) * |x_i| * max_j |y_j|``. A
+    screen value lies within e of the exact dot product, and so does a
+    canonical value, whose roundoff 2**-53 is at most u (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, sec. 3.1). The k columns with
+    the largest screen values have canonical values of at least g_k - 2e, so
+    the k-th largest canonical value c_k is at least that too, and any
+    column whose canonical value reaches c_k has a screen value of at least
+    c_k - 2e >= g_k - 4e. A row therefore keeps every column whose screen
+    value is not below ``g_k - _screen_slack(d, u) * |x_i| * max_j |y_j|``
+    (g_1 is the row maximum; a row with k >= len(others) keeps them all). A
+    NaN screen value or bound keeps its pairs, so NaN input gives NaN
+    values. Screen values are never returned, so ranking a row's pairs by
+    value equals ranking all of ``others`` by canonical value, under any
+    blocking, for float32 input and the same input widened to float64, and
+    at any BLAS thread count.
     """
-    ref, cov, slack = _screen_operands(reference, covering, ("reference", "covering"))
-    m, dim = ref.shape
-    n = cov.shape[0]
-    # Rows per block: the screen output and the gathered winner rows each fit
-    # in the block at the screen's precision (winners twice that once widened).
-    rows = max(1, _SCREEN_BLOCK_BYTES // (ref.itemsize * max(n, dim)))
-    pairs = max(1, _SCREEN_BLOCK_BYTES // (16 * dim))
-    best = np.empty(m)
-    for lo in range(0, m, rows):
-        block = ref[lo : lo + rows]
-        wide = _wide(block)
-        screen = block @ cov.T
-        winner = screen.argmax(axis=1)
-        local = np.arange(block.shape[0])
-        floor = (screen[local, winner] - slack[lo : lo + rows]).astype(screen.dtype)
-        near = screen >= floor[:, None]
-        near[local, winner] = False
-        out = best[lo : lo + rows]
-        out[:] = _row_dots(wide, _wide(cov[winner]))
-        if not near.any():
-            continue
-        held = np.flatnonzero(near.any(axis=1))
-        ri, cj = np.nonzero(near[held])
-        ri = held[ri]
-        for p in range(0, ri.size, pairs):
-            r, c = ri[p : p + pairs], cj[p : p + pairs]
-            np.maximum.at(out, r, _row_dots(wide[r], _wide(cov[c])))
-    return best
+    a, b, slack = _screen_operands(rows, others, names, others_norm)
+    n = b.shape[0]
+    for lo in range(0, a.shape[0], _QUERY_BLOCK):
+        block = a[lo : lo + _QUERY_BLOCK]
+        screen = block @ b.T
+        ks = None if budgets is None else budgets[lo : lo + _QUERY_BLOCK]
+        top1 = ks is None or all(k == 1 for k in ks)
+        if top1:
+            kth = screen.max(axis=1)
+        else:
+            kth = np.array([np.partition(s, n - k)[n - k] if k < n else -np.inf
+                            for s, k in zip(screen, ks)], dtype=screen.dtype)
+        floor = (kth - slack[lo : lo + _QUERY_BLOCK]).astype(screen.dtype)
+        flat = np.flatnonzero(~(screen < floor[:, None]))
+        starts = np.searchsorted(flat, np.arange(block.shape[0]) * n)
+        at, cols = np.divmod(flat, n)
+        if top1:  # about one pair per row: gather both rows of each pair
+            values = _canonical_dots(b, cols, block, at)
+        else:  # k or more pairs per row: broadcast the row, gather only its columns
+            ends = np.append(starts[1:], flat.size)
+            values = np.concatenate([_canonical_dots(b, cols[s:e], q)
+                                     for q, s, e in zip(_wide(block), starts, ends)])
+        yield starts, cols, values
+
+
+def best_similarity(reference, covering) -> np.ndarray:
+    """Per-reference-point maximum canonical cosine over the covering set."""
+    return np.concatenate([
+        np.maximum.reduceat(values, starts)
+        for starts, _, values in _screened_pairs(reference, covering, ("reference", "covering"))
+    ])
 
 
 def _top_candidates(
     pool, queries, budgets, pool_norm: float | None = None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pool rows that may rank among each query's top ``budgets[j]`` by
-    canonical similarity, with those similarities.
-
-    Queries are screened against the pool with one GEMM per block of
-    ``_QUERY_BLOCK`` queries, so the pool is read once per block and the
-    screen holds at most ``_QUERY_BLOCK * len(pool)`` values: SGEMM when
-    both are float32 and their norms are in range, DGEMM otherwise. Let
-    k = ``budgets[j]``, g_k the k-th largest screen value of query j, u the
-    screen's unit roundoff and e = ``gamma_d(u) * |q_j| * max_i |x_i|``.
-    The k rows with the largest screen values have canonical values of at
-    least g_k - 2e, so the k-th largest canonical value c_k is at least
-    that too, and any row whose canonical value reaches c_k has a screen
-    value of at least c_k - 2e >= g_k - 4e. The candidates are therefore
-    every row whose screen value is at least
-    ``g_k - _screen_slack(d, u) * |q_j| * max_i |x_i|``.
-    Returned per query: candidate row positions ascending and their
-    canonical values, ``np.einsum("ij,ij->i")`` over rows widened to
-    float64. Screen values are never returned, so ranking the candidates
-    equals ranking the whole pool by canonical value, under any blocking,
-    for float32 input and the same input widened to float64, and at any
-    BLAS thread count.
+    """Per query j: the pool rows that may rank among its top ``budgets[j]``
+    by canonical similarity, ascending, and their canonical similarities.
     ``pool_norm``, when given, is the pool's largest float64 row norm
-    (``EmbeddingStore.max_norm``) and spares a pass over the pool.
-    The caller passes budgets >= 1.
+    (``EmbeddingStore.max_norm``) and spares a pass over the pool. The caller
+    passes budgets >= 1.
     """
-    qs, mat, slack = _screen_operands(queries, pool, ("queries", "pool"), pool_norm)
-    n, dim = mat.shape
-    rows = max(1, _SCREEN_BLOCK_BYTES // (8 * dim))
     found = []
-    for j, budget in enumerate(budgets):
-        if j % _QUERY_BLOCK == 0:
-            block = qs[j : j + _QUERY_BLOCK]
-            screen = block @ mat.T
-            wide = _wide(block)
-        values = screen[j % _QUERY_BLOCK]
-        if budget >= n:
-            cand = np.arange(n)
-        else:
-            kth = np.partition(values, n - budget)[n - budget]
-            cand = np.flatnonzero(values >= values.dtype.type(kth - slack[j]))
-        query = wide[j % _QUERY_BLOCK]
-        sims = np.empty(cand.size)
-        for lo in range(0, cand.size, rows):
-            part = _wide(mat[cand[lo : lo + rows]])
-            sims[lo : lo + rows] = _row_dots(part, np.broadcast_to(query, part.shape))
-        found.append((cand, sims))
+    for starts, cols, values in _screened_pairs(
+        queries, pool, ("queries", "pool"), budgets, pool_norm
+    ):
+        found += zip(np.split(cols, starts[1:]), np.split(values, starts[1:]))
     return found
 
 

@@ -47,12 +47,11 @@ import numpy as np
 from .clustering import CandidateCenters
 from .errors import BudgetExceededError, ValidationError, check_number, json_field
 from .geometry import (
-    _SCREEN_BLOCK_BYTES,
     _UNIT_ROUNDOFF,
     CoverageValue,
     SimilarityMode,
+    _canonical_dots,
     _gamma,
-    _row_dots,
     _row_norms,
     _screen_slack,
 )
@@ -236,12 +235,12 @@ class _CoverageScorer:
     ``_row_norms`` pass gives the reference row norms that the bounds
     below need and rejects a non-finite reference. A screen value
     lies within ``2 * gamma_(d+1) * |v| * |x_r|`` of the canonical value
-    (see the value contract in the ``geometry`` module docstring), so the
-    canonical maximum of a row over a subset is among the members whose
-    entry lies within ``near[r] = 4 * gamma_(d+1) * max|v| * |x_r|`` of the
-    row's largest entry, as in ``best_similarity``. ``best`` rescores only
-    those members, once each: a rescored entry is overwritten in place by its
-    canonical value and marked in ``canonical``. Every exact value is
+    (see ``geometry._screened_pairs``), so the canonical maximum of a row
+    over a subset is among the members whose entry lies within ``near[r] =
+    4 * gamma_(d+1) * max|v| * |x_r|`` of the row's largest entry, as in
+    ``best_similarity``. ``best`` rescores only those members, once each,
+    through ``geometry._canonical_dots``: a rescored entry is overwritten in
+    place by its canonical value and marked in ``canonical``. Every exact value is
     therefore canonical, the ``fsum`` mean of the mode-applied canonical
     maxima, and equals `geometry.coverage` of the subset bit for bit at any
     BLAS thread count.
@@ -279,7 +278,6 @@ class _CoverageScorer:
         self.spread = 0.5 * reach * fsum(norms.tolist())
         self.abs_sums = np.abs(self.mode.apply(self.columns)).sum(axis=1)
         self.rows = max(1, _BLOCK_BYTES // (8 * self.m))
-        self.pairs = max(1, _SCREEN_BLOCK_BYTES // (8 * dim))
         self.slack = _gamma(self.m - 1) + 18 * _UNIT_ROUNDOFF
 
     def best_over(self, members) -> np.ndarray:
@@ -313,10 +311,7 @@ class _CoverageScorer:
 
     def _rescore(self, j: int, rows: np.ndarray) -> None:
         """Overwrite candidate j's entries at ``rows`` by canonical values."""
-        for lo in range(0, rows.size, self.pairs):
-            r = rows[lo : lo + self.pairs]
-            part = self.reference[r]
-            self.columns[j, r] = _row_dots(part, np.broadcast_to(self.vectors[j], part.shape))
+        self.columns[j, rows] = _canonical_dots(self.reference, rows, self.vectors[j])
         self.canonical[j, rows] = True
 
     def value_of_best(self, best: np.ndarray) -> float:

@@ -162,6 +162,8 @@ def test_heterogeneity_sweep_shape_and_csv(pool, tmp_path):
     assert [(r["beta"], r["strategy"]) for r in rows] == [
         (0.1, "direct"), (0.1, "random"), (1.0, "direct"), (1.0, "random"),
     ]
+    with pytest.raises(ValidationError, match="no configs"):
+        heterogeneity_sweep(cfg, [0.1], strategies=(), pool=pool)
     out = tmp_path / "sweep.csv"
     write_rows_csv(rows, out)
     lines = out.read_text().strip().splitlines()

@@ -34,6 +34,13 @@ def test_cosine_identity_orthogonal_antipodal():
     assert cosine(E1, -E1) == -1.0
 
 
+def test_cosine_is_the_canonical_pair_value():
+    rng = np.random.default_rng(21)
+    a, b = random_unit_vectors(2, 1024, rng).astype(np.float64)
+    for x, y in ((a, b), (b, a), (a * 3.0, b / 7.0)):
+        assert cosine(x, y) == float(np.einsum("i,i->", x, y))
+
+
 def test_cosine_dimension_mismatch():
     with pytest.raises(ValidationError, match="dimension mismatch"):
         cosine(E1, np.array([1.0, 0.0]))
@@ -227,6 +234,37 @@ def test_best_similarity_is_row_local_across_screen_blocks():
     assert np.array_equal(full[::40], per_pair_best_similarity(ref[::40], cov))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_nan_rows_give_nan_maxima(dtype):
+    rng = np.random.default_rng(29)
+    ref = random_unit_vectors(6, 16, rng).astype(dtype)
+    cov = random_unit_vectors(9, 16, rng).astype(dtype)
+    bad_ref = ref.copy()
+    bad_ref[2, 5] = np.nan
+    got = best_similarity(bad_ref, cov)
+    assert np.isnan(got[2])
+    rest = [0, 1, 3, 4, 5]
+    assert np.array_equal(got[rest], per_pair_best_similarity(ref[rest], cov))
+    bad_cov = cov.copy()
+    bad_cov[4, 0] = np.nan
+    assert np.isnan(best_similarity(ref, bad_cov)).all()
+
+
+def test_best_similarity_screen_memory_is_bounded_per_row_block():
+    rng = np.random.default_rng(32)
+    ref = random_unit_vectors(3_000, 16, rng).astype(np.float64)
+    cov = random_unit_vectors(2_000, 16, rng).astype(np.float64)
+    tracemalloc.start()
+    try:
+        got = best_similarity(ref, cov)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One screen of all rows would hold 3,000 x 2,000 floats, 48 MB.
+    assert peak < 12 << 20
+    assert np.array_equal(got[::250], per_pair_best_similarity(ref[::250], cov))
+
+
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
@@ -242,16 +280,16 @@ print(hashlib.sha256(best_similarity(ref, cov).tobytes()).hexdigest())
 
 def test_best_similarity_is_invariant_to_blas_threads():
     # With OpenBLAS 0.3.31, raw GEMM row maxima of this instance differ at 1 and 2 threads.
-    digests = probe_digests(_THREAD_PROBE.format(dtype="float64"))
-    assert digests[0] == digests[1]
+    digests = probe_digests(_THREAD_PROBE.format(dtype="float64"), threads=(1, 2, 3, 4))
+    assert len(set(digests)) == 1
 
 
 def test_best_similarity_float32_is_invariant_to_blas_threads():
     # The SGEMM screen. With OpenBLAS 0.3.31 on x86-64 its raw row maxima of
     # this instance were the same at 1 and 2 threads, so this guards BLAS
     # builds whose SGEMM splits its sums by thread.
-    digests = probe_digests(_THREAD_PROBE.format(dtype="float32"))
-    assert digests[0] == digests[1]
+    digests = probe_digests(_THREAD_PROBE.format(dtype="float32"), threads=(1, 2, 3, 4))
+    assert len(set(digests)) == 1
 
 
 def _screens_used(monkeypatch) -> list[float]:
