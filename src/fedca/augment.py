@@ -34,10 +34,8 @@ class RetrievalResult:
     """Hits returned for one query center (or one sampled batch)."""
 
     client_id: int
-    query_center: np.ndarray
     hits: list[tuple[int, float]]  # (record id, similarity), sim desc then id asc
     requested: int
-    threshold: float | None
 
     @property
     def shortfall(self) -> int:
@@ -93,19 +91,13 @@ def _retrieve(
     for lo in range(0, len(queries), _QUERY_BLOCK):
         block = queries[lo : lo + _QUERY_BLOCK]
         sims_block = _gemv_rows(pool.vectors, np.stack(block))
-        for query, client, sims in zip(block, clients[lo:], sims_block):
+        for client, sims in zip(clients[lo:], sims_block):
             if threshold is not None:
                 keep = sims <= threshold
                 ids, sims = pool.ids[keep], sims[keep]
             else:
                 ids = pool.ids
-            results.append(RetrievalResult(
-                client_id=client,
-                query_center=np.asarray(query, dtype=np.float32),
-                hits=_ranked_hits(ids, sims, k),
-                requested=k,
-                threshold=threshold,
-            ))
+            results.append(RetrievalResult(client, _ranked_hits(ids, sims, k), k))
     return results
 
 
@@ -212,22 +204,10 @@ def direct_retrieval_augment(
             taken += 1
             if taken == quota:
                 break
-    results = []
-    for cand, hits in zip(client_centers, picks):
+    for hits in picks:
         hits.sort(key=lambda h: (-h[1], h[0]))
-        mean = cand.centers.astype(np.float64).mean(axis=0)
-        norm = float(np.linalg.norm(mean))
-        center = (mean / norm if norm > 0 else mean).astype(np.float32)
-        results.append(
-            RetrievalResult(
-                client_id=cand.client_id,
-                query_center=center,
-                hits=hits,
-                requested=per_client,
-                threshold=None,
-            )
-        )
-    return results
+    return [RetrievalResult(cand.client_id, hits, per_client)
+            for cand, hits in zip(client_centers, picks)]
 
 
 def random_sampling_augment(
@@ -255,15 +235,8 @@ def random_sampling_augment(
         rng = np.random.default_rng([seed, client])
         pos = rng.choice(len(pool), size=per_client, replace=False)
         sims = _canonical_dots(pool.vectors, pos, center)
-        results.append(
-            RetrievalResult(
-                client_id=client,
-                query_center=center.astype(np.float32),
-                hits=_ranked_hits(pool.ids[pos], sims, per_client),
-                requested=per_client,
-                threshold=None,
-            )
-        )
+        results.append(RetrievalResult(client, _ranked_hits(pool.ids[pos], sims, per_client),
+                                       per_client))
     return results
 
 

@@ -33,9 +33,11 @@ keeps each row's pairs that may rank among the row's top k by canonical
 value (its docstring holds the bound), and rescores only those, through
 ``_canonical_dots``. ``best_similarity`` is its k = 1 case: the maximum of
 each row's kept pairs. ``_top_candidates`` (direct retrieval) splits the
-pairs per query. The selection scorer follows the same rule with its own
-DGEMM screen and rescores through ``_canonical_dots`` too.
-``_screen_operands`` sets every screen up as one of:
+pairs per query. The selection scorer takes its operands, reference norms
+and slack from the same set-up and rescores through ``_canonical_dots``
+too. Every screen GEMM runs through ``_screen_gemm``, the one seam where a
+test can put screen values anywhere within the bound and check that no
+output moves. ``_screen_operands`` sets every screen up as one of:
 
 * SGEMM, when both operands are float32 (store rows, k-means centers) and
   every nonzero norm product ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, so
@@ -190,10 +192,10 @@ def _screen_roundoff(dtype: np.dtype, left_norms: np.ndarray, right_norm: float)
 
 def _screen_operands(
     rows, others, names: tuple[str, str], others_norm: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The set-up of a screen of every row of ``rows`` against ``others``:
     both as non-empty C-contiguous vector sets of one width and one dtype,
-    and each row's slack.
+    each row's slack, and the float64 row norms of ``rows``.
 
     Both stay float32 when both are float32 and ``_screen_roundoff`` allows
     an SGEMM screen; both are widened to float64 otherwise (exactly).
@@ -218,7 +220,13 @@ def _screen_operands(
     u = _screen_roundoff(dtype, row_norms, others_norm)
     if u == _UNIT_ROUNDOFF:
         a, b = _wide(a), _wide(b)
-    return a, b, _screen_slack(a.shape[1], u) * others_norm * row_norms
+    return a, b, _screen_slack(a.shape[1], u) * others_norm * row_norms, row_norms
+
+
+def _screen_gemm(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """The screen of every row of ``rows`` against every row of ``others``,
+    as set up by ``_screen_operands``: the one place a screen GEMM runs."""
+    return rows @ others.T
 
 
 def _canonical_dots(
@@ -248,30 +256,31 @@ def _screened_pairs(rows, others, names: tuple[str, str], budgets=None, others_n
     pair, ``cols`` the pairs' columns and ``values`` their canonical values;
     every row has at least one pair.
 
-    Each block is screened against all of ``others`` with one GEMM set up by
-    ``_screen_operands``, so the screen holds ``_QUERY_BLOCK * len(others)``
-    values at most. Let g_k be the k-th largest screen value of row i, u the
-    screen's unit roundoff and e = ``gamma_d(u) * |x_i| * max_j |y_j|``. A
-    screen value lies within e of the exact dot product, and so does a
-    canonical value, whose roundoff 2**-53 is at most u (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, sec. 3.1). The k columns with
-    the largest screen values have canonical values of at least g_k - 2e, so
-    the k-th largest canonical value c_k is at least that too, and any
-    column whose canonical value reaches c_k has a screen value of at least
-    c_k - 2e >= g_k - 4e. A row therefore keeps every column whose screen
-    value is not below ``g_k - _screen_slack(d, u) * |x_i| * max_j |y_j|``
-    (g_1 is the row maximum; a row with k >= len(others) keeps them all). A
-    NaN screen value or bound keeps its pairs, so NaN input gives NaN
-    values. Screen values are never returned, so ranking a row's pairs by
-    value equals ranking all of ``others`` by canonical value, under any
-    blocking, for float32 input and the same input widened to float64, and
-    at any BLAS thread count.
+    Each block is screened against all of ``others`` with one
+    ``_screen_gemm`` set up by ``_screen_operands``, so the screen holds
+    ``_QUERY_BLOCK * len(others)`` values at most. Let g_k be the k-th
+    largest screen value of row i, u the screen's unit roundoff and e =
+    ``gamma_d(u) * |x_i| * max_j |y_j|``. A screen value lies within e of
+    the exact dot product, and so does a canonical value, whose roundoff
+    2**-53 is at most u (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sec. 3.1); the argument uses only that the two lie within
+    2e of each other. The k columns with the largest screen values have
+    canonical values of at least g_k - 2e, so the k-th largest canonical
+    value c_k is at least that too, and any column whose canonical value
+    reaches c_k has a screen value of at least c_k - 2e >= g_k - 4e. A row
+    therefore keeps every column whose screen value is not below ``g_k -
+    _screen_slack(d, u) * |x_i| * max_j |y_j|`` (g_1 is the row maximum; a
+    row with k >= len(others) keeps them all). A NaN screen value or bound
+    keeps its pairs, so NaN input gives NaN values. Screen values are never
+    returned, so ranking a row's pairs by value equals ranking all of
+    ``others`` by canonical value, under any blocking, for float32 input and
+    the same input widened to float64, and at any BLAS thread count.
     """
-    a, b, slack = _screen_operands(rows, others, names, others_norm)
+    a, b, slack, _ = _screen_operands(rows, others, names, others_norm)
     n = b.shape[0]
     for lo in range(0, a.shape[0], _QUERY_BLOCK):
         block = a[lo : lo + _QUERY_BLOCK]
-        screen = block @ b.T
+        screen = _screen_gemm(block, b)
         ks = None if budgets is None else budgets[lo : lo + _QUERY_BLOCK]
         top1 = ks is None or all(k == 1 for k in ks)
         if top1:

@@ -52,8 +52,8 @@ from .geometry import (
     SimilarityMode,
     _canonical_dots,
     _gamma,
-    _row_norms,
-    _screen_slack,
+    _screen_gemm,
+    _screen_operands,
 )
 
 IMPROVEMENT_EPS = 1e-12
@@ -230,17 +230,17 @@ class _CoverageScorer:
     """Scores candidate subsets against a fixed reference.
 
     ``columns`` holds one raw similarity row per candidate (P x m for P
-    candidates and m reference rows), from one DGEMM screen of the
-    candidates, widened to float64, against the reference; one
-    ``_row_norms`` pass gives the reference row norms that the bounds
-    below need and rejects a non-finite reference. A screen value
-    lies within ``2 * gamma_(d+1) * |v| * |x_r|`` of the canonical value
-    (see ``geometry._screened_pairs``), so the canonical maximum of a row
-    over a subset is among the members whose entry lies within ``near[r] =
-    4 * gamma_(d+1) * max|v| * |x_r|`` of the row's largest entry, as in
-    ``best_similarity``. ``best`` rescores only those members, once each,
-    through ``geometry._canonical_dots``: a rescored entry is overwritten in
-    place by its canonical value and marked in ``canonical``. Every exact value is
+    candidates and m reference rows): one ``geometry._screen_gemm`` of the
+    candidates, widened to float64, against the reference, set up by
+    ``geometry._screen_operands`` with the reference as the screened rows.
+    Its one norm pass over the reference gives ``near[r]``, the slack of
+    reference row r, and rejects a non-finite reference. By the bound on
+    ``geometry._screened_pairs`` (k = 1, read per reference row), the
+    canonical maximum of a row over a subset is among the members whose
+    entry lies within ``near[r]`` of the row's largest entry. ``best``
+    rescores only those members, once each, through
+    ``geometry._canonical_dots``: a rescored entry is overwritten in place by
+    its canonical value and marked in ``canonical``. Every exact value is
     therefore canonical, the ``fsum`` mean of the mode-applied canonical
     maxima, and equals `geometry.coverage` of the subset bit for bit at any
     BLAS thread count.
@@ -249,33 +249,33 @@ class _CoverageScorer:
     parent maxima from their members. A block of maxima rows is summed with
     ``np.sum``, which lies within ``gamma_(m-1) * sum|v|`` of the exact sum
     of its entries in any order of its additions (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, sec. 4.2), and those entries lie
-    within ``spread = 2 * gamma_(d+1) * max|v| * sum_r |x_r|`` in total of
-    the canonical maxima. ``slack`` adds ``18u`` to the first factor,
-    covering the roundings of the exact sum, of the division by m, of the
-    affine map and of the interval ends, so a row whose interval lies wholly
-    below another's has a strictly smaller canonical value. Only rows whose
-    intervals leave a decision open are settled canonically; every
-    decision, tie-breaks included, is the one a per-candidate scan of
-    canonical values would make. A block holds at most ``_BLOCK_BYTES`` of
-    rows, so scoring adds a few blocks and a P x m mask to the columns.
+    Stability of Numerical Algorithms*, sec. 4.2). Each entry lies within
+    ``near[r] / 2`` of its canonical maximum, so the entries lie within
+    ``spread``, half the ``fsum`` of ``near``, in total (the unit beyond d
+    in ``near``'s ``gamma_(d+1)`` outweighs the roundings of ``near`` and of
+    the ``fsum``). ``slack`` adds ``18u`` to the first factor, covering the
+    roundings of the exact sum, of the division by m, of the affine map and
+    of the interval ends, so a row whose interval lies wholly below
+    another's has a strictly smaller canonical value. Only rows whose
+    intervals leave a decision open are settled canonically; every decision,
+    tie-breaks included, is the one a per-candidate scan of canonical values
+    would make. A block holds at most ``_BLOCK_BYTES`` of rows, so scoring
+    adds a few blocks and a P x m mask to the columns.
     """
 
     def __init__(self, problem: SelectionProblem):
-        ref = problem.reference_matrix()
-        norms = _row_norms(ref)
+        ref, self.vectors, self.near, norms = _screen_operands(
+            problem.reference_matrix(), np.stack([c.vector for c in problem.pool()]),
+            ("reference", "candidates"))
         if not np.isfinite(norms).all():
             raise ValidationError("reference has non-finite vectors" if not np.isfinite(
                 ref).all() else "reference has a row whose norm overflows float64")
-        self.m, dim = ref.shape
+        self.m = ref.shape[0]
         self.mode = problem.mode
         self.reference = ref
-        self.vectors = np.stack([c.vector for c in problem.pool()]).astype(np.float64)
-        self.columns = self.vectors @ ref.T
+        self.columns = _screen_gemm(self.vectors, ref)
         self.canonical = np.zeros(self.columns.shape, dtype=bool)
-        reach = _screen_slack(dim, _UNIT_ROUNDOFF) * float(_row_norms(self.vectors).max())
-        self.near = reach * norms
-        self.spread = 0.5 * reach * fsum(norms.tolist())
+        self.spread = 0.5 * fsum(self.near.tolist())
         self.abs_sums = np.abs(self.mode.apply(self.columns)).sum(axis=1)
         self.rows = max(1, _BLOCK_BYTES // (8 * self.m))
         self.slack = _gamma(self.m - 1) + 18 * _UNIT_ROUNDOFF

@@ -2,8 +2,7 @@
 
 Each property generates its own seeded instances and checks the
 implementation against an independently coded oracle or a structural
-invariant. The ``corrupt`` flag deliberately biases one comparison so the
-negative path (a reported failure) is itself testable.
+invariant.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def _check_monotonicity(rng: np.random.Generator, trials: int) -> PropertyResult
     )
 
 
-def _check_submodularity(rng: np.random.Generator, trials: int, corrupt: bool) -> PropertyResult:
+def _check_submodularity(rng: np.random.Generator, trials: int) -> PropertyResult:
     worst = float("inf")
     for _ in range(trials):
         dim = int(rng.integers(2, 9))
@@ -76,8 +75,6 @@ def _check_submodularity(rng: np.random.Generator, trials: int, corrupt: bool) -
         x = random_unit_vectors(1, dim, rng)[0]
         gain_small = geometry.marginal_gain(ref, small, x, SimilarityMode.AFFINE_SHIFTED)
         gain_grown = geometry.marginal_gain(ref, grown, x, SimilarityMode.AFFINE_SHIFTED)
-        if corrupt:
-            gain_grown += 1e-3  # test hook: force a detectable violation
         worst = min(worst, gain_small - gain_grown)
     return PropertyResult(
         "marginal_gain_submodular_affine", worst >= -1e-9, f"min slack = {worst:.3e}"
@@ -136,12 +133,12 @@ def _check_retrieval_oracle(rng: np.random.Generator, trials: int) -> PropertyRe
     return PropertyResult("retrieval_matches_sort_oracle", ok)
 
 
-def run_selfcheck(corrupt: bool = False, seed: int = 2024) -> list[PropertyResult]:
+def run_selfcheck(seed: int = 2024) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     results = [
         _check_coverage_oracle(rng, trials=100),
         _check_monotonicity(rng, trials=200),
-        _check_submodularity(rng, trials=200, corrupt=corrupt),
+        _check_submodularity(rng, trials=200),
         _check_greedy_bound(rng, trials=30),
         _check_beam_exhaustive(rng, trials=10),
         _check_retrieval_oracle(rng, trials=50),

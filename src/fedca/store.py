@@ -300,7 +300,8 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
 
     Errors name the offending 1-based line: dimension mismatch, duplicate id,
     zero-norm vector, non-numeric embedding value, bytes that are not UTF-8,
-    malformed line.
+    malformed line, nesting beyond the recursion limit, an integer beyond
+    Python's digit limit.
     """
     path = Path(path)
     ids: list[int] = []
@@ -322,6 +323,10 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+            except RecursionError:
+                raise ValidationError(f"line {line_no}: JSON nested too deeply") from None
+            except ValueError as exc:  # an integer beyond Python's digit limit
+                raise ValidationError(f"line {line_no}: {exc}") from None
             if not isinstance(obj, dict):
                 raise ValidationError(f"line {line_no}: record must be an object")
             try:

@@ -133,8 +133,7 @@ def test_feddca_augment_equals_retrieve_topk_per_slot():
         want = [retrieve_topk(pool, s.vector, per_client, threshold, client_id=s.client)
                 for s in selection.slots]
         assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
-        assert all(np.array_equal(g.query_center, w.query_center) and g.requested == w.requested
-                   and g.threshold == w.threshold for g, w in zip(got, want))
+        assert [g.requested for g in got] == [w.requested for w in want]
 
 
 def test_retrieval_does_not_build_the_float64_pool(monkeypatch):
@@ -266,7 +265,6 @@ def test_data_select_at_reference_scale():
     pools = [random_store(1000, 8, seed=41 + k, id_start=10_000 * k) for k in range(3)]
     results = data_select(pools, selection, per_client=200)
     assert all(len(r.hits) == 200 for r in results)
-    assert all(r.threshold is None for r in results)
 
 
 def test_data_select_ranks_each_local_pool():
@@ -313,11 +311,17 @@ def _swapped(x: np.ndarray, q: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return v
 
 
-@pytest.mark.parametrize("dim", [3, 64, 1024])
-def test_direct_retrieval_equals_naive_oracle_on_near_ties(dim):
-    # Around each query sit two rows, each with 2 exact duplicates, 8 copies
-    # that tie with it exactly before rounding and 3 copies nudged 1-3 ulps,
-    # so cuts and backfills fall inside groups of (near-)tied records.
+NEAR_TIE_BUDGETS = (2, 7, 14, 40, 100, 200)
+
+
+def _near_tie_retrieval(dim: int) -> tuple[EmbeddingStore, list[CandidateCenters]]:
+    """A pool and three clients' centroids where direct retrieval's cuts and
+    backfills fall inside groups of (near-)tied records at every budget in
+    ``NEAR_TIE_BUDGETS``.
+
+    Around each query sit two rows, each with 2 exact duplicates, 8 copies
+    that tie with it exactly before rounding and 3 copies nudged 1-3 ulps.
+    """
     rng = np.random.default_rng(40 + dim)
     queries = [_tie_query(dim, rng) for _ in range(3)]
     rows = []
@@ -334,7 +338,13 @@ def test_direct_retrieval_equals_naive_oracle_on_near_ties(dim):
     other = random_unit_vectors(1, dim, rng)[0]
     centers = [[q0, q0, q1], [q1, q2, q2], [q2, q0, other]]  # repeats force backfills
     clients = [CandidateCenters(client_id=k, centers=np.stack(c)) for k, c in enumerate(centers)]
-    for per_client in (2, 7, 14, 40, 100, 200):
+    return pool, clients
+
+
+@pytest.mark.parametrize("dim", [3, 64, 1024])
+def test_direct_retrieval_equals_naive_oracle_on_near_ties(dim):
+    pool, clients = _near_tie_retrieval(dim)
+    for per_client in NEAR_TIE_BUDGETS:
         got = direct_retrieval_augment(pool, clients, per_client)
         for cand, result in zip(clients, got):
             want = naive_direct_retrieval(pool.ids, pool.vectors, cand.centers, per_client)
@@ -418,5 +428,5 @@ print(hashlib.sha256(json.dumps(hits).encode()).hexdigest())
 
 
 def test_random_sampling_is_invariant_to_blas_threads():
-    digests = probe_digests(_RANDOM_THREAD_PROBE)
-    assert digests[0] == digests[1]
+    digests = probe_digests(_RANDOM_THREAD_PROBE, threads=(1, 2, 3, 4))
+    assert len(set(digests)) == 1

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fedca
+from fedca import geometry, selfcheck
 from fedca.cli import EXIT_USAGE, build_parser, main
 from fedca.store import ingest_binary, write_binary, write_jsonl
 from fedca.synthetic import planted_cluster_pool, random_store
@@ -104,9 +105,13 @@ def test_directory_path_exits_2(flag, workspace, tmp_path, capsys):
     assert "fedca: [Errno 21]" in capsys.readouterr().err
 
 
-def test_usage_error_exits_1():
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--in", "x.fdca"],  # missing required flags
+    ["selfcheck", "--corrupt"],  # no such flag
+])
+def test_usage_error_exits_1(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["cluster", "--in", "x.fdca"])  # missing required flags
+        main(argv)
     assert exc.value.code == 1
 
 
@@ -302,6 +307,46 @@ def test_malformed_json_inputs_exit_2_with_named_error(
     assert "Traceback" not in err
 
 
+_NESTED = "[" * 200_000 + "]" * 200_000
+_LONG_INTEGER = "1" + "0" * 4_300  # beyond Python's default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("reader, text", [
+    pytest.param("plan", _NESTED, id="plan-nested"),
+    pytest.param("plan", f'{{"seed": {_LONG_INTEGER}}}', id="plan-long-integer"),
+    pytest.param("augsets", _NESTED, id="augsets-nested"),
+    pytest.param("selection", _NESTED, id="selection-nested"),
+    pytest.param("config", _NESTED, id="config-nested"),
+    pytest.param("jsonl", '{"id": 1, "domain": "a", "embedding": [1.0]}\n' + _NESTED,
+                 id="jsonl-nested"),
+    pytest.param("jsonl", f'{{"id": {_LONG_INTEGER}, "domain": "a", "embedding": [1.0]}}',
+                 id="jsonl-long-integer"),
+])
+def test_crafted_json_exits_2_naming_the_input(workspace, tmp_path, capsys, reader, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    pool = str(workspace / "pool.fdca")
+    argv, named = {
+        "plan": (["metrics", "--domain", pool, "--universe", pool, "--plan", str(bad),
+                  "--augsets", str(bad), "--out", str(tmp_path / "o.json")], str(bad)),
+        "augsets": (["metrics", "--domain", pool, "--universe", pool,
+                     "--plan", str(tmp_path / "plan.json"), "--augsets", str(bad),
+                     "--out", str(tmp_path / "o.json")], str(bad)),
+        "selection": (["augment", "--pool", pool, "--selection", str(bad), "--per-client", "3",
+                       "--out", str(tmp_path / "o.json")], str(bad)),
+        "config": (["run", "--config", str(bad), "--out", str(tmp_path / "runs")], str(bad)),
+        "jsonl": (["ingest", "--in", str(bad), "--out", str(tmp_path / "o.fdca"), "--dim", "1"],
+                  "line " + str(text.count("\n") + 1)),
+    }[reader]
+    if reader == "augsets":
+        assert main(["partition", "--in", pool, "--mode", "iid", "--clients", "2",
+                     "--per-client", "5", "--out", str(tmp_path / "plan.json")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fedca: ") and named in err
+
+
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e39", "1" + "0" * 400],
                          ids=["inf", "-inf", "nan", "beyond-float32", "beyond-float64"])
 def test_non_finite_slot_vector_exits_2_naming_the_slot(runs, workspace, tmp_path, capsys,
@@ -442,11 +487,17 @@ def test_infinite_alpha_disables_filtering(workspace, tmp_path, capsys):
     assert all(len(a["ids"]) == 7 for a in hits["inf"])
 
 
-def test_selfcheck_passes_and_corrupt_fails(capsys):
+def test_selfcheck_passes_and_corrupt_fails(capsys, monkeypatch):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 6 and "FAIL" not in out
-    assert main(["selfcheck", "--corrupt"]) == 2
+    gain = geometry.marginal_gain
+
+    def biased(reference, selected, *args):  # larger selected sets gain more
+        return gain(reference, selected, *args) + 1e-3 * len(selected)
+
+    monkeypatch.setattr(selfcheck.geometry, "marginal_gain", biased)
+    assert main(["selfcheck"]) == 2
     out = capsys.readouterr().out
     assert "FAIL marginal_gain_submodular_affine" in out
 

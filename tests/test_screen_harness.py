@@ -1,0 +1,187 @@
+"""Adversarial screens: every screen GEMM returns values anywhere within the
+bound on ``geometry._screened_pairs``, and no output byte moves.
+
+That bound needs only that each screen value lies within 2e of its pair's
+canonical value, e = gamma_d(u) * |x_i| * max_j |y_j| with u the screen's
+unit roundoff (2**-24 for float32 operands, 2**-53 otherwise). Whatever a
+BLAS library does at any thread count, it stays within e of the exact
+product. The fake screens below replace every binding of
+``geometry._screen_gemm`` by canonical values moved by
+``amplitude * gamma_d(u) * |x_i| * |y_j|`` in the direction an adversary
+picks. At amplitude 1.8 the 0.2e left over covers the float32 rounding of
+the returned values at d >= 3, so every output must equal the real
+screen's; a halved slack or a larger amplitude must show up somewhere, or
+the near-tie instances would prove nothing.
+"""
+
+import json
+import sys
+
+import numpy as np
+import pytest
+from test_augment import NEAR_TIE_BUDGETS, _near_tie_retrieval
+from test_geometry import _near_tie_covering
+from test_selection_exact import INSTANCES
+
+from fedca import geometry
+from fedca.augment import augments_to_json, direct_retrieval_augment
+from fedca.fedsim import STRATEGIES, ExperimentConfig, run_experiment
+from fedca.geometry import SimilarityMode, best_similarity
+from fedca.selection import beam_select, brute_force_select, greedy_select
+from fedca.store import write_binary
+from fedca.synthetic import planted_cluster_pool, random_unit_vectors
+
+
+def _top_down(canon: np.ndarray, axis: int) -> np.ndarray:
+    """-1 at each row's (axis 1) or column's (axis 0) largest values, +1 elsewhere."""
+    return np.where(canon == canon.max(axis=axis, keepdims=True), -1.0, 1.0)
+
+
+ADVERSARIES = {
+    "rows": lambda canon, rng: _top_down(canon, 1),
+    "columns": lambda canon, rng: _top_down(canon, 0),
+    "random": lambda canon, rng: rng.choice([-1.0, 1.0], size=canon.shape),
+}
+
+
+def _adversarial_screen(monkeypatch, adversary: str, amplitude: float = 1.8) -> list:
+    """Replace every binding of ``geometry._screen_gemm`` by a fake that
+    returns per-pair canonical values moved by ``amplitude * gamma_d(u) *
+    |x_i| * |y_j|``, each up or down as the adversary picks. The returned
+    list gets the shape of every screen the fake makes."""
+    rng = np.random.default_rng(2024)
+    original = geometry._screen_gemm
+    screens = []
+
+    def fake(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+        screens.append((len(rows), len(others)))
+        a, b = geometry._wide(rows), geometry._wide(others)
+        canon = np.stack([geometry._row_dots(np.broadcast_to(x, b.shape), b) for x in a])
+        u = geometry._SINGLE_ROUNDOFF if rows.dtype == np.float32 else geometry._UNIT_ROUNDOFF
+        reach = amplitude * geometry._gamma(rows.shape[1], u)
+        move = reach * np.outer(geometry._row_norms(a), geometry._row_norms(b))
+        return (canon + ADVERSARIES[adversary](canon, rng) * move).astype(rows.dtype)
+
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "fedca" or name.startswith("fedca."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, fake)
+                    bound += 1
+    assert bound >= 2  # geometry's own and selection's
+    return screens
+
+
+def _halve_slack(monkeypatch) -> None:
+    slack = geometry._screen_slack
+    monkeypatch.setattr(geometry, "_screen_slack", lambda dim, u: 0.5 * slack(dim, u))
+
+
+def _coverage_cases() -> list[tuple[np.ndarray, np.ndarray]]:
+    cases = []
+    for dim in (3, 64, 1024):
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(25 + dim)
+            ref = random_unit_vectors(12, dim, rng).astype(dtype)
+            cases.append((ref, _near_tie_covering(ref, rng, copies=24)))
+    return cases
+
+
+def _coverage_outputs() -> list[bytes]:
+    return [best_similarity(ref, cov).tobytes() for ref, cov in _coverage_cases()]
+
+
+def _retrieval_outputs() -> list[str]:
+    out = []
+    for dim in (3, 64, 1024):
+        pool, clients = _near_tie_retrieval(dim)
+        out += [json.dumps(augments_to_json(direct_retrieval_augment(pool, clients, k)))
+                for k in NEAR_TIE_BUDGETS]
+    return out
+
+
+def _selection_output(kind: str, mode: SimilarityMode) -> str:
+    problem = INSTANCES[kind](mode)
+    runs = [greedy_select(problem, 3, init=init, **options)
+            for init in ("first", "random")
+            for options in ({}, {"per_client_slots": True}, {"literal_termination": True})]
+    runs += [beam_select(problem, width) for width in (1, 7, 10**6)]
+    runs.append(brute_force_select(problem))
+    return json.dumps([r.to_json_dict() for r in runs])
+
+
+def _selection_outputs() -> dict:
+    return {(kind, mode): _selection_output(kind, mode)
+            for kind in sorted(INSTANCES) for mode in SimilarityMode}
+
+
+@pytest.fixture(scope="module")
+def pool_path(tmp_path_factory):
+    store, _ = planted_cluster_pool(n_clusters=6, per_cluster=30, out_records=120, dim=16,
+                                    seed=3, noise=0.18, direction_correlation=0.6)
+    path = tmp_path_factory.mktemp("harness") / "pool.fdca"
+    write_binary(store, path)
+    return path
+
+
+def _run_outputs(pool_path, out_dir) -> dict:
+    """Every file of one run per strategy but its wall times, by name."""
+    out = {}
+    for strategy in STRATEGIES:
+        cfg = ExperimentConfig(
+            pool_path=str(pool_path), domain_label="dom", n_clients=3, per_client_local=12,
+            per_client_aug=15, xi=3, alpha=0.7, beta_or_mode=0.1, rounds=2,
+            clients_per_round=1, seed=1, strategy=strategy, pseudo_label_clusters=6)
+        run_dir = run_experiment(cfg, out_dir=out_dir / strategy).run_dir
+        out.update({f"{strategy}/{f.name}": f.read_bytes()
+                    for f in sorted(run_dir.iterdir()) if f.name != "timing.json"})
+    return out
+
+
+@pytest.fixture(scope="module")
+def real():
+    """Outputs under the real screen."""
+    return {"coverage": _coverage_outputs(), "retrieval": _retrieval_outputs(),
+            "selection": _selection_outputs()}
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+def test_outputs_hold_under_any_screen_within_the_bound(adversary, real, monkeypatch):
+    screens = _adversarial_screen(monkeypatch, adversary)
+    assert _coverage_outputs() == real["coverage"]
+    assert _retrieval_outputs() == real["retrieval"]
+    assert _selection_outputs() == real["selection"]
+    assert len(screens) == 6 + 3 * len(NEAR_TIE_BUDGETS) + 2 * 10 * len(INSTANCES)
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+def test_runs_hold_under_any_screen_within_the_bound(adversary, pool_path, tmp_path,
+                                                     monkeypatch):
+    want = _run_outputs(pool_path, tmp_path / "real")
+    assert {name.split("/")[0] for name in want} == set(STRATEGIES)
+    screens = _adversarial_screen(monkeypatch, adversary)
+    assert _run_outputs(pool_path, tmp_path / "fake") == want
+    assert screens
+
+
+def _changed(got: list, want: list) -> int:
+    return sum(g != w for g, w in zip(got, want))
+
+
+def test_halved_slack_shows_under_the_harness(real, monkeypatch):
+    _halve_slack(monkeypatch)
+    assert _coverage_outputs() == real["coverage"]  # the real screen is far inside
+    _adversarial_screen(monkeypatch, "rows")
+    assert _changed(_coverage_outputs(), real["coverage"]) >= 1
+    monkeypatch.undo()
+    _halve_slack(monkeypatch)
+    _adversarial_screen(monkeypatch, "columns")
+    for mode in SimilarityMode:
+        got = _selection_output("screen-tied-maxima", mode)
+        assert got != real["selection"]["screen-tied-maxima", mode], mode
+
+
+def test_amplitude_beyond_the_bound_shows_under_the_harness(real, monkeypatch):
+    _adversarial_screen(monkeypatch, "rows", amplitude=4.0)
+    assert _changed(_coverage_outputs(), real["coverage"]) >= 1

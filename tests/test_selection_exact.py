@@ -14,7 +14,7 @@ import pytest
 from oracles import canonical_columns, dict_beam, literal_brute, literal_greedy
 from probes import probe_digests
 
-from fedca import selection
+from fedca import geometry, selection
 from fedca.clustering import CandidateCenters
 from fedca.errors import ValidationError
 from fedca.geometry import SimilarityMode, coverage
@@ -131,9 +131,27 @@ def _cancelled_screen(mode):
     return _problem([halves], ref, mode)
 
 
+def _screen_tied_maxima(mode):
+    # Reference row k is e_2k + 2**-50 e_2k+1. Client 0 offers e_2k + e_2k+1
+    # and client 1 e_2k - e_2k+1, so a pair with equal k holds row k's
+    # canonical values 1 + 2**-50 and 1 - 2**-50: a gap far inside a d = 32
+    # DGEMM screen's error bound, so a screen within the bound may put
+    # either on top and only the rescoring of every member near the top
+    # keeps the true maximum. Greedy starts on such a pair.
+    ref = np.zeros((4, 32))
+    up = np.zeros((4, 32))
+    down = np.zeros((4, 32))
+    for k in range(4):
+        ref[k, [2 * k, 2 * k + 1]] = [1.0, 2.0**-50]
+        up[k, [2 * k, 2 * k + 1]] = [1.0, 1.0]
+        down[k, [2 * k, 2 * k + 1]] = [1.0, -1.0]
+    return _problem([up, down], ref, mode)
+
+
 INSTANCES = {
     "absorbed-gains": _absorbed_gains,
     "cancelled-screen": _cancelled_screen,
+    "screen-tied-maxima": _screen_tied_maxima,
     "orbits-one-client": lambda mode: _orbits(mode, 1),
     "orbits": lambda mode: _orbits(mode, 3),
     "ulp-columns": _ulp_columns,
@@ -273,10 +291,19 @@ def test_greedy_on_split_rows_is_invariant_to_blas_threads():
 def test_rescored_entries_equal_per_pair_values(mode, monkeypatch):
     # Every entry a search rescored holds the per-pair einsum value, and
     # every entry left from the screen lies within its bound of that value.
+    # Each search reads the reference once for its norms.
     rng = np.random.default_rng(17)
     clients = [CandidateCenters(k, random_unit_vectors(5, 64, rng)) for k in range(4)]
     problem = SelectionProblem(clients, reference=random_unit_vectors(500, 64, rng), mode=mode)
     scorers = []
+    norm_passes = []
+    row_norms = geometry._row_norms
+
+    def counted(x):
+        norm_passes.append(x.shape)
+        return row_norms(x)
+
+    monkeypatch.setattr(geometry, "_row_norms", counted)
 
     class Recording(selection._CoverageScorer):
         def __init__(self, problem):
@@ -294,6 +321,7 @@ def test_rescored_entries_equal_per_pair_values(mode, monkeypatch):
     gamma = (d + 1) * 2.0**-53 / (1 - (d + 1) * 2.0**-53)
     bound = 2 * gamma * np.outer(np.linalg.norm(vectors, axis=1), np.linalg.norm(ref, axis=1))
     assert len(scorers) == 3
+    assert norm_passes.count(ref.shape) == 3
     for scorer in scorers:
         assert scorer.canonical.any()
         assert np.array_equal(scorer.columns[scorer.canonical], want[scorer.canonical])
