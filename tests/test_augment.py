@@ -413,8 +413,8 @@ def test_feddca_retrieval_is_invariant_to_blas_threads():
     assert digests[0] == digests[1]
 
 
-# 1,001 and 1,003 sampled rows: one GEMV over either splits unevenly between
-# two threads, and the logging sims of every hit are hashed.
+# 1,001 and 1,003 sampled rows at dim 1,024; the logging sims of every hit
+# are hashed.
 _RANDOM_THREAD_PROBE = """
 import hashlib, json
 from fedca.augment import augments_to_json, random_sampling_augment
