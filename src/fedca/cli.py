@@ -89,15 +89,11 @@ def _number(finite: bool = True, minimum: float | None = None):
 
 
 def _comma_list(parse):
-    """argparse type for a comma-separated list of ``parse`` values."""
+    """argparse type for a comma-separated list; ``parse`` is the argparse
+    type of each item, so a bad item's message is its own."""
 
     def convert(text: str) -> list:
-        try:
-            return [parse(item) for item in text.split(",") if item]
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a comma list of {parse.__name__} values, got {text!r}"
-            ) from None
+        return [parse(item) for item in text.split(",") if item]
 
     return convert
 
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="seeded k-means over a store")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer(), required=True)
     p.add_argument("--seed", type=_integer(0), default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_cluster)
@@ -342,12 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", choices=["dirichlet", "iid", "distinct"], required=True)
     p.add_argument("--beta", type=_number(), default=0.1)
-    p.add_argument("--clients", type=int, required=True)
-    p.add_argument("--per-client", dest="per_client", type=int, required=True)
+    p.add_argument("--clients", type=_integer(), required=True)
+    p.add_argument("--per-client", dest="per_client", type=_integer(), required=True)
     p.add_argument("--seed", type=_integer(0), default=42,
                    help="run seed; the pseudo-label and partition streams are derived "
                         "from it as in 'fedca run'")
-    p.add_argument("--label-clusters", dest="label_clusters", type=int, default=100,
+    p.add_argument("--label-clusters", dest="label_clusters", type=_integer(), default=100,
                    help="pseudo-label cluster count for dirichlet/distinct modes")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_partition)
@@ -356,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", nargs="+", required=True,
                    help="one centers store per client, in client order")
     p.add_argument("--mode", choices=["greedy", "beam", "brute"], default="greedy")
-    p.add_argument("--width", type=int, default=64, help="beam width")
+    p.add_argument("--width", type=_integer(), default=64, help="beam width")
     p.add_argument("--reference", default="call",
                    help="'call' scores against the pooled candidates; otherwise a store path")
     p.add_argument("--seed", type=_integer(0), default=42)
-    p.add_argument("--budget", type=int, default=DEFAULT_BRUTE_BUDGET)
+    p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET)
     p.add_argument("--per-client-slots", dest="per_client_slots", action="store_true",
                    help="restrict slot i's replacements to client i's own candidates")
     p.add_argument("--literal-termination", dest="literal_termination", action="store_true",
@@ -372,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--selection", help="selection.json (feddca strategy)")
     p.add_argument("--centers", nargs="+", help="centers stores (direct strategy)")
-    p.add_argument("--clients", type=int, help="client count (random strategy)")
-    p.add_argument("--per-client", dest="per_client", type=int, required=True)
+    p.add_argument("--clients", type=_integer(), help="client count (random strategy)")
+    p.add_argument("--per-client", dest="per_client", type=_integer(), required=True)
     p.add_argument("--alpha", type=_number(finite=False, minimum=-1.0), default=0.7,
                    help="similarity threshold for the feddca strategy; hits above it "
                         "are excluded (values above 1 disable filtering)")
@@ -417,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("oracle_mode", choices=["brute", "beam"])
     p.add_argument("--centers", nargs="+", required=True)
     p.add_argument("--reference", default="call")
-    p.add_argument("--widths", type=_comma_list(int), default="256,512,1024,2048",
+    p.add_argument("--widths", type=_comma_list(_integer()), default="256,512,1024,2048",
                    help="comma list of beam widths")
-    p.add_argument("--budget", type=int, default=DEFAULT_BRUTE_BUDGET)
+    p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET)
     p.add_argument("--greedy", help="greedy selection.json for the approximation ratio")
     p.add_argument("--seed", type=_integer(0), default=42)
     p.add_argument("--out", required=True)

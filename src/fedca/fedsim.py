@@ -18,9 +18,12 @@ lines). RNG streams are derived from the run seed with distinct labels, so
 e.g. changing the round count never perturbs the partition.
 
 Load, partition (with its pseudo-label k-means) and client clustering do not
-depend on the strategy. ``compare_strategies`` and ``heterogeneity_sweep``
-run that prefix once per call and share it across strategies, so each row
-equals the metrics of a standalone ``run_experiment``.
+depend on the strategy. One generator, ``_runs``, runs partition and client
+clustering once for a group of configs that differ only in strategy, then
+yields each config's log. ``run_experiment`` takes its one log;
+``compare_strategies`` and ``heterogeneity_sweep`` (one group per beta, on
+pseudo-labels computed once) turn every log into a row, so each row equals
+the metrics of a standalone ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,8 +77,6 @@ _CONFIG_KINDS = {
     "pseudo_label_clusters": _INT, "version": _INT,
 }
 
-_KIND_PRIORITY = {"UploadCenters": 0, "SelectionDone": 1, "AugmentedSet": 2, "RoundSample": 3}
-
 
 def derive_seed(seed: int, *labels: int) -> int:
     """A labeled child seed, stable across platforms and runs."""
@@ -89,9 +91,6 @@ class ProtocolMessage:
     payload_size: int
     payload_ref: str | None = None
     clients: tuple[int, ...] | None = None
-
-    def sort_key(self) -> tuple:
-        return (self.round, _KIND_PRIORITY[self.kind], -1 if self.client is None else self.client)
 
     def to_json_dict(self) -> dict:
         obj: dict = {
@@ -300,22 +299,6 @@ def assemble_metrics(
     )
 
 
-@dataclass(frozen=True)
-class _Prefix:
-    """The strategy-independent part of a run: its data, plan and client centers.
-
-    Configs that differ only in strategy share one prefix; everything here
-    is read, never mutated, by the per-strategy rest.
-    """
-
-    pool: EmbeddingStore
-    domain_store: EmbeddingStore
-    plan: PartitionPlan
-    candidates: list[CandidateCenters]
-    uploads: tuple[ProtocolMessage, ...]
-    timings: dict[str, float]
-
-
 def _load(
     config: ExperimentConfig, pool: EmbeddingStore | None
 ) -> tuple[EmbeddingStore, EmbeddingStore]:
@@ -330,14 +313,21 @@ def _load(
     return pool, domain_store
 
 
-def _run_prefix(
-    config: ExperimentConfig,
+def _runs(
+    configs: list[ExperimentConfig],
     pool: EmbeddingStore,
     domain_store: EmbeddingStore,
+    timings: dict[str, float],
     labels: np.ndarray | None = None,
-) -> _Prefix:
-    """Partition and client clustering; ``labels`` skips the pseudo-label k-means."""
-    timings: dict[str, float] = {}
+) -> Iterator[ExperimentLog]:
+    """The log of each config, in order, all on one partition and client clustering.
+
+    Partition (with its pseudo-label k-means, unless ``labels`` are given)
+    and client k-means run once, from ``configs[0]``; the configs must
+    differ only in strategy. Their stage times are added to ``timings``,
+    and each log starts from a copy of it.
+    """
+    config = configs[0]
     t0 = time.perf_counter()
     plan = partition_domain(
         domain_store, config.beta_or_mode, config.n_clients, config.per_client_local,
@@ -346,36 +336,38 @@ def _run_prefix(
     timings["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    candidates = []
-    uploads = []
-    for k in range(config.n_clients):
-        local = domain_store.vectors_for(plan.assignments[k])
-        k_eff = min(config.xi, len(local))
-        cand = kmeans(
-            local, k_eff, derive_seed(config.seed, _STREAM_CLIENT_KMEANS, k), client_id=k
-        )
-        candidates.append(cand)
-        uploads.append(ProtocolMessage(
-            kind="UploadCenters", round=0, client=k,
-            payload_size=cand.k * pool.dim, payload_ref=None,
-        ))
+    candidates = [
+        kmeans(domain_store.vectors_for(ids), min(config.xi, len(ids)),
+               derive_seed(config.seed, _STREAM_CLIENT_KMEANS, k), client_id=k)
+        for k, ids in enumerate(plan.assignments)
+    ]
     timings["client_clustering"] = time.perf_counter() - t0
-    return _Prefix(pool, domain_store, plan, candidates, tuple(uploads), timings)
+
+    for config in configs:
+        yield _run_strategy(config, pool, domain_store, plan, candidates, dict(timings))
 
 
 def _run_strategy(
-    config: ExperimentConfig, prefix: _Prefix, timings: dict[str, float]
+    config: ExperimentConfig,
+    pool: EmbeddingStore,
+    domain_store: EmbeddingStore,
+    plan: PartitionPlan,
+    candidates: list[CandidateCenters],
+    timings: dict[str, float],
 ) -> ExperimentLog:
-    """Selection, augmentation, metrics and rounds on a shared prefix.
+    """Selection, augmentation, metrics and rounds on a shared plan and client centers.
 
-    Stage times are added to ``timings``, which the log keeps.
+    Messages are built in protocol order. Stage times are added to
+    ``timings``, which the log keeps.
     """
-    pool = prefix.pool
-    messages = list(prefix.uploads)
+    messages = [
+        ProtocolMessage(kind="UploadCenters", round=0, client=k, payload_size=cand.k * pool.dim)
+        for k, cand in enumerate(candidates)
+    ]
     t0 = time.perf_counter()
     selection: CenterSelection | None = None
     if config.strategy == "feddca":
-        problem = SelectionProblem(candidates_per_client=prefix.candidates)
+        problem = SelectionProblem(candidates_per_client=candidates)
         selection = greedy_select(problem, derive_seed(config.seed, _STREAM_SELECTION))
         sel_payload = len(selection.slots) * pool.dim
     else:
@@ -390,7 +382,7 @@ def _run_strategy(
     if config.strategy == "feddca":
         augsets = feddca_augment(pool, selection, config.per_client_aug, config.alpha)
     elif config.strategy == "direct":
-        augsets = direct_retrieval_augment(pool, prefix.candidates, config.per_client_aug)
+        augsets = direct_retrieval_augment(pool, candidates, config.per_client_aug)
     else:
         augsets = random_sampling_augment(
             pool, config.n_clients, config.per_client_aug,
@@ -406,8 +398,7 @@ def _run_strategy(
 
     t0 = time.perf_counter()
     report = assemble_metrics(
-        prefix.domain_store, pool, prefix.plan.assignments,
-        [result.ids() for result in augsets],
+        domain_store, pool, plan.assignments, [result.ids() for result in augsets],
         config.xi, config.seed, selection.passes if selection is not None else 0,
     )
     timings["metrics"] = time.perf_counter() - t0
@@ -422,10 +413,9 @@ def _run_strategy(
             payload_size=config.clients_per_round, clients=tuple(picked),
         ))
 
-    messages.sort(key=ProtocolMessage.sort_key)
     return ExperimentLog(
         config=config, messages=messages, selection=selection,
-        plan=prefix.plan, augsets=augsets, metrics=report, timings=timings,
+        plan=plan, augsets=augsets, metrics=report, timings=timings,
     )
 
 
@@ -437,15 +427,11 @@ def run_experiment(
     """Execute one seeded run end to end; persist artifacts when ``out_dir`` given.
 
     ``pool`` may be passed directly to skip re-reading ``config.pool_path``.
-    The run is the strategy-independent prefix (load, partition with its
-    pseudo-labels, client k-means) followed by the strategy's own stages.
     """
     config.validate()
     t0 = time.perf_counter()
     pool, domain_store = _load(config, pool)
-    load_s = time.perf_counter() - t0
-    prefix = _run_prefix(config, pool, domain_store)
-    log = _run_strategy(config, prefix, {"load": load_s, **prefix.timings})
+    log = next(_runs([config], pool, domain_store, {"load": time.perf_counter() - t0}))
     if out_dir is not None:
         log.persist(out_dir)
     return log
@@ -464,20 +450,11 @@ def _check_group(configs: list[ExperimentConfig]) -> None:
         cfg.validate()
 
 
-def _compare(
-    configs: list[ExperimentConfig],
-    pool: EmbeddingStore,
-    domain_store: EmbeddingStore,
-    labels: np.ndarray | None = None,
-) -> list[dict]:
-    """One row per config of a checked group, all on one shared prefix."""
-    prefix = _run_prefix(configs[0], pool, domain_store, labels)
-    rows = []
-    for cfg in configs:
-        metrics = _run_strategy(cfg, prefix, dict(prefix.timings)).metrics.to_json_dict()
-        del metrics["reference_size"]
-        rows.append({"strategy": cfg.strategy, **metrics})
-    return rows
+def _row(log: ExperimentLog) -> dict:
+    """A compare row: the run's strategy and its metrics but the reference size."""
+    metrics = log.metrics.to_json_dict()
+    del metrics["reference_size"]
+    return {"strategy": log.config.strategy, **metrics}
 
 
 def compare_strategies(
@@ -486,14 +463,14 @@ def compare_strategies(
 ) -> list[dict]:
     """One metrics row per config; configs must differ only in strategy.
 
-    The strategy-independent prefix (pool load, partition with its
-    pseudo-label k-means, client k-means) runs once per call and is shared
-    by every config, so each row equals the metrics of a standalone
-    ``run_experiment`` of its config. Nothing is cached across calls.
+    The pool is loaded, and the domain partitioned and clustered per
+    client, once per call for every config, so each row equals the metrics
+    of a standalone ``run_experiment`` of its config. Nothing is cached
+    across calls.
     """
     _check_group(configs)
     pool, domain_store = _load(configs[0], pool)
-    return _compare(configs, pool, domain_store)
+    return [_row(log) for log in _runs(configs, pool, domain_store, {})]
 
 
 def heterogeneity_sweep(
@@ -506,8 +483,9 @@ def heterogeneity_sweep(
 
     The pool is loaded and the pseudo-labels (which depend on the domain
     records, ``pseudo_label_clusters`` and the seed, not on beta) are
-    computed once per call; each beta then runs one shared-prefix compare.
-    Every row equals the metrics of a standalone ``run_experiment``.
+    computed once per call; each beta then partitions and clusters once for
+    all strategies. Every row equals the metrics of a standalone
+    ``run_experiment``.
     """
     if not betas:
         raise ValidationError("betas must be nonempty")
@@ -519,11 +497,11 @@ def heterogeneity_sweep(
     ]
     pool, domain_store = _load(base, pool)
     labels = _pseudo_labels(domain_store, base.pseudo_label_clusters, base.seed)
-    rows = []
-    for beta, configs in zip(betas, groups):
-        for row in _compare(configs, pool, domain_store, labels):
-            rows.append({"beta": beta, **row})
-    return rows
+    return [
+        {"beta": beta, **_row(log)}
+        for beta, configs in zip(betas, groups)
+        for log in _runs(configs, pool, domain_store, {}, labels)
+    ]
 
 
 def write_rows_csv(rows: list[dict], path: str | Path) -> None:

@@ -108,6 +108,10 @@ def dirichlet_partition(
         raise ValidationError(f"beta must be > 0, got {beta}")
     if n_clients < 1 or per_client < 1:
         raise ValidationError("n_clients and per_client must be >= 1")
+    if n_clients > len(source):  # the client loop is bounded by the records
+        raise ValidationError(
+            f"n_clients {n_clients} exceeds the {len(source)} records to partition"
+        )
     lab = _check_labels(source, labels)
     names = sorted(set(lab.tolist()))
     remaining = {

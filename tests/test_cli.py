@@ -115,6 +115,15 @@ def test_usage_error_exits_1(argv):
     assert exc.value.code == 1
 
 
+def _fedca_process(argv, cwd, timeout=60):
+    """``fedca argv`` in a child process; a hang fails by ``TimeoutExpired``."""
+    src = str(Path(fedca.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "fedca.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--threads", "0", "selfcheck"], "--threads"),
     (["sweep", "--config", "absent.json", "--betas", "x", "--out", "o.csv"], "--betas"),
@@ -146,14 +155,29 @@ def test_usage_error_exits_1(argv):
       "--augsets", "a.json", "--seed", "-1", "--out", "o.json"], "--seed"),
     (["oracle", "beam", "--centers", "absent.fdca", "--seed", "x", "--out", "o.json"],
      "--seed"),
+    (["cluster", "--in", "absent.fdca", "--k", "0", "--out", "o.fdca"], "--k"),
+    (["partition", "--in", "absent.fdca", "--mode", "iid", "--clients", "0", "--per-client",
+      "3", "--out", "o.json"], "--clients"),
+    (["partition", "--in", "absent.fdca", "--mode", "iid", "--clients", "2", "--per-client",
+      "0", "--out", "o.json"], "--per-client"),
+    (["partition", "--in", "absent.fdca", "--mode", "dirichlet", "--clients", "2",
+      "--per-client", "3", "--label-clusters", "0", "--out", "o.json"], "--label-clusters"),
+    (["select", "--centers", "absent.fdca", "--mode", "beam", "--width", "0", "--out",
+      "o.json"], "--width"),
+    (["select", "--centers", "absent.fdca", "--mode", "brute", "--budget", "-1", "--out",
+      "o.json"], "--budget"),
+    (["augment", "--pool", "absent.fdca", "--strategy", "random", "--clients", "0",
+      "--per-client", "3", "--out", "o.json"], "--clients"),
+    (["augment", "--pool", "absent.fdca", "--strategy", "random", "--clients", "2",
+      "--per-client", "0", "--out", "o.json"], "--per-client"),
+    (["oracle", "beam", "--centers", "absent.fdca", "--widths", "2,0", "--out", "o.json"],
+     "--widths"),
+    (["oracle", "brute", "--centers", "absent.fdca", "--budget", "0", "--out", "o.json"],
+     "--budget"),
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
     # The input files do not exist: flag values are parsed before any file is read.
-    src = str(Path(fedca.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "fedca.cli", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _fedca_process(argv, tmp_path)
     assert proc.returncode == EXIT_USAGE
     assert f"argument {flag}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -228,6 +252,28 @@ def test_augment_direct_and_random_strategies(workspace, tmp_path, capsys):
                "--per-client", "10", "--strategy", "feddca",
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["partition", "run"])
+def test_dirichlet_client_count_beyond_the_domain_exits_2(command, workspace, tmp_path):
+    n_clients = 2**40
+    if command == "partition":
+        argv = ["partition", "--in", str(workspace / "pool.fdca"), "--mode", "dirichlet",
+                "--clients", str(n_clients), "--per-client", "3", "--label-clusters", "6",
+                "--out", "plan.json"]
+    else:
+        cfg = {
+            "version": 1, "pool_path": str(workspace / "pool.fdca"), "domain_label": "dom",
+            "n_clients": n_clients, "per_client_local": 3, "per_client_aug": 5, "xi": 2,
+            "alpha": 0.7, "beta_or_mode": 0.1, "rounds": 1, "clients_per_round": 1,
+            "seed": 1, "strategy": "feddca", "pseudo_label_clusters": 6,
+        }
+        (tmp_path / "exp.json").write_text(json.dumps(cfg))
+        argv = ["run", "--config", "exp.json", "--out", "runs"]
+    proc = _fedca_process(argv, tmp_path, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"fedca: n_clients {n_clients} exceeds the ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("strategy", ["feddca", "direct"])

@@ -47,13 +47,12 @@ def _config(pool_path="unused.fdca", **overrides):
 
 def test_message_choreography(pool):
     log = run_experiment(_config(), pool=pool)
-    kinds = Counter(m.kind for m in log.messages)
-    assert kinds == {
-        "UploadCenters": 6, "SelectionDone": 1, "AugmentedSet": 6, "RoundSample": 8,
-    }
-    # total order by (round, kind priority, client)
-    keys = [m.sort_key() for m in log.messages]
-    assert keys == sorted(keys)
+    assert [(m.kind, m.round, m.client) for m in log.messages] == [
+        *[("UploadCenters", 0, k) for k in range(6)],
+        ("SelectionDone", 0, None),
+        *[("AugmentedSet", 0, k) for k in range(6)],
+        *[("RoundSample", r, None) for r in range(1, 9)],
+    ]
     for msg in log.messages:
         if msg.kind == "RoundSample":
             assert msg.clients is not None and len(msg.clients) == 2
@@ -223,6 +222,9 @@ def _count_calls(monkeypatch, module, name):
 
 def test_compare_and_sweep_run_the_prefix_once(pool, monkeypatch):
     kmeans_calls = _count_calls(monkeypatch, fedsim, "kmeans")
+    run_experiment(_config(), pool=pool)
+    assert kmeans_calls == {"other": 1, "client": 6}  # pseudo-labels; one per client
+    kmeans_calls.clear()
     compare_strategies([_config(strategy=s) for s in STRATEGIES], pool=pool)
     assert kmeans_calls == {"other": 1, "client": 6}  # pseudo-labels; one per client
     kmeans_calls.clear()

@@ -105,6 +105,10 @@ def test_dirichlet_validation():
         dirichlet_partition(store, [0] * 10, 2, 2, beta=0.0, seed=0)
     with pytest.raises(ValidationError, match="labels"):
         dirichlet_partition(store, [0] * 9, 2, 2, beta=1.0, seed=0)
+    # the client loop is bounded by the records: 10 clients of 10 records run
+    assert len(dirichlet_partition(store, [0] * 10, 10, 2, beta=1.0, seed=0).assignments) == 10
+    with pytest.raises(ValidationError, match="n_clients 11 exceeds the 10 records"):
+        dirichlet_partition(store, [0] * 10, 11, 2, beta=1.0, seed=0)
 
 
 def test_iid_paper_grid_sizes():
