@@ -49,6 +49,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BUDGET = 3
 
+_INERT_SEED = ("changes no output: greedy starts from each client's first candidate "
+               "and draws nothing")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits with code 1 on usage errors."""
@@ -177,7 +180,9 @@ def _cmd_partition(args) -> int:
         store, beta_or_mode, args.clients, args.per_client, args.label_clusters, args.seed
     )
     _write_json(args.out, plan.to_json_dict())
-    print(json.dumps({"clients": plan.n_clients, "shortfalls": plan.shortfalls, "out": args.out}))
+    print(json.dumps({
+        "clients": len(plan.assignments), "shortfalls": plan.shortfalls, "out": args.out,
+    }))
     return EXIT_OK
 
 
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_integer(), default=64, help="beam width")
     p.add_argument("--reference", default="call",
                    help="'call' scores against the pooled candidates; otherwise a store path")
-    p.add_argument("--seed", type=_integer(0), default=42)
+    p.add_argument("--seed", type=_integer(0), default=42, help=_INERT_SEED)
     p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET)
     p.add_argument("--per-client-slots", dest="per_client_slots", action="store_true",
                    help="restrict slot i's replacements to client i's own candidates")
@@ -417,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of beam widths")
     p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET)
     p.add_argument("--greedy", help="greedy selection.json for the approximation ratio")
-    p.add_argument("--seed", type=_integer(0), default=42)
+    p.add_argument("--seed", type=_integer(0), default=42, help=_INERT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_oracle)
 

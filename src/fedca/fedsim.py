@@ -58,6 +58,9 @@ from .selection import CenterSelection, SelectionProblem, greedy_select
 from .store import EmbeddingStore, ingest_binary
 
 STRATEGIES = ("feddca", "direct", "random")
+# one RoundSample message per round: at two clients per round, 100,000 rounds
+# keep log.jsonl near 10 MB
+MAX_ROUNDS = 100_000
 
 # labels for seed-stream derivation; adding streams must not renumber old ones
 _STREAM_PSEUDO_LABELS = 1
@@ -137,6 +140,10 @@ class ExperimentConfig:
                      "rounds", "clients_per_round", "pseudo_label_clusters"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
+        if self.rounds > MAX_ROUNDS:
+            raise ValidationError(
+                f"config field 'rounds' must be at most {MAX_ROUNDS}, got {self.rounds}"
+            )
         if self.seed < 0:  # numpy seeds are non-negative
             raise ValidationError(f"config field 'seed' must be >= 0, got {self.seed}")
         if self.clients_per_round > self.n_clients:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import kmeans
 from .errors import ValidationError
-from .geometry import CoverageValue, SimilarityMode, coverage
+from .geometry import CoverageValue, coverage
 from .store import EmbeddingStore
 
 logger = logging.getLogger(__name__)
@@ -55,7 +55,6 @@ def cross_client_coverage(
     domain_ref: EmbeddingStore,
     client_sets: list[tuple[list[int], list[int]]],
     universe: EmbeddingStore,
-    mode: SimilarityMode = SimilarityMode.RAW_COSINE,
 ) -> CoverageValue:
     """Coverage of the in-domain pooled client data over the reference store.
 
@@ -64,7 +63,8 @@ def cross_client_coverage(
     with the reference store's domain labels before scoring; an empty
     intersection (all client data out-of-domain) is an error. Both sets are
     the stores' float32 rows, so ``best_similarity`` screens them with SGEMM;
-    the coverage is the same canonical value a float64 screen gives.
+    the coverage is the same canonical value a float64 screen gives. The
+    similarity is raw cosine.
     """
     if len(domain_ref) == 0:
         raise ValidationError("domain reference store is empty")
@@ -79,7 +79,7 @@ def cross_client_coverage(
             "cross-client data has an empty intersection with the reference domain"
         )
     covering = universe.vectors_for(in_domain)
-    return coverage(domain_ref.vectors, covering, mode)
+    return coverage(domain_ref.vectors, covering)
 
 
 def _lexicographic_order(arr: np.ndarray) -> np.ndarray:

@@ -13,11 +13,14 @@ per-client id assignments:
   equal shards.
 * ``distinct``: each client takes records from its own private group of
   clusters (cluster groups are disjoint across clients).
+
+All three modes run one check of the source and the client counts;
+``dirichlet`` and ``distinct`` share one grouping of the ids by label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +30,17 @@ from .store import EmbeddingStore
 
 @dataclass
 class PartitionPlan:
-    """Per-client record assignments plus the settings that produced them."""
+    """Per-client record assignments plus the settings that produced them.
+
+    ``shortfalls[k]`` is how many records client k's quota lacked; only
+    ``dirichlet`` can fall short, and a plan read from JSON has none.
+    """
 
     mode: str
-    n_clients: int
-    per_client: int
     beta: float | None
     seed: int
     assignments: list[list[int]]
-    shortfalls: list[int] = field(default_factory=list)
+    shortfalls: list[int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,8 +58,6 @@ class PartitionPlan:
         beta = json_field(obj, "beta", (int, float, type(None)), "plan", default=None)
         return cls(
             mode=json_field(obj, "mode", (str,), "plan"),
-            n_clients=len(clients),
-            per_client=max((len(a) for a in clients), default=0),
             beta=None if beta is None else float(beta),
             seed=json_field(obj, "seed", (int,), "plan"),
             assignments=clients,
@@ -62,13 +65,24 @@ class PartitionPlan:
         )
 
 
-def _check_labels(source: EmbeddingStore, labels) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.shape[0] != len(source):
+def _check_counts(source: EmbeddingStore, n_clients: int, per_client: int) -> None:
+    if len(source) == 0:
+        raise ValidationError("source store is empty")
+    if n_clients < 1 or per_client < 1:
+        raise ValidationError("n_clients and per_client must be >= 1")
+
+
+def _ids_by_label(source: EmbeddingStore, labels) -> dict:
+    """Each label's ids, sorted, keyed in sorted label order."""
+    lab = np.asarray(labels)
+    if lab.shape[0] != len(source):
         raise ValidationError(
-            f"labels length {arr.shape[0]} does not match store size {len(source)}"
+            f"labels length {lab.shape[0]} does not match store size {len(source)}"
         )
-    return arr
+    return {
+        name: np.sort(source.ids[lab == name]).astype(np.uint64)
+        for name in sorted(set(lab.tolist()))
+    }
 
 
 def _largest_remainder_quotas(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -102,21 +116,15 @@ def dirichlet_partition(
     seed: int,
 ) -> PartitionPlan:
     """Heterogeneity-controlled split: Dir(beta) over pseudo-label clusters."""
-    if len(source) == 0:
-        raise ValidationError("source store is empty")
+    _check_counts(source, n_clients, per_client)
     if check_number(beta, "beta") <= 0:
         raise ValidationError(f"beta must be > 0, got {beta}")
-    if n_clients < 1 or per_client < 1:
-        raise ValidationError("n_clients and per_client must be >= 1")
     if n_clients > len(source):  # the client loop is bounded by the records
         raise ValidationError(
             f"n_clients {n_clients} exceeds the {len(source)} records to partition"
         )
-    lab = _check_labels(source, labels)
-    names = sorted(set(lab.tolist()))
-    remaining = {
-        name: np.sort(source.ids[lab == name]).astype(np.uint64) for name in names
-    }
+    remaining = _ids_by_label(source, labels)
+    names = list(remaining)
     rng = np.random.default_rng([seed])
 
     assignments: list[list[int]] = []
@@ -153,15 +161,7 @@ def dirichlet_partition(
             remaining[name] = np.setdiff1d(remaining[name], picked)
         assignments.append(sorted(chosen))
 
-    return PartitionPlan(
-        mode="dirichlet",
-        n_clients=n_clients,
-        per_client=per_client,
-        beta=beta,
-        seed=seed,
-        assignments=assignments,
-        shortfalls=shortfalls,
-    )
+    return PartitionPlan("dirichlet", beta, seed, assignments, shortfalls)
 
 
 def iid_partition(
@@ -171,8 +171,7 @@ def iid_partition(
     seed: int,
 ) -> PartitionPlan:
     """Uniform sample of n_clients * per_client ids, split into equal shards."""
-    if n_clients < 1 or per_client < 1:
-        raise ValidationError("n_clients and per_client must be >= 1")
+    _check_counts(source, n_clients, per_client)
     need = n_clients * per_client
     if need > len(source):
         raise ValidationError(
@@ -185,15 +184,7 @@ def iid_partition(
         sorted(int(x) for x in ids[k * per_client : (k + 1) * per_client])
         for k in range(n_clients)
     ]
-    return PartitionPlan(
-        mode="iid",
-        n_clients=n_clients,
-        per_client=per_client,
-        beta=None,
-        seed=seed,
-        assignments=assignments,
-        shortfalls=[0] * n_clients,
-    )
+    return PartitionPlan("iid", None, seed, assignments, [0] * n_clients)
 
 
 def distinct_cluster_partition(
@@ -204,18 +195,11 @@ def distinct_cluster_partition(
     seed: int,
 ) -> PartitionPlan:
     """Each client samples from its own randomly chosen, disjoint cluster group."""
-    if len(source) == 0:
-        raise ValidationError("source store is empty")
-    if n_clients < 1 or per_client < 1:
-        raise ValidationError("n_clients and per_client must be >= 1")
-    lab = _check_labels(source, labels)
-    names = sorted(set(lab.tolist()))
-    ids_by_cluster = {
-        name: np.sort(source.ids[lab == name]).astype(np.uint64) for name in names
-    }
-    nonempty = [name for name in names if len(ids_by_cluster[name]) > 0]
+    _check_counts(source, n_clients, per_client)
+    ids_by_cluster = _ids_by_label(source, labels)
+    names = list(ids_by_cluster)
     rng = np.random.default_rng([seed])
-    order = [nonempty[i] for i in rng.permutation(len(nonempty))]
+    order = [names[i] for i in rng.permutation(len(names))]
 
     assignments: list[list[int]] = []
     cursor = 0
@@ -235,12 +219,4 @@ def distinct_cluster_partition(
         picked = rng.choice(pool, size=per_client, replace=False)
         assignments.append(sorted(int(x) for x in picked))
 
-    return PartitionPlan(
-        mode="distinct",
-        n_clients=n_clients,
-        per_client=per_client,
-        beta=None,
-        seed=seed,
-        assignments=assignments,
-        shortfalls=[0] * n_clients,
-    )
+    return PartitionPlan("distinct", None, seed, assignments, [0] * n_clients)

@@ -457,9 +457,10 @@ def greedy_select(
 
     Initialization places one center per client: the lowest cluster index
     with ``init="first"`` (the default), or a seeded random pick with
-    ``init="random"``. Slots are then swept cyclically; each slot may take a
-    replacement from any client's candidates unless ``per_client_slots``
-    restricts slot i to client i's own candidates.
+    ``init="random"``, the only reader of ``seed`` (under the default the
+    seed changes no output). Slots are then swept cyclically; each slot may
+    take a replacement from any client's candidates unless
+    ``per_client_slots`` restricts slot i to client i's own candidates.
 
     Termination: the search stops after consecutive scans that find no
     improvement: N of them by default, one with ``literal_termination`` (the
@@ -646,7 +647,8 @@ def approximation_report(
     """Run greedy and each beam width; report greedy/best-beam as a percentage.
 
     When exhaustive enumeration fits ``brute_budget``, the ratio to the true
-    optimum is reported as well.
+    optimum is reported as well. ``seed`` goes to ``greedy_select`` with its
+    default ``init="first"``, which does not read it, so it changes no output.
     """
     if not widths:
         raise ValidationError("widths must be nonempty")

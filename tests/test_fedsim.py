@@ -10,6 +10,7 @@ from fedca import cli, fedsim
 from fedca.augment import feddca_augment, retrieve_topk
 from fedca.errors import ValidationError
 from fedca.fedsim import (
+    MAX_ROUNDS,
     STRATEGIES,
     ExperimentConfig,
     compare_strategies,
@@ -283,6 +284,15 @@ def test_config_json_round_trip_and_validation(tmp_path):
         _config(strategy="magic")
     with pytest.raises(ValidationError, match="beta_or_mode"):
         _config(beta_or_mode="shuffled")
+
+
+def test_rounds_are_bounded():
+    # one RoundSample per round: an unbounded count would grow the log without end
+    assert _config(rounds=MAX_ROUNDS).rounds == MAX_ROUNDS
+    with pytest.raises(ValidationError, match="config field 'rounds' must be at most"):
+        _config(rounds=2**40)
+    with pytest.raises(ValidationError, match="config field 'rounds'"):
+        ExperimentConfig.from_json_dict({**_config().to_json_dict(), "rounds": 2**40})
 
 
 def test_derive_seed_is_stable_and_labelled():

@@ -163,10 +163,36 @@ def test_partitions_are_deterministic(mode):
     assert run(42).assignments != run(43).assignments
 
 
-def test_plan_json_round_trip():
+@pytest.mark.parametrize("mode", ["dirichlet", "distinct"])
+def test_labelled_modes_share_the_source_and_count_checks(mode):
+    def run(store, labels, n_clients=2, per_client=2):
+        if mode == "dirichlet":
+            return dirichlet_partition(store, labels, n_clients, per_client, 1.0, 0)
+        return distinct_cluster_partition(store, labels, n_clients, per_client, 0)
+
+    store = random_store(10, 4, seed=25)
+    labels = list(range(10))
+    assert len(run(store, labels).assignments) == 2
+    with pytest.raises(ValidationError, match="labels length 9 does not match store size 10"):
+        run(store, labels[:9])
+    with pytest.raises(ValidationError, match="source store is empty"):
+        run(random_store(0, 4, seed=25), [])
+    for n_clients, per_client in ((0, 2), (2, 0)):
+        with pytest.raises(ValidationError, match="n_clients and per_client must be >= 1"):
+            run(store, labels, n_clients, per_client)
+
+
+@pytest.mark.parametrize("mode", ["dirichlet", "iid", "distinct"])
+def test_plan_json_round_trip(mode):
     store = random_store(100, 4, seed=23)
-    plan = iid_partition(store, 4, 10, seed=24)
+    labels = np.random.default_rng(26).integers(0, 10, size=100)
+    if mode == "dirichlet":
+        plan = dirichlet_partition(store, labels, 4, 10, 0.5, seed=24)
+    elif mode == "iid":
+        plan = iid_partition(store, 4, 10, seed=24)
+    else:
+        plan = distinct_cluster_partition(store, labels, 4, 10, seed=24)
     again = PartitionPlan.from_json_dict(plan.to_json_dict())
+    beta = 0.5 if mode == "dirichlet" else None
+    assert (again.mode, again.beta, again.seed) == (mode, beta, 24)
     assert again.assignments == plan.assignments
-    assert again.mode == "iid"
-    assert again.seed == 24
