@@ -58,8 +58,8 @@ from .selection import CenterSelection, SelectionProblem, greedy_select
 from .store import EmbeddingStore, ingest_binary
 
 STRATEGIES = ("feddca", "direct", "random")
-# one RoundSample message per round: at two clients per round, 100,000 rounds
-# keep log.jsonl near 10 MB
+# one RoundSample message per round, naming its picked clients: at most
+# MAX_ROUNDS rounds and 2 * MAX_ROUNDS picks in all keep log.jsonl near 10 MB
 MAX_ROUNDS = 100_000
 
 # labels for seed-stream derivation; adding streams must not renumber old ones
@@ -143,6 +143,11 @@ class ExperimentConfig:
         if self.rounds > MAX_ROUNDS:
             raise ValidationError(
                 f"config field 'rounds' must be at most {MAX_ROUNDS}, got {self.rounds}"
+            )
+        if self.rounds * self.clients_per_round > 2 * MAX_ROUNDS:
+            raise ValidationError(
+                f"config fields 'rounds' x 'clients_per_round' must be at most "
+                f"{2 * MAX_ROUNDS}, got {self.rounds} x {self.clients_per_round}"
             )
         if self.seed < 0:  # numpy seeds are non-negative
             raise ValidationError(f"config field 'seed' must be >= 0, got {self.seed}")

@@ -20,8 +20,11 @@ within one float32 ULP (re-ingestion re-normalizes an already unit vector).
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,9 +82,10 @@ class EmbeddingStore:
     float32 matrix, which every similarity kernel reads as it is, widening
     rows as it goes (the value contract in the ``geometry`` module
     docstring says which values each kernel computes); ``max_norm`` bounds
-    the screens. The store keeps a private copy of ``vectors``;
-    constructing it allocates that float32 matrix plus one row block of
-    checks.
+    the screens. The public constructor copies ``vectors``, so it allocates
+    that float32 matrix plus one row block of checks; the package's own
+    readers and subsets hand over the arrays they have just built through
+    ``_adopt``, which runs the same checks without the copy.
     """
 
     def __init__(
@@ -92,10 +96,29 @@ class EmbeddingStore:
         vectors: np.ndarray,
         texts: Sequence[str | None] | None = None,
     ):
+        self._build(dim, ids, domains, vectors, texts, owned=False)
+
+    @classmethod
+    def _adopt(
+        cls,
+        dim: int,
+        ids: np.ndarray,
+        domains: Sequence[str],
+        vectors: np.ndarray,
+        texts: Sequence[str | None] | None = None,
+    ) -> "EmbeddingStore":
+        """A store that takes ownership of ``ids`` (uint64) and ``vectors``
+        (float32), which no one else may hold: it marks them read-only and
+        keeps them when they are already in id order."""
+        store = cls.__new__(cls)
+        store._build(dim, ids, domains, vectors, texts, owned=True)
+        return store
+
+    def _build(self, dim, ids, domains, vectors, texts, owned: bool) -> None:
         if dim < 1:
             raise ValidationError(f"dimension must be >= 1, got {dim}")
-        ids_arr = np.array(ids, dtype=np.uint64)
-        vec = np.asarray(vectors, dtype=np.float32)
+        ids_arr = ids if owned else np.array(ids, dtype=np.uint64)
+        vec = vectors if owned else np.asarray(vectors, dtype=np.float32)
         if vec.ndim != 2 or vec.shape[1] != dim:
             raise ValidationError(
                 f"vectors must have shape (n, {dim}), got {vec.shape}"
@@ -114,7 +137,7 @@ class EmbeddingStore:
                 dup = int(ids_arr[np.nonzero(ids_arr[1:] == ids_arr[:-1])[0][0]])
                 raise ValidationError(f"duplicate id {dup}")
             vec = vec[order]
-        else:
+        elif not owned:
             vec = vec.copy()
         self._max_norm = _check_unit_rows(vec, ids_arr)
 
@@ -124,15 +147,18 @@ class EmbeddingStore:
         self._vectors = vec
         self._vectors.flags.writeable = False
         if order is None:
-            order = range(n)
-        self._domains = tuple(domains[i] for i in order)
-        self._texts = (
-            tuple(texts[i] for i in order) if texts is not None else tuple([None] * n)
-        )
-        self._pos = {int(r): i for i, r in enumerate(ids_arr)}
-        index: dict[str, list[int]] = {}
-        for i, d in enumerate(self._domains):
-            index.setdefault(d, []).append(int(ids_arr[i]))
+            self._domains = tuple(domains)
+            self._texts = tuple(texts) if texts is not None else (None,) * n
+        else:
+            self._domains = tuple(domains[i] for i in order)
+            self._texts = (
+                tuple(texts[i] for i in order) if texts is not None else (None,) * n
+            )
+        id_list = ids_arr.tolist()
+        self._pos = dict(zip(id_list, range(n)))
+        index: dict[str, list[int]] = {d: [] for d in dict.fromkeys(self._domains)}
+        for d, r in zip(self._domains, id_list):
+            index[d].append(r)
         self._domain_index = {d: np.asarray(v, dtype=np.uint64) for d, v in index.items()}
 
     # ------------------------------------------------------------------ views
@@ -237,7 +263,7 @@ class EmbeddingStore:
 
     def subset_by_ids(self, record_ids: Sequence[int]) -> "EmbeddingStore":
         pos = [self.index_of(r) for r in record_ids]
-        return EmbeddingStore(
+        return EmbeddingStore._adopt(
             self._dim,
             self._ids[pos],
             [self._domains[i] for i in pos],
@@ -359,7 +385,7 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
             rows.append(_normalized_row(embedding, dim, line_no, may_hold_bools))
             texts.append(text)
     matrix = np.stack(rows) if rows else np.empty((0, dim), np.float32)
-    return EmbeddingStore(dim, ids, domains, matrix, texts)
+    return EmbeddingStore._adopt(dim, np.array(ids, dtype=np.uint64), domains, matrix, texts)
 
 
 def write_jsonl(store: EmbeddingStore, path: str | Path) -> None:
@@ -378,64 +404,169 @@ def write_jsonl(store: EmbeddingStore, path: str | Path) -> None:
 
 # --------------------------------------------------------------------- binary
 
+# Bytes of records the binary reader holds, and the writer builds, at once.
+_CHUNK_BYTES = 4 << 20
+# Records in a run's first length probe; each later probe of the run doubles,
+# so a run costs time in its own length, never in the records after it.
+_FIRST_PROBE = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _record_dtype(dlen: int, dim: int) -> np.dtype:
+    """A packed binary record whose domain label is ``dlen`` bytes long.
+
+    The label is raw ``V`` bytes: ``S`` would strip trailing NULs, and
+    ``"a\\x00"`` is a valid label.
+    """
+    fields = [("id", "<u8"), ("len", "<u2")]
+    if dlen:
+        fields.append(("domain", f"V{dlen}"))
+    fields.append(("vec", "<f4", (dim,)))
+    return np.dtype(fields)
+
 
 def write_binary(store: EmbeddingStore, path: str | Path) -> None:
-    """Write the binary format. Text payloads are dropped (format carries none)."""
-    path = Path(path)
-    parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, store.dim), _COUNT.pack(len(store))]
-    vectors = store.vectors.astype("<f4", copy=False)
-    for i in range(len(store)):
-        domain = store.domains[i].encode("utf-8")
-        if len(domain) > 0xFFFF:
-            raise ValidationError(f"domain label too long for record id {int(store.ids[i])}")
-        parts.append(_REC_FIXED.pack(int(store.ids[i]), len(domain)))
-        parts.append(domain)
-        parts.append(vectors[i].tobytes())
-    path.write_bytes(b"".join(parts))
+    """Write the binary format. Text payloads are dropped (format carries none).
+
+    Each run of records with equal label length is filled into the output
+    chunk through one structured view.
+    """
+    encoded = {d: d.encode("utf-8") for d in dict.fromkeys(store.domains)}
+    labels = [encoded[d] for d in store.domains]
+    lens = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+    too_long = np.flatnonzero(lens > 0xFFFF)
+    if too_long.size:
+        raise ValidationError(f"domain label too long for record id {int(store.ids[too_long[0]])}")
+    starts = np.flatnonzero(np.diff(lens, prepend=-1)).tolist()
+    with Path(path).open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, store.dim) + _COUNT.pack(len(store)))
+        chunk, used = bytearray(_CHUNK_BYTES), 0
+        for lo, hi in zip(starts, starts[1:] + [len(labels)]):
+            dlen = int(lens[lo])
+            rec = _record_dtype(dlen, store.dim)
+            step = max(1, _CHUNK_BYTES // rec.itemsize)
+            for a in range(lo, hi, step):
+                b = min(hi, a + step)
+                size = (b - a) * rec.itemsize
+                if used + size > len(chunk):
+                    fh.write(memoryview(chunk)[:used])
+                    used = 0
+                    if size > len(chunk):  # a record beyond a chunk
+                        chunk = bytearray(size)
+                out = np.frombuffer(chunk, rec, count=b - a, offset=used)
+                out["id"] = store.ids[a:b]
+                out["len"] = dlen
+                if dlen:
+                    out["domain"] = labels[a:b]
+                out["vec"] = store.vectors[a:b]
+                used += size
+        fh.write(memoryview(chunk)[:used])
+
+
+def _refill(fh, buf: bytearray, pos: int, end: int, need: int) -> tuple[bytearray, int]:
+    """Moves ``buf[pos:end]`` to the front and reads on to fill the buffer, a
+    larger one if ``need`` bytes do not fit; returns it and its filled size."""
+    held = end - pos
+    new = buf if need <= len(buf) else bytearray(need)  # a record beyond a chunk
+    new[:held] = buf[pos:end]
+    end = held
+    with memoryview(new) as view:
+        while end < len(new) and (got := fh.readinto(view[end:])):
+            end += got
+    return new, end
+
+
+def _read_records(fh, count: int, dim: int):
+    """``count`` records after the header: ids, raw labels, matrix, and the
+    first fault of framing (truncation, trailing data) or None."""
+    ids = np.empty(count, np.uint64)
+    matrix = np.empty((count, dim), np.float32)
+    raw: list[bytes] = []
+    buf, pos, end = bytearray(_CHUNK_BYTES), 0, 0
+    i = 0
+    while i < count:
+        if end - pos < _REC_FIXED.size:
+            buf, end = _refill(fh, buf, pos, end, _REC_FIXED.size)
+            pos = 0
+            if end < _REC_FIXED.size:
+                return ids, raw, matrix, f"truncated payload in record {i}"
+        dlen = _REC_FIXED.unpack_from(buf, pos)[1]
+        rec = _record_dtype(dlen, dim)
+        size = rec.itemsize
+        if end - pos < size:
+            buf, end = _refill(fh, buf, pos, end, size)
+            pos = 0
+            if end < size:
+                return ids, raw, matrix, f"truncated payload in record {i}"
+        # the run of records with this label length, probed within the chunk:
+        # a peek at each probe's first record, then all the probe's lengths
+        limit = min((end - pos) // size, count - i)
+        k, probe = 1, _FIRST_PROBE
+        while k < limit and _REC_FIXED.unpack_from(buf, pos + k * size)[1] == dlen:
+            m = min(probe, limit - k)
+            other = np.frombuffer(buf, rec, count=m, offset=pos + k * size)["len"] != dlen
+            j = int(other.argmax())
+            if other[j]:
+                k += j
+                break
+            k += m
+            probe *= 2
+        recs = np.frombuffer(buf, rec, count=k, offset=pos)
+        ids[i : i + k] = recs["id"]
+        matrix[i : i + k] = recs["vec"]
+        raw += recs["domain"].tolist() if dlen else [b""] * k
+        i += k
+        pos += k * size
+    if pos < end or _refill(fh, buf, pos, end, 1)[1]:
+        return ids, raw, matrix, f"trailing data after {count} records"
+    return ids, raw, matrix, None
+
+
+def _decoded(raw: list[bytes]) -> list[str]:
+    """The labels as text, naming the first record whose label is not UTF-8."""
+    text: dict[bytes, str] = {}
+    for label in dict.fromkeys(raw):
+        try:
+            text[label] = label.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(
+                f"record {raw.index(label)}: domain label is not valid UTF-8"
+            ) from None
+    return list(map(text.__getitem__, raw))
 
 
 def ingest_binary(path: str | Path) -> EmbeddingStore:
-    """Read a binary embedding file. Vectors are taken as stored (bit-exact)."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise ValidationError("truncated payload: missing header")
-    magic, version, dim = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise ValidationError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format version {version}")
-    offset = _HEADER.size
-    if len(data) < offset + _COUNT.size:
-        raise ValidationError("truncated payload: missing record count")
-    (count,) = _COUNT.unpack_from(data, offset)
-    offset += _COUNT.size
+    """Read a binary embedding file. Vectors are taken as stored (bit-exact).
 
-    min_record = _REC_FIXED.size + 4 * dim
-    if count * min_record > len(data) - offset:
-        raise ValidationError(
-            f"truncated payload: header declares {count} records of at least "
-            f"{min_record} bytes, but {len(data) - offset} bytes follow"
-        )
-    ids: list[int] = []
-    domains: list[str] = []
-    vec_fmt = struct.Struct(f"<{dim}f")
-    matrix = np.empty((count, dim), dtype=np.float32)
-    for i in range(count):
-        if len(data) < offset + _REC_FIXED.size:
-            raise ValidationError(f"truncated payload in record {i}")
-        rec_id, dlen = _REC_FIXED.unpack_from(data, offset)
-        offset += _REC_FIXED.size
-        if len(data) < offset + dlen + vec_fmt.size:
-            raise ValidationError(f"truncated payload in record {i}")
-        try:
-            domains.append(data[offset : offset + dlen].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ValidationError(f"record {i}: domain label is not valid UTF-8") from None
-        offset += dlen
-        matrix[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        offset += vec_fmt.size
-        ids.append(rec_id)
-    if offset != len(data):
-        raise ValidationError(f"trailing data after {count} records")
-    del data  # the raw bytes go before the store copies the matrix
-    return EmbeddingStore(dim, ids, domains, matrix)
+    One pass over bounded chunks: each run of records with equal label length
+    is parsed through one structured view and copied straight into the final
+    ids and matrix, which the store adopts, so memory is about one matrix.
+    Errors name the first fault in file order.
+    """
+    with Path(path).open("rb") as file:
+        fh = file if file.seekable() else io.BytesIO(file.read())  # a pipe is read first
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        head = fh.read(_HEADER.size + _COUNT.size)
+        if len(head) < _HEADER.size:
+            raise ValidationError("truncated payload: missing header")
+        magic, version, dim = _HEADER.unpack_from(head, 0)
+        if magic != MAGIC:
+            raise ValidationError(f"bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise ValidationError(f"unsupported format version {version}")
+        if len(head) < _HEADER.size + _COUNT.size:
+            raise ValidationError("truncated payload: missing record count")
+        (count,) = _COUNT.unpack_from(head, _HEADER.size)
+        body = size - len(head)
+        min_record = _REC_FIXED.size + 4 * dim
+        if count * min_record > body:
+            raise ValidationError(
+                f"truncated payload: header declares {count} records of at least "
+                f"{min_record} bytes, but {body} bytes follow"
+            )
+        ids, raw, matrix, fault = _read_records(fh, count, dim)
+    domains = _decoded(raw)  # a bad label before a framing fault comes first
+    if fault is not None:
+        raise ValidationError(fault)
+    return EmbeddingStore._adopt(dim, ids, domains, matrix)

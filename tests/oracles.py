@@ -7,6 +7,7 @@ enumeration) and never import the code paths they verify.
 from __future__ import annotations
 
 import itertools
+import struct
 from math import fsum
 
 import numpy as np
@@ -209,3 +210,65 @@ def literal_brute(pool_vectors, reference, n_slots: int, affine=False):
         if val > best_val:
             best_val, best = val, combo
     return list(best), best_val
+
+
+class FdcaFault(ValueError):
+    """A malformed ``.fdca`` file, carrying the reader's message."""
+
+
+def naive_fdca_read(path):
+    """Parse an ``.fdca`` file one record at a time with ``struct``.
+
+    Returns ``(dim, ids, domains, vectors)`` as stored, or raises ``FdcaFault``
+    with the package reader's message for the first framing fault in file
+    order. The checks after parsing (dimension, duplicate ids, unit norms)
+    belong to the store constructor and are left to it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < 12:
+        raise FdcaFault("truncated payload: missing header")
+    magic, version, dim = struct.unpack_from("<4sII", data, 0)
+    if magic != b"FDCA":
+        raise FdcaFault(f"bad magic {magic!r}")
+    if version != 1:
+        raise FdcaFault(f"unsupported format version {version}")
+    if len(data) < 20:
+        raise FdcaFault("truncated payload: missing record count")
+    (count,) = struct.unpack_from("<Q", data, 12)
+    offset = 20
+    if count * (10 + 4 * dim) > len(data) - offset:
+        raise FdcaFault(
+            f"truncated payload: header declares {count} records of at least "
+            f"{10 + 4 * dim} bytes, but {len(data) - offset} bytes follow"
+        )
+    ids, domains, rows = [], [], []
+    for i in range(count):
+        if offset + 10 > len(data):
+            raise FdcaFault(f"truncated payload in record {i}")
+        record_id, label_len = struct.unpack_from("<QH", data, offset)
+        offset += 10
+        if offset + label_len + 4 * dim > len(data):
+            raise FdcaFault(f"truncated payload in record {i}")
+        try:
+            domains.append(data[offset : offset + label_len].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FdcaFault(f"record {i}: domain label is not valid UTF-8") from None
+        offset += label_len
+        rows.append(data[offset : offset + 4 * dim])
+        offset += 4 * dim
+        ids.append(record_id)
+    if offset != len(data):
+        raise FdcaFault(f"trailing data after {count} records")
+    vectors = np.frombuffer(b"".join(rows), dtype="<f4").reshape(count, dim)
+    return dim, ids, domains, vectors.astype(np.float32)
+
+
+def naive_fdca_bytes(dim, ids, domains, vectors) -> bytes:
+    """The ``.fdca`` bytes of the records, packed one at a time with ``struct``."""
+    parts = [struct.pack("<4sIIQ", b"FDCA", 1, dim, len(ids))]
+    for record_id, domain, vector in zip(ids, domains, vectors):
+        label = domain.encode("utf-8")
+        parts.append(struct.pack(f"<QH{len(label)}s", int(record_id), len(label), label))
+        parts.append(np.asarray(vector, dtype="<f4").tobytes())
+    return b"".join(parts)

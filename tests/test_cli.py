@@ -1,16 +1,12 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import fedca
 from fedca import geometry, selfcheck
 from fedca.cli import EXIT_USAGE, build_parser, main
 from fedca.store import ingest_binary, write_binary, write_jsonl
 from fedca.synthetic import planted_cluster_pool, random_store
+from probes import fedca_process
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +111,6 @@ def test_usage_error_exits_1(argv):
     assert exc.value.code == 1
 
 
-def _fedca_process(argv, cwd, timeout=60):
-    """``fedca argv`` in a child process; a hang fails by ``TimeoutExpired``."""
-    src = str(Path(fedca.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "fedca.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=timeout)
-
-
 @pytest.mark.parametrize("argv, flag", [
     (["--threads", "0", "selfcheck"], "--threads"),
     (["sweep", "--config", "absent.json", "--betas", "x", "--out", "o.csv"], "--betas"),
@@ -177,7 +164,7 @@ def _fedca_process(argv, cwd, timeout=60):
 ])
 def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
     # The input files do not exist: flag values are parsed before any file is read.
-    proc = _fedca_process(argv, tmp_path)
+    proc = fedca_process(argv, tmp_path)
     assert proc.returncode == EXIT_USAGE
     assert f"argument {flag}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -270,7 +257,7 @@ def test_dirichlet_client_count_beyond_the_domain_exits_2(command, workspace, tm
         }
         (tmp_path / "exp.json").write_text(json.dumps(cfg))
         argv = ["run", "--config", "exp.json", "--out", "runs"]
-    proc = _fedca_process(argv, tmp_path, timeout=30)
+    proc = fedca_process(argv, tmp_path, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"fedca: n_clients {n_clients} exceeds the ")
     assert "Traceback" not in proc.stderr

@@ -295,6 +295,17 @@ def test_rounds_are_bounded():
         ExperimentConfig.from_json_dict({**_config().to_json_dict(), "rounds": 2**40})
 
 
+def test_client_picks_are_bounded():
+    # each RoundSample lists its picked clients, so the log grows with both counts
+    assert _config(rounds=MAX_ROUNDS, n_clients=2, clients_per_round=2).rounds == MAX_ROUNDS
+    with pytest.raises(ValidationError,
+                       match="'rounds' x 'clients_per_round' must be at most 200000, "
+                             "got 100000 x 1000"):
+        _config(rounds=100_000, n_clients=1_000, clients_per_round=1_000)
+    with pytest.raises(ValidationError, match="'clients_per_round'"):
+        _config(rounds=201, n_clients=1_000, clients_per_round=1_000)
+
+
 def test_derive_seed_is_stable_and_labelled():
     assert derive_seed(42, 1) == derive_seed(42, 1)
     assert derive_seed(42, 1) != derive_seed(42, 2)
