@@ -67,7 +67,8 @@ def test_a_pipe_is_read_like_a_file(tmp_path):
     try:
         assert ingest_binary(fifo) == store
     finally:
-        writer.join()
+        writer.join(timeout=30)
+    assert not writer.is_alive()
 
 
 def test_records_larger_than_a_chunk(tmp_path, monkeypatch):
