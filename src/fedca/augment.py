@@ -68,7 +68,7 @@ def _ranked_hits(ids: np.ndarray, sims: np.ndarray, k: int) -> list[tuple[int, f
         keep = np.flatnonzero(sims >= kth)
         ids, sims = ids[keep], sims[keep]
     order = np.lexsort((ids, -sims))[:k]
-    return [(int(ids[i]), float(sims[i])) for i in order]
+    return list(zip(ids[order].tolist(), sims[order].tolist()))
 
 
 def _retrieve(

@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .augment import (
     augments_to_json,
     augset_ids_from_json,
@@ -20,7 +22,7 @@ from .augment import (
     feddca_augment,
     random_sampling_augment,
 )
-from .clustering import CandidateCenters, kmeans
+from .clustering import CandidateCenters, _inertia, _lloyd
 from .errors import BudgetExceededError, FedcaError, ValidationError, check_number
 from .fedsim import (
     ExperimentConfig,
@@ -156,18 +158,18 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_cluster(args) -> int:
     store = ingest_binary(args.infile)
-    result = kmeans(store.vectors, args.k, args.seed)
-    centers = EmbeddingStore(
-        store.dim,
-        list(range(result.k)),
-        ["center"] * result.k,
-        result.centers,
+    # the only reader of inertia: it runs kmeans's loop itself to sum over
+    # the float64 centers that kmeans rounds to float32
+    points, centers, labels = _lloyd(store.vectors, args.k, args.seed)
+    k = args.k
+    write_binary(
+        EmbeddingStore(store.dim, list(range(k)), ["center"] * k, centers.astype(np.float32)),
+        args.out,
     )
-    write_binary(centers, args.out)
     print(json.dumps({
-        "centers": result.k,
-        "inertia": result.inertia,
-        "cluster_sizes": [int(s) for s in result.cluster_sizes],
+        "centers": k,
+        "inertia": _inertia(points, centers, labels),
+        "cluster_sizes": np.bincount(labels, minlength=k).tolist(),
         "out": args.out,
     }))
     return EXIT_OK

@@ -7,6 +7,22 @@ cosine. Centroid updates take the per-cluster mean and re-normalize it to
 unit length; on the sphere that renormalized mean is the in-cluster SSE
 minimizer, so inertia is non-increasing across iterations.
 
+Update rule: the first update re-centers every cluster; each later update
+re-centers only the clusters that a point entered or left since the one
+before, by assignment or by an empty-cluster repair. Every other center
+keeps its bits, because its mean would run over the same rows in the same
+order. Members are gathered in point order through one stable sort of the
+labels; the mean is ``np.add.reduce(members, axis=0) / count`` and its norm
+``sqrt(mean . mean)``, the operations ``ndarray.mean`` and
+``np.linalg.norm`` run. So the centers are bit for bit those of
+re-centering every cluster with those calls in every update.
+
+Inertia rule: :func:`kmeans` does not compute inertia, since nothing in
+the pipeline reads it; ``fedca cluster`` prints it. It is
+``np.sum((pts - centers[labels]) ** 2)`` over the float64 points, the
+float64 centers (before the float32 rounding :func:`kmeans` returns) and
+the final labels (:func:`_inertia`).
+
 Degenerate-case rules:
 
 * empty cluster: its center is re-seeded to the point currently farthest
@@ -16,6 +32,7 @@ Degenerate-case rules:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +48,13 @@ _UNIT_TOLERANCE = 1e-3
 class CandidateCenters:
     """Per-client k-means output: centroids plus bookkeeping.
 
-    ``cluster_sizes`` and ``inertia`` are filled by :func:`kmeans`; centers
-    loaded back from files carry ``None`` for both.
+    ``cluster_sizes`` is filled by :func:`kmeans`; centers loaded back from
+    files carry ``None``.
     """
 
     client_id: int
     centers: np.ndarray  # (k, dim) float32, unit rows
     cluster_sizes: np.ndarray | None = None
-    inertia: float | None = None
 
     @property
     def k(self) -> int:
@@ -53,7 +69,10 @@ def _points64(points) -> np.ndarray:
     pts = _vectors(points, "points")
     if pts.shape[0] == 0:
         raise ValidationError("cannot cluster an empty point set")
-    if np.any(np.abs(_row_norms(pts) - 1.0) > _UNIT_TOLERANCE):
+    norms = _row_norms(pts)
+    if not np.isfinite(norms).all():
+        raise ValidationError("points have non-finite values")
+    if np.any(np.abs(norms - 1.0) > _UNIT_TOLERANCE):
         raise ValidationError("points must be unit-norm")
     return pts
 
@@ -100,17 +119,30 @@ def _repair_empty(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> n
     return labels
 
 
-def _update(pts: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    new = centers.copy()
-    for j in range(centers.shape[0]):
-        members = pts[labels == j]
-        if members.shape[0] == 0:
+def _touched(labels: np.ndarray, assigned: np.ndarray, repaired: np.ndarray) -> np.ndarray:
+    """Clusters that a point left or entered on the way from ``labels``,
+    through assignment (``assigned``), to repair (``repaired``). A point that
+    assignment moves out and repair moves back still counts: the repair
+    moved that cluster's center onto it."""
+    moved = (labels != assigned) | (assigned != repaired)
+    return np.unique(np.concatenate((labels[moved], repaired[moved])))
+
+
+def _update(
+    pts: np.ndarray, labels: np.ndarray, centers: np.ndarray, clusters: np.ndarray
+) -> None:
+    """Re-center each of ``clusters`` in place on its renormalized member
+    mean; an empty cluster or a zero-norm mean keeps its center."""
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=centers.shape[0])).tolist()
+    for j in clusters.tolist():
+        start = ends[j - 1] if j else 0
+        if start == ends[j]:
             continue
-        mean = members.mean(axis=0)
-        norm = float(np.linalg.norm(mean))
+        mean = np.add.reduce(pts[order[start:ends[j]]], axis=0) / (ends[j] - start)
+        norm = math.sqrt(mean.dot(mean))
         if norm > 0.0:
-            new[j] = mean / norm
-    return new
+            centers[j] = mean / norm
 
 
 def _inertia(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
@@ -120,6 +152,34 @@ def _inertia(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
     np.subtract(pts, diff, out=diff)
     np.multiply(diff, diff, out=diff)
     return float(np.sum(diff))
+
+
+def _lloyd(
+    points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float64 points, the float64 centers and the final labels of
+    :func:`kmeans`; ``fedca cluster`` takes its inertia over them."""
+    pts = _points64(points)
+    n = pts.shape[0]
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if k > n:
+        raise ValidationError(f"k={k} exceeds the number of points ({n}); shrink k")
+
+    rng = np.random.default_rng(seed)
+    centers = _plus_plus_init(pts, k, rng)
+    labels = _assign(pts, centers)
+    labels = _repair_empty(pts, centers, labels)
+    stale = np.arange(k)
+    for _ in range(max_iters):
+        _update(pts, labels, centers, stale)
+        assigned = _assign(pts, centers)
+        new_labels = _repair_empty(pts, centers, assigned)
+        if np.array_equal(new_labels, labels):
+            break
+        stale = _touched(labels, assigned, new_labels)
+        labels = new_labels
+    return pts, centers, labels
 
 
 def kmeans(
@@ -132,40 +192,22 @@ def kmeans(
     """Cluster unit vectors into ``k`` groups, deterministically.
 
     Raises if ``k`` exceeds the point count (the caller must shrink ``k``)
-    or the input is empty. Terminates at an assignment fixpoint or after
-    ``max_iters`` update rounds.
+    or the input is empty or non-finite. Terminates at an assignment
+    fixpoint or after ``max_iters`` update rounds.
     """
-    pts = _points64(points)
-    n = pts.shape[0]
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise ValidationError(f"k={k} exceeds the number of points ({n}); shrink k")
-
-    rng = np.random.default_rng(seed)
-    centers = _plus_plus_init(pts, k, rng)
-    labels = _assign(pts, centers)
-    labels = _repair_empty(pts, centers, labels)
-    for _ in range(max_iters):
-        centers = _update(pts, labels, centers)
-        new_labels = _assign(pts, centers)
-        new_labels = _repair_empty(pts, centers, new_labels)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-
-    inertia = _inertia(pts, centers, labels)
-    sizes = np.bincount(labels, minlength=k)
+    _, centers, labels = _lloyd(points, k, seed, max_iters)
     return CandidateCenters(
         client_id=client_id,
         centers=centers.astype(np.float32),
-        cluster_sizes=sizes,
-        inertia=inertia,
+        cluster_sizes=np.bincount(labels, minlength=k),
     )
 
 
 def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:
-    """Label each point by its nearest center (cosine), ties to lowest index."""
+    """Label each point by its nearest center (cosine), ties to lowest index.
+
+    Raises if either input holds a NaN or an infinity.
+    """
     pts = _vectors(points, "points")
     cmat = _vectors(centers.centers if isinstance(centers, CandidateCenters) else centers,
                     "centers")
@@ -173,4 +215,7 @@ def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: points {pts.shape[1]} vs centers {cmat.shape[1]}"
         )
+    for arr, name in ((pts, "points"), (cmat, "centers")):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} have non-finite values")
     return _assign(pts, cmat)

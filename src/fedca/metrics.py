@@ -130,7 +130,7 @@ def icacs(
                 idx, arr.shape[0], k, k_eff,
             )
         canon = arr[_lexicographic_order(arr)]
-        digest = hashlib.sha256(canon.tobytes()).digest()
+        digest = hashlib.sha256(canon).digest()
         content_key = int.from_bytes(digest[:8], "little")
         client_seed = int(np.random.SeedSequence([seed, content_key]).generate_state(1)[0])
         centers.append(

@@ -113,6 +113,77 @@ def best_two_partition_cost(points) -> float:
     return best
 
 
+def literal_kmeans(points, k: int, seed: int, max_iters: int = 100):
+    """Seeded spherical k-means as a plain Lloyd loop: D^2 seeding, argmax
+    assignment with empty-cluster repair, and every cluster re-centered from
+    a boolean mask in every round. Returns the float64 centers, the final
+    labels, the inertia ``np.sum(diff * diff)`` over three n x d
+    temporaries, and counts of rounds, repairs and zero-norm means kept."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    stats = {"rounds": 0, "repairs": 0, "zero_norms": 0}
+
+    def plus_plus_init(rng):
+        chosen = [int(rng.integers(n))]
+        d2 = np.maximum(0.0, 2.0 - 2.0 * (pts @ pts[chosen[0]]))
+        for _ in range(1, k):
+            total = float(d2.sum())
+            if total <= 0.0:
+                taken = set(chosen)
+                nxt = next(i for i in range(n) if i not in taken)
+            else:
+                nxt = int(rng.choice(n, p=d2 / total))
+            chosen.append(nxt)
+            np.minimum(d2, np.maximum(0.0, 2.0 - 2.0 * (pts @ pts[nxt])), out=d2)
+        return pts[chosen].copy()
+
+    def assign(centers):
+        return np.argmax(pts @ centers.T, axis=1)
+
+    def repair_empty(centers, labels):
+        counts = np.bincount(labels, minlength=k)
+        if not np.any(counts == 0):
+            return labels
+        labels = labels.copy()
+        d2 = np.maximum(0.0, 2.0 - 2.0 * np.einsum("ij,ij->i", pts, centers[labels]))
+        for j in np.nonzero(counts == 0)[0]:
+            far = int(np.argmax(d2))
+            centers[j] = pts[far]
+            counts[labels[far]] -= 1
+            labels[far] = j
+            counts[j] = 1
+            d2[far] = 0.0
+            stats["repairs"] += 1
+        return labels
+
+    def update(labels, centers):
+        new = centers.copy()
+        for j in range(k):
+            members = pts[labels == j]
+            if members.shape[0] == 0:
+                continue
+            mean = members.mean(axis=0)
+            norm = float(np.linalg.norm(mean))
+            if norm > 0.0:
+                new[j] = mean / norm
+            else:
+                stats["zero_norms"] += 1
+        return new
+
+    rng = np.random.default_rng(seed)
+    centers = plus_plus_init(rng)
+    labels = repair_empty(centers, assign(centers))
+    for _ in range(max_iters):
+        stats["rounds"] += 1
+        centers = update(labels, centers)
+        new_labels = repair_empty(centers, assign(centers))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    diff = pts - centers[labels]
+    return centers, labels, float(np.sum(diff * diff)), stats
+
+
 # Per-candidate selection searches, scoring each subset by one fsum over the
 # per-reference maxima of canonical similarity columns: the pair value
 # ``np.einsum("i,i->", r, v)`` of rows widened to float64, one pair at a time.

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from fedca import geometry, selfcheck
 from fedca.cli import EXIT_USAGE, build_parser, main
 from fedca.store import ingest_binary, write_binary, write_jsonl
 from fedca.synthetic import planted_cluster_pool, random_store
+from oracles import literal_kmeans
 from probes import fedca_process
 
 
@@ -168,6 +170,27 @@ def test_bad_flag_values_exit_1_naming_the_flag(argv, flag, tmp_path):
     assert proc.returncode == EXIT_USAGE
     assert f"argument {flag}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, k, seed", [
+    ("domain", 6, 42), ("domain", 25, 7), ("client0", 4, 42), ("client1", 30, 3),
+])
+def test_cluster_prints_and_writes_what_the_literal_loop_gives(workspace, tmp_path, capsys,
+                                                               name, k, seed):
+    src = workspace / f"{name}.fdca"
+    out = str(tmp_path / "centers.fdca")
+    assert main(["cluster", "--in", str(src), "--k", str(k), "--seed", str(seed),
+                 "--out", out]) == 0
+    centers, labels, inertia, _ = literal_kmeans(ingest_binary(src).vectors, k, seed)
+    assert capsys.readouterr().out == json.dumps({
+        "centers": k,
+        "inertia": inertia,
+        "cluster_sizes": [int(s) for s in np.bincount(labels, minlength=k)],
+        "out": out,
+    }) + "\n"
+    written = ingest_binary(out)
+    assert written.ids.tolist() == list(range(k))
+    assert written.vectors.tobytes() == centers.astype(np.float32).tobytes()
 
 
 def test_cluster_select_augment_metrics_pipeline(workspace, tmp_path, capsys):

@@ -1,8 +1,18 @@
+import json
+
 import numpy as np
 import pytest
-from oracles import best_two_partition_cost
+from oracles import best_two_partition_cost, literal_kmeans
 
-from fedca.clustering import CandidateCenters, _inertia, assign_labels, kmeans
+from fedca import clustering
+from fedca.clustering import (
+    DEFAULT_MAX_ITERS,
+    CandidateCenters,
+    _inertia,
+    _lloyd,
+    assign_labels,
+    kmeans,
+)
 from fedca.errors import ValidationError
 from fedca.synthetic import random_unit_vectors
 
@@ -12,10 +22,15 @@ def _normalize(v):
     return (arr / np.linalg.norm(arr, axis=-1, keepdims=True)).astype(np.float32)
 
 
+def _kmeans_inertia(points, k, seed, max_iters=DEFAULT_MAX_ITERS):
+    """The inertia ``fedca cluster`` prints for this run."""
+    return _inertia(*_lloyd(points, k, seed, max_iters))
+
+
 def test_k_equals_n_gives_zero_inertia():
     pts = random_unit_vectors(6, 5, np.random.default_rng(1))
     result = kmeans(pts, k=6, seed=0)
-    assert result.inertia == pytest.approx(0.0, abs=1e-12)
+    assert _kmeans_inertia(pts, k=6, seed=0) == pytest.approx(0.0, abs=1e-12)
     assert sorted(result.cluster_sizes.tolist()) == [1] * 6
     # centers are exactly the points, in some order
     got = {tuple(c) for c in result.centers.tolist()}
@@ -43,7 +58,8 @@ def test_two_blobs_match_exhaustive_partition():
     assert len(set(labels[3:].tolist())) == 1
     assert labels[0] != labels[3]
     # and the achieved cost equals the exhaustive 2-coloring optimum
-    assert result.inertia == pytest.approx(best_two_partition_cost(pts), abs=1e-9)
+    inertia = _kmeans_inertia(pts, k=2, seed=7)
+    assert inertia == pytest.approx(best_two_partition_cost(pts), abs=1e-9)
     for c in result.centers:
         assert np.linalg.norm(c.astype(np.float64)) == pytest.approx(1.0, abs=1e-6)
 
@@ -64,14 +80,14 @@ def test_determinism_bit_for_bit():
     b = kmeans(pts, k=5, seed=123)
     assert np.array_equal(a.centers, b.centers)
     assert np.array_equal(a.cluster_sizes, b.cluster_sizes)
-    assert a.inertia == b.inertia
+    assert _kmeans_inertia(pts, k=5, seed=123) == _kmeans_inertia(pts, k=5, seed=123)
     c = kmeans(pts, k=5, seed=124)
     assert not np.array_equal(a.centers, c.centers)
 
 
 def test_inertia_non_increasing_across_iterations():
     pts = random_unit_vectors(60, 6, np.random.default_rng(5))
-    inertias = [kmeans(pts, k=4, seed=9, max_iters=t).inertia for t in range(1, 12)]
+    inertias = [_kmeans_inertia(pts, k=4, seed=9, max_iters=t) for t in range(1, 12)]
     for earlier, later in zip(inertias, inertias[1:]):
         assert later <= earlier + 1e-9
 
@@ -135,5 +151,116 @@ def test_kmeans_inertia_is_the_sum_over_its_own_centers(seed):
     centers = result.centers.astype(np.float64)
     labels = assign_labels(pts, centers)
     diff = pts.astype(np.float64) - centers[labels]
-    assert result.inertia == float(np.sum(diff * diff))
+    assert _kmeans_inertia(pts, k=12, seed=seed, max_iters=0) == float(np.sum(diff * diff))
     assert result.cluster_sizes.tolist() == np.bincount(labels, minlength=12).tolist()
+
+
+def test_kmeans_rejects_nan_points():
+    pts = np.eye(4)
+    pts[2] = np.nan
+    with pytest.raises(ValidationError, match="points have non-finite values"):
+        kmeans(pts, k=2, seed=0)
+
+
+def test_assign_labels_rejects_non_finite_points_and_centers():
+    good = np.eye(4)
+    nan_row = good.copy()
+    nan_row[2] = np.nan
+    with pytest.raises(ValidationError, match="points have non-finite values"):
+        assign_labels(nan_row, good)
+    with pytest.raises(ValidationError, match="centers have non-finite values"):
+        assign_labels(good, nan_row)
+    inf_row = good.copy()
+    inf_row[1, 3] = np.inf
+    with pytest.raises(ValidationError, match="centers have non-finite values"):
+        assign_labels(good, CandidateCenters(0, inf_row.astype(np.float32)))
+
+
+# ------------------------------------------------- the loop against the literal one
+
+
+def _planted(n, dim, n_true, noise, dtype, seed):
+    """Unit rows scattered around ``n_true`` random directions."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((n_true, dim))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    pts = centers[rng.integers(n_true, size=n)] + noise * rng.standard_normal((n, dim))
+    return (pts / np.linalg.norm(pts, axis=1, keepdims=True)).astype(dtype)
+
+
+def _antipodal(m, extra, dim, seed):
+    """``m`` random unit rows, each followed by its negation, then the first
+    ``extra`` rows again: clusters that sum to exactly zero, and duplicates."""
+    x = _planted(m, dim, m, 0.0, np.float64, seed)
+    return np.concatenate([np.stack([x, -x], axis=1).reshape(-1, dim), x[:extra]])
+
+
+def _repeated(distinct, times, dim, seed):
+    return np.tile(random_unit_vectors(distinct, dim, np.random.default_rng(seed)), (times, 1))
+
+
+_BATTERY = {
+    "d3-planted-f64": (lambda s: _planted(300, 3, 4, 0.3, np.float64, s), 12, DEFAULT_MAX_ITERS),
+    "d64-planted-f32": (lambda s: _planted(600, 64, 8, 0.4, np.float32, s), 25, DEFAULT_MAX_ITERS),
+    "d1024-planted-f32": (lambda s: _planted(400, 1024, 10, 0.02, np.float32, s), 10,
+                          DEFAULT_MAX_ITERS),
+    "d1024-random-f64": (lambda s: random_unit_vectors(200, 1024, np.random.default_rng(s))
+                         .astype(np.float64), 16, DEFAULT_MAX_ITERS),
+    "antipodal-duplicates-repairs": (lambda s: _antipodal(11, 5, 3, s), 26, DEFAULT_MAX_ITERS),
+    "antipodal-k1-zero-norm": (lambda s: _antipodal(6, 0, 3, s), 1, DEFAULT_MAX_ITERS),
+    "duplicates": (lambda s: _repeated(5, 4, 64, s), 8, DEFAULT_MAX_ITERS),
+    # a repair takes a point from a cluster that nothing else changed
+    "duplicates-repair-donors": (lambda s: _repeated(6, 3, 3, s), 11, DEFAULT_MAX_ITERS),
+    "k-equals-n": (lambda s: random_unit_vectors(12, 64, np.random.default_rng(s)), 12,
+                   DEFAULT_MAX_ITERS),
+    "k1-d64": (lambda s: random_unit_vectors(50, 64, np.random.default_rng(s)), 1,
+               DEFAULT_MAX_ITERS),
+    **{f"max-iters-{t}": (lambda s: _planted(500, 64, 6, 0.5, np.float32, s), 20, t)
+       for t in range(4)},
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(_BATTERY))
+def test_kmeans_is_bitwise_the_literal_loop(case, seed):
+    make, k, max_iters = _BATTERY[case]
+    pts = make(seed)
+    want_centers, want_labels, want_inertia, _ = literal_kmeans(pts, k, seed, max_iters)
+    _, centers, labels = _lloyd(pts, k, seed, max_iters)
+    assert centers.dtype == np.float64
+    assert centers.tobytes() == want_centers.tobytes()
+    assert np.array_equal(labels, want_labels)
+    result = kmeans(pts, k, seed, max_iters)
+    assert result.centers.tobytes() == want_centers.astype(np.float32).tobytes()
+    assert result.cluster_sizes.tolist() == np.bincount(want_labels, minlength=k).tolist()
+    # the bytes fedca cluster prints
+    got = json.dumps(_kmeans_inertia(pts, k, seed, max_iters))
+    assert got == json.dumps(want_inertia)
+
+
+def test_battery_reaches_repairs_and_zero_norm_means():
+    make, k, _ = _BATTERY["antipodal-duplicates-repairs"]
+    # repairs after an update round, not only after seeding
+    assert any(literal_kmeans(make(s), k, s)[3]["repairs"]
+               > literal_kmeans(make(s), k, s, max_iters=0)[3]["repairs"] for s in range(4))
+    make, k, _ = _BATTERY["antipodal-k1-zero-norm"]
+    assert all(literal_kmeans(make(s), k, s)[3]["zero_norms"] > 0 for s in range(4))
+    make, k, _ = _BATTERY["duplicates"]
+    assert all(literal_kmeans(make(s), k, s, max_iters=0)[3]["repairs"] > 0 for s in range(4))
+
+
+def test_converging_run_recomputes_fewer_means_than_rounds_times_k(monkeypatch):
+    recomputed = []
+    update = clustering._update
+
+    def spy(pts, labels, centers, clusters):
+        recomputed.append(len(clusters))
+        update(pts, labels, centers, clusters)
+
+    monkeypatch.setattr(clustering, "_update", spy)
+    k = 40
+    kmeans(_planted(2000, 16, 10, 0.5, np.float32, 3), k, seed=1)
+    rounds = len(recomputed)
+    assert 2 < rounds < DEFAULT_MAX_ITERS  # converged
+    assert recomputed[0] == k
+    assert sum(recomputed) < rounds * k
