@@ -26,7 +26,9 @@ the final labels (:func:`_inertia`).
 Degenerate-case rules:
 
 * empty cluster: its center is re-seeded to the point currently farthest
-  from its assigned center (ties to the lowest point index);
+  from its assigned center (ties to the lowest point index) among the points
+  that share their cluster with another point. So each empty cluster takes
+  a distinct point, never a cluster's last member, and none is left empty;
 * zero-norm mean (antipodal cluster): the previous center is kept.
 """
 
@@ -110,12 +112,12 @@ def _repair_empty(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> n
     labels = labels.copy()
     d2 = np.maximum(0.0, 2.0 - 2.0 * np.einsum("ij,ij->i", pts, centers[labels]))
     for j in np.nonzero(counts == 0)[0]:
-        far = int(np.argmax(d2))
+        # a point alone in its cluster, one moved here included, stays put
+        far = int(np.argmax(np.where(counts[labels] > 1, d2, -1.0)))
         centers[j] = pts[far]
         counts[labels[far]] -= 1
         labels[far] = j
         counts[j] = 1
-        d2[far] = 0.0
     return labels
 
 

@@ -4,8 +4,8 @@ All inputs are unit-norm vectors, so cosine similarity is a plain dot
 product. Coverage of a covering set over a reference set is the mean, over
 reference points, of each point's best similarity to the covering set; the
 facility value is the same quantity unnormalized. ``_vectors`` checks every
-vector-set argument here and in ``clustering``, and ``_row_norms`` is the
-package's one blocked row-norm pass.
+vector-set argument here and in ``clustering``, and ``_squared_norms`` (with
+its root, ``_row_norms``) is the package's one blocked row-norm pass.
 
 Value contract. This is the one statement of which similarity values the
 package computes and what they may depend on; the other modules and the
@@ -32,7 +32,12 @@ whose values can move in the last bits with blocking and BLAS threads,
 keeps each row's pairs that may rank among the row's top k by canonical
 value (its docstring holds the bound), and rescores only those, through
 ``_canonical_dots``. ``best_similarity`` is its k = 1 case: the maximum of
-each row's kept pairs. ``_top_candidates`` (direct retrieval) splits the
+each row's kept pairs, for every reference row that is not self-covered. A
+reference row x is self-covered when it is bit-equal to a covering row and
+no other covering row can reach a canonical value above c(x, x), by a bound
+on squared distances (``_self_covered``); its maximum is then c(x, x), its
+own squared norm, computed as every canonical value is, and it is not
+screened. ``_top_candidates`` (direct retrieval) splits the
 pairs per query. The selection scorer takes its operands, reference norms
 and slack from the same set-up and rescores through ``_canonical_dots``
 too. Every screen GEMM runs through ``_screen_gemm``, the one seam where a
@@ -47,8 +52,10 @@ output moves. ``_screen_operands`` sets every screen up as one of:
   dtypes, and float32 inputs whose norms are out of that range or not
   finite; u = 2**-53.
 
-Screen values never leave the kernel, so each per-reference maximum is the
-exact maximum of canonical values over the whole covering set: bit-identical
+Screen values never leave the kernel, and the self-covered check reads no
+screen and never certifies a row whose maximum is not c(x, x), so each
+per-reference maximum is the exact maximum of canonical values over the
+whole covering set: bit-identical
 under any chunking or ordering of either set, for either screen, and at any
 BLAS thread count. Widening float32 to float64 is exact, so float32 input
 and the same input widened to float64 give the same bits. Sums over the
@@ -84,6 +91,12 @@ _SINGLE_RANGE = (2.0**-60, 2.0**60)
 # Rows per `_screened_pairs` screen and queries per feddca retrieval pass:
 # one pass over the other set for up to this many.
 _QUERY_BLOCK = 256
+# Coordinates a self-covered check reads: one to sort the covering rows on,
+# all of them to bound squared distances from below.
+_CHECK_COORDS = 8
+# Row norms a self-covered check takes: no square or product overflows, and
+# underflow stays far below its padding.
+_CHECK_RANGE = (2.0**-250, 2.0**250)
 # Bytes of float64 rows per full `_gemv_rows` span: the span stays in cache
 # while every vector is applied to it (512 rows at d = 1,024).
 _GEMV_SPAN_BYTES = 4 << 20
@@ -152,14 +165,20 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Float64 L2 norm of every row, widening one block of rows at a time."""
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Canonical similarity of every row with itself, widening one block of
+    rows at a time."""
     rows = max(1, _NORM_BLOCK_BYTES // (8 * max(1, x.shape[1])))
     sq = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], rows):
         part = _wide(x[lo : lo + rows])
         sq[lo : lo + rows] = _row_dots(part, part)
-    return np.sqrt(sq)
+    return sq
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Float64 L2 norm of every row: the root of ``_squared_norms``."""
+    return np.sqrt(_squared_norms(x))
 
 
 def _gamma(n: int, u: float = _UNIT_ROUNDOFF) -> float:
@@ -190,20 +209,10 @@ def _screen_roundoff(dtype: np.dtype, left_norms: np.ndarray, right_norm: float)
     return _SINGLE_ROUNDOFF if in_range else _UNIT_ROUNDOFF
 
 
-def _screen_operands(
-    rows, others, names: tuple[str, str], others_norm: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The set-up of a screen of every row of ``rows`` against ``others``:
-    both as non-empty C-contiguous vector sets of one width and one dtype,
-    each row's slack, and the float64 row norms of ``rows``.
-
-    Both stay float32 when both are float32 and ``_screen_roundoff`` allows
-    an SGEMM screen; both are widened to float64 otherwise (exactly).
-    ``slack[i]`` is ``_screen_slack(d, u) * max_j |others_j| * |rows_i|`` at
-    the screen's unit roundoff u. ``others_norm``, when given, is the largest
-    float64 row norm of ``others`` and spares a pass over it. Errors name the
-    operands by ``names``.
-    """
+def _operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and ``others`` as non-empty C-contiguous vector sets of one
+    width: float32 when both are float32, float64 otherwise (widened
+    exactly). Errors name the operands by ``names``."""
     a, b = np.asarray(rows), np.asarray(others)
     dtype = np.float32 if a.dtype == b.dtype == np.float32 else np.float64
     a, b = _vectors(a, names[0], dtype=dtype), _vectors(b, names[1], dtype=dtype)
@@ -214,10 +223,27 @@ def _screen_operands(
         raise ValidationError(
             f"dimension mismatch: {names[0]} {a.shape[1]} vs {names[1]} {b.shape[1]}"
         )
+    return a, b
+
+
+def _screen_operands(
+    rows, others, names: tuple[str, str], others_norm: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The set-up of a screen of every row of ``rows`` against ``others``:
+    both as ``_operands`` gives them, each row's slack, and the float64 row
+    norms of ``rows``.
+
+    Both stay float32 when both are float32 and ``_screen_roundoff`` allows
+    an SGEMM screen; both are widened to float64 otherwise (exactly).
+    ``slack[i]`` is ``_screen_slack(d, u) * max_j |others_j| * |rows_i|`` at
+    the screen's unit roundoff u. ``others_norm``, when given, is the largest
+    float64 row norm of ``others`` and spares a pass over it.
+    """
+    a, b = _operands(rows, others, names)
     row_norms = _row_norms(a)
     if others_norm is None:
         others_norm = float(_row_norms(b).max())
-    u = _screen_roundoff(dtype, row_norms, others_norm)
+    u = _screen_roundoff(a.dtype, row_norms, others_norm)
     if u == _UNIT_ROUNDOFF:
         a, b = _wide(a), _wide(b)
     return a, b, _screen_slack(a.shape[1], u) * others_norm * row_norms, row_norms
@@ -248,13 +274,16 @@ def _canonical_dots(
     return out
 
 
-def _screened_pairs(rows, others, names: tuple[str, str], budgets=None, others_norm=None):
+def _screened_pairs(
+    rows, others, names: tuple[str, str], budgets=None, others_norm=None, subset=None
+):
     """Yield ``(starts, cols, values)`` per block of ``_QUERY_BLOCK`` rows of
-    ``rows``: row-major, the pairs (row, column of ``others``) that may rank
-    among the row's top k = ``budgets[i]`` (1 for every row when None) by
-    canonical value. ``starts[r]`` is the position of block row r's first
-    pair, ``cols`` the pairs' columns and ``values`` their canonical values;
-    every row has at least one pair.
+    ``rows`` (of ``rows[subset]``, gathered one block at a time, when
+    ``subset`` is given): row-major, the pairs (row, column of ``others``)
+    that may rank among the row's top k = ``budgets[i]`` (1 for every row
+    when None) by canonical value. ``starts[r]`` is the position of block
+    row r's first pair, ``cols`` the pairs' columns and ``values`` their
+    canonical values; every row has at least one pair.
 
     Each block is screened against all of ``others`` with one
     ``_screen_gemm`` set up by ``_screen_operands``, so the screen holds
@@ -278,8 +307,11 @@ def _screened_pairs(rows, others, names: tuple[str, str], budgets=None, others_n
     """
     a, b, slack, _ = _screen_operands(rows, others, names, others_norm)
     n = b.shape[0]
-    for lo in range(0, a.shape[0], _QUERY_BLOCK):
-        block = a[lo : lo + _QUERY_BLOCK]
+    for lo in range(0, a.shape[0] if subset is None else len(subset), _QUERY_BLOCK):
+        part = slice(lo, lo + _QUERY_BLOCK)
+        if subset is not None:
+            part = subset[part]
+        block = a[part]
         screen = _screen_gemm(block, b)
         ks = None if budgets is None else budgets[lo : lo + _QUERY_BLOCK]
         top1 = ks is None or all(k == 1 for k in ks)
@@ -288,7 +320,7 @@ def _screened_pairs(rows, others, names: tuple[str, str], budgets=None, others_n
         else:
             kth = np.array([np.partition(s, n - k)[n - k] if k < n else -np.inf
                             for s, k in zip(screen, ks)], dtype=screen.dtype)
-        floor = (kth - slack[lo : lo + _QUERY_BLOCK]).astype(screen.dtype)
+        floor = (kth - slack[part]).astype(screen.dtype)
         flat = np.flatnonzero(~(screen < floor[:, None]))
         starts = np.searchsorted(flat, np.arange(block.shape[0]) * n)
         at, cols = np.divmod(flat, n)
@@ -301,12 +333,126 @@ def _screened_pairs(rows, others, names: tuple[str, str], budgets=None, others_n
         yield starts, cols, values
 
 
+def _row_keys(x: np.ndarray) -> np.ndarray:
+    """A uint64 key per row of C-contiguous ``x``: its first 8 bytes, zero
+    padded when a row is narrower. Bit-equal rows have equal keys."""
+    raw = x.view(np.uint8).reshape(x.shape[0], -1)
+    width = min(8, raw.shape[1])
+    keys = np.zeros((x.shape[0], 8), np.uint8)
+    keys[:, :width] = raw[:, :width]
+    return keys.view(np.uint64).ravel()
+
+
+def _key_twins(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``a`` whose key ``_row_keys`` matches exactly one row of
+    ``b``, and that row. A row that may be bit-equal to several rows of ``b``
+    is left out."""
+    b_keys = _row_keys(b)
+    order = np.argsort(b_keys, kind="stable")
+    b_keys = b_keys[order]
+    a_keys = _row_keys(a)
+    lo = np.searchsorted(b_keys, a_keys, "left")
+    rows = np.flatnonzero(np.searchsorted(b_keys, a_keys, "right") - lo == 1)
+    return rows, order[lo[rows]]
+
+
+def _spread_coords(b: np.ndarray) -> np.ndarray:
+    """Up to ``_CHECK_COORDS`` coordinates of the rows of ``b``, widest spread
+    (standard deviation over at most about 256 evenly spaced rows) first."""
+    sample = _wide(b[:: max(1, b.shape[0] // 256)])
+    return np.argsort(-sample.std(axis=0), kind="stable")[:_CHECK_COORDS]
+
+
+def _self_covered(a: np.ndarray, b: np.ndarray, b_squares: np.ndarray):
+    """The rows of ``a`` certified self-covered by ``b``, ascending, and
+    their values: each such row x is bit-equal to a row of ``b``, and its
+    canonical maximum over ``b`` is c(x, x), its own squared float64 norm,
+    which ``b_squares`` (``_squared_norms(b)``) holds for that row.
+
+    Let M be the largest row norm of ``b`` and d the width. For any y,
+    x.y = (|x|**2 + |y|**2 - |x - y|**2) / 2, and a canonical value lies
+    within gamma_d * |x| * |y| of the exact product (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 3.1), so c(x, y) <= c(x, x)
+    whenever |x - y|**2 > T(x) = M**2 - |x|**2 + 2 * gamma_d * (|x| * M +
+    |x|**2). ``reach`` is T padded by ``16 * gamma_(d+2) * (M**2 + |x|**2)``
+    for the roundings of the norms, of T itself and of the distances below;
+    a larger T only certifies fewer rows. The rows of ``b`` are sorted on the
+    first coordinate of ``_spread_coords``: only those within sqrt(reach) of
+    x on it can lie within reach of x, and the squared distance over the
+    chosen coordinates bounds |x - y|**2 from below (partial-distance
+    elimination; Bei and Gray, IEEE Trans. Commun., 1985). x is certified
+    when its own copy is the only row of ``b`` that no bound rules out. A
+    second copy, a near neighbour or a poor choice of coordinates leaves x to
+    the screen, which changes speed, never a value; so does the choice of
+    coordinates.
+
+    The check runs only when every norm of ``b`` is finite and at most
+    ``_CHECK_RANGE[1]``, and certifies only rows whose norm is at least
+    ``_CHECK_RANGE[0]``, so no square or product it relies on overflows and
+    underflow stays far below the padding; zero rows go to the screen. Per
+    block of ``_QUERY_BLOCK`` rows it holds at most ``max(16, len(b) //
+    16)`` pairs per row; a row with a wider window goes to the screen.
+    """
+    none = np.empty(0, np.intp), np.empty(0)
+    top2 = float(b_squares.max())
+    if not (np.isfinite(b_squares).all() and top2 <= _CHECK_RANGE[1] ** 2):
+        return none
+    rows, twins = _key_twins(a, b)
+    if rows.size == 0:
+        return none
+    coords = _spread_coords(b)
+    keys = _wide(b[:, coords])
+    sorted_t = np.ascontiguousarray(keys[np.argsort(keys[:, 0], kind="stable")].T)
+    bits = f"u{a.itemsize}"
+    pad = 16.0 * _gamma(a.shape[1] + 2)
+    cap = max(16, b.shape[0] // 16)
+    found, values = [], []
+    for lo in range(0, rows.size, _QUERY_BLOCK):
+        at, twin = rows[lo : lo + _QUERY_BLOCK], twins[lo : lo + _QUERY_BLOCK]
+        same = np.all(a[at].view(bits) == b[twin].view(bits), axis=1)
+        sq = b_squares[twin]
+        keep = same & (sq >= _CHECK_RANGE[0] ** 2)
+        at, sq = at[keep], sq[keep]
+        reach = (top2 - sq) + pad * (top2 + sq)
+        x_t = _wide(a[np.ix_(at, coords)]).T
+        half = np.sqrt(reach) * (1.0 + 2.0**-20) + 2.0**-50 * np.abs(x_t[0])
+        start = np.searchsorted(sorted_t[0], x_t[0] - half, "left")
+        sizes = np.searchsorted(sorted_t[0], x_t[0] + half, "right") - start
+        sizes[sizes > cap] = 0
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        col = np.arange(owner.size) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        dist = np.zeros(owner.size)
+        for xc, yc in zip(x_t, sorted_t):
+            diff = xc[owner] - yc[col]
+            dist += diff * diff
+        near = np.bincount(owner[dist <= reach[owner]], minlength=sizes.size)
+        ok = (sizes > 0) & (near == 1)
+        found.append(at[ok])
+        values.append(sq[ok])
+    return np.concatenate(found), np.concatenate(values)
+
+
 def best_similarity(reference, covering) -> np.ndarray:
-    """Per-reference-point maximum canonical cosine over the covering set."""
-    return np.concatenate([
-        np.maximum.reduceat(values, starts)
-        for starts, _, values in _screened_pairs(reference, covering, ("reference", "covering"))
-    ])
+    """Per-reference-point maximum canonical cosine over the covering set.
+
+    Rows that ``_self_covered`` certifies take their own squared norm; every
+    other row takes the maximum of its ``_screened_pairs``, its block of the
+    reference gathered where it lies rather than copied out first.
+    """
+    names = ("reference", "covering")
+    a, b = _operands(reference, covering, names)
+    b_squares = _squared_norms(b)
+    covered, own = _self_covered(a, b, b_squares)
+    best = np.empty(a.shape[0])
+    best[covered] = own
+    rest = np.delete(np.arange(a.shape[0]), covered)
+    if rest.size:
+        best[rest] = np.concatenate([
+            np.maximum.reduceat(values, starts)
+            for starts, _, values in _screened_pairs(
+                a, b, names, others_norm=float(np.sqrt(b_squares.max())), subset=rest)
+        ])
+    return best
 
 
 def _top_candidates(

@@ -59,27 +59,31 @@ def cross_client_coverage(
     """Coverage of the in-domain pooled client data over the reference store.
 
     ``client_sets`` pairs each client's local ids with its augmented ids;
-    every id must resolve in ``universe``. The pooled ids are intersected
+    every id must resolve in ``universe`` (the error names the smallest that
+    does not). The pooled ids, sorted and without repeats, are intersected
     with the reference store's domain labels before scoring; an empty
     intersection (all client data out-of-domain) is an error. Both sets are
     the stores' float32 rows, so ``best_similarity`` screens them with SGEMM;
-    the coverage is the same canonical value a float64 screen gives. The
-    similarity is raw cosine.
+    the coverage is the same canonical value a float64 screen gives. Pooled
+    records that are also reference records make up most of the covering
+    set, and ``best_similarity`` gives the reference rows they copy their own
+    squared norm without a screen when no other covering row can come
+    closer (``geometry._self_covered``). The similarity is raw cosine.
     """
     if len(domain_ref) == 0:
         raise ValidationError("domain reference store is empty")
-    domain_labels = set(domain_ref.domain_index)
-    pooled: set[int] = set()
-    for local_ids, augmented_ids in client_sets:
-        pooled.update(int(i) for i in local_ids)
-        pooled.update(int(i) for i in augmented_ids)
-    in_domain = [i for i in sorted(pooled) if universe.domain_of(i) in domain_labels]
-    if not in_domain:
+    pooled = np.unique(np.asarray(
+        [i for local_ids, augmented_ids in client_sets for i in (*local_ids, *augmented_ids)]
+    ))
+    pos = universe.positions(pooled)
+    index = universe.domain_index
+    allowed = [index[d] for d in domain_ref.domain_index if d in index]
+    in_domain = pos[np.isin(universe.ids[pos], np.concatenate(allowed))] if allowed else []
+    if len(in_domain) == 0:
         raise ValidationError(
             "cross-client data has an empty intersection with the reference domain"
         )
-    covering = universe.vectors_for(in_domain)
-    return coverage(domain_ref.vectors, covering)
+    return coverage(domain_ref.vectors, universe.vectors[in_domain])
 
 
 def _lexicographic_order(arr: np.ndarray) -> np.ndarray:

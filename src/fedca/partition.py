@@ -156,9 +156,12 @@ def dirichlet_partition(
             t = takes[name]
             if t == 0:
                 continue
-            picked = rng.choice(remaining[name], size=t, replace=False)
-            chosen.extend(int(x) for x in picked)
-            remaining[name] = np.setdiff1d(remaining[name], picked)
+            # the draws of rng.choice(ids, ...), which takes ids at these positions
+            at = rng.choice(len(remaining[name]), size=t, replace=False)
+            chosen.extend(remaining[name][at].tolist())
+            keep = np.ones(len(remaining[name]), dtype=bool)
+            keep[at] = False
+            remaining[name] = remaining[name][keep]
         assignments.append(sorted(chosen))
 
     return PartitionPlan("dirichlet", beta, seed, assignments, shortfalls)

@@ -154,10 +154,8 @@ class EmbeddingStore:
             self._texts = (
                 tuple(texts[i] for i in order) if texts is not None else (None,) * n
             )
-        id_list = ids_arr.tolist()
-        self._pos = dict(zip(id_list, range(n)))
         index: dict[str, list[int]] = {d: [] for d in dict.fromkeys(self._domains)}
-        for d, r in zip(self._domains, id_list):
+        for d, r in zip(self._domains, ids_arr.tolist()):
             index[d].append(r)
         self._domain_index = {d: np.asarray(v, dtype=np.uint64) for d, v in index.items()}
 
@@ -205,7 +203,11 @@ class EmbeddingStore:
         return len(self._ids)
 
     def __contains__(self, record_id: int) -> bool:
-        return int(record_id) in self._pos
+        try:
+            self.index_of(record_id)
+        except ValidationError:
+            return False
+        return True
 
     def __iter__(self) -> Iterator[InstructionRecord]:
         for i in range(len(self)):
@@ -228,10 +230,12 @@ class EmbeddingStore:
     # ---------------------------------------------------------------- lookups
 
     def index_of(self, record_id: int) -> int:
-        try:
-            return self._pos[int(record_id)]
-        except KeyError:
-            raise ValidationError(f"unknown record id {record_id}") from None
+        key = int(record_id)
+        if 0 <= key < 2**64:
+            pos = int(np.searchsorted(self._ids, np.uint64(key)))
+            if pos < len(self._ids) and int(self._ids[pos]) == key:
+                return pos
+        raise ValidationError(f"unknown record id {record_id}")
 
     def record_at(self, position: int) -> InstructionRecord:
         return InstructionRecord(
@@ -247,10 +251,28 @@ class EmbeddingStore:
     def domain_of(self, record_id: int) -> str:
         return self._domains[self.index_of(record_id)]
 
+    def positions(self, record_ids: Sequence[int]) -> np.ndarray:
+        """Row positions of the given ids, in the given order; a
+        ValidationError names the first id that is not in the store.
+
+        Integer ids are found with one ``searchsorted`` over the sorted ids;
+        any other kind of id goes through ``index_of`` one at a time.
+        """
+        want = np.asarray(record_ids)
+        if want.ndim != 1 or want.dtype.kind not in "iu":
+            return np.array([self.index_of(r) for r in record_ids], dtype=np.intp)
+        known = want >= 0
+        want = want.astype(np.uint64)  # a negative id wraps, but is unknown already
+        pos = np.searchsorted(self._ids, want)
+        known &= pos < len(self._ids)
+        known[known] = self._ids[pos[known]] == want[known]
+        if not known.all():
+            raise ValidationError(f"unknown record id {record_ids[int(np.argmin(known))]}")
+        return pos
+
     def vectors_for(self, record_ids: Sequence[int]) -> np.ndarray:
         """Float32 vectors for the given ids, in the given order."""
-        pos = [self.index_of(r) for r in record_ids]
-        return self._vectors[pos]
+        return self._vectors[self.positions(record_ids)]
 
     # ---------------------------------------------------------------- subsets
 
@@ -262,13 +284,14 @@ class EmbeddingStore:
         return self.subset_by_ids(ids)
 
     def subset_by_ids(self, record_ids: Sequence[int]) -> "EmbeddingStore":
-        pos = [self.index_of(r) for r in record_ids]
+        pos = self.positions(record_ids)
+        at = pos.tolist()
         return EmbeddingStore._adopt(
             self._dim,
             self._ids[pos],
-            [self._domains[i] for i in pos],
+            [self._domains[i] for i in at],
             self._vectors[pos],
-            [self._texts[i] for i in pos],
+            [self._texts[i] for i in at],
         )
 
 

@@ -146,13 +146,16 @@ def literal_kmeans(points, k: int, seed: int, max_iters: int = 100):
             return labels
         labels = labels.copy()
         d2 = np.maximum(0.0, 2.0 - 2.0 * np.einsum("ij,ij->i", pts, centers[labels]))
-        for j in np.nonzero(counts == 0)[0]:
-            far = int(np.argmax(d2))
+        for j in range(k):
+            if counts[j]:
+                continue
+            # the farthest point, lowest index first, of a cluster it shares
+            donors = [i for i in range(n) if counts[labels[i]] >= 2]
+            far = max(donors, key=lambda i: (d2[i], -i))
             centers[j] = pts[far]
             counts[labels[far]] -= 1
             labels[far] = j
             counts[j] = 1
-            d2[far] = 0.0
             stats["repairs"] += 1
         return labels
 

@@ -211,6 +211,7 @@ _BATTERY = {
     "duplicates": (lambda s: _repeated(5, 4, 64, s), 8, DEFAULT_MAX_ITERS),
     # a repair takes a point from a cluster that nothing else changed
     "duplicates-repair-donors": (lambda s: _repeated(6, 3, 3, s), 11, DEFAULT_MAX_ITERS),
+    "duplicates-k-equals-n": (lambda s: _repeated(3, 2, 16, s), 6, DEFAULT_MAX_ITERS),
     "k-equals-n": (lambda s: random_unit_vectors(12, 64, np.random.default_rng(s)), 12,
                    DEFAULT_MAX_ITERS),
     "k1-d64": (lambda s: random_unit_vectors(50, 64, np.random.default_rng(s)), 1,
@@ -247,6 +248,18 @@ def test_battery_reaches_repairs_and_zero_norm_means():
     assert all(literal_kmeans(make(s), k, s)[3]["zero_norms"] > 0 for s in range(4))
     make, k, _ = _BATTERY["duplicates"]
     assert all(literal_kmeans(make(s), k, s, max_iters=0)[3]["repairs"] > 0 for s in range(4))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_repairs_leave_no_cluster_empty_on_duplicates_with_k_equal_to_n(seed):
+    # Three random unit vectors, each given twice, in six clusters: every
+    # point sits on its center, so every distance a repair ranks is zero.
+    pts = _repeated(3, 2, 16, seed)
+    result = kmeans(pts, 6, seed)
+    assert result.cluster_sizes.tolist() == [1] * 6
+    assert len(np.unique(result.centers, axis=0)) == 3
+    _, labels, _, _ = literal_kmeans(pts, 6, seed)
+    assert np.bincount(labels, minlength=6).tolist() == [1] * 6
 
 
 def test_converging_run_recomputes_fewer_means_than_rounds_times_k(monkeypatch):

@@ -265,6 +265,101 @@ def test_best_similarity_screen_memory_is_bounded_per_row_block():
     assert np.array_equal(got[::250], per_pair_best_similarity(ref[::250], cov))
 
 
+def _screened_rows(monkeypatch) -> list[np.ndarray]:
+    """The rows each ``geometry._screen_gemm`` call screens while the
+    returned list is live, widened to float64."""
+    screened = []
+    screen = geometry._screen_gemm
+
+    def spy(rows, others):
+        screened.append(rows.astype(np.float64))
+        return screen(rows, others)
+
+    monkeypatch.setattr(geometry, "_screen_gemm", spy)
+    return screened
+
+
+def test_best_similarity_screens_only_rows_without_a_copy(monkeypatch):
+    # Random unit rows at dim 64 lie far apart, so every reference row with a
+    # copy in the covering set is certified and only the others are screened.
+    rng = np.random.default_rng(40)
+    ref = random_unit_vectors(300, 64, rng)
+    order = rng.permutation(300)
+    cov = np.concatenate([ref[order[:200]], random_unit_vectors(40, 64, rng)])
+    screened = _screened_rows(monkeypatch)
+    got = best_similarity(ref, cov)
+    rest = np.sort(order[200:])
+    assert np.array_equal(np.concatenate(screened), ref[rest].astype(np.float64))
+    assert np.array_equal(got[order[:200]], np.einsum("ij,ij->i", *[ref[order[:200]]
+                                                                     .astype(np.float64)] * 2))
+    assert np.array_equal(got[::7], per_pair_best_similarity(ref[::7], cov))
+
+
+def _self_covered_cases(dim: int, rng: np.random.Generator) -> dict:
+    """(reference, covering, reference rows the screen must see) per case.
+    The covering set holds rows 0 to 29 of a float32 reference once each,
+    row 5 being zero, shuffled with 30 random rows; the cases add to it."""
+    ref = random_unit_vectors(40, dim, rng)
+    ref[5] = 0.0
+    cov = np.concatenate([ref[:30], random_unit_vectors(30, dim, rng)])[rng.permutation(60)]
+    uncovered = list(range(30, 40))
+    nan = cov.copy()
+    nan[3, 1] = np.nan
+    return {
+        "duplicate": (ref, np.concatenate([cov, ref[:1]]), [0, 5, *uncovered]),
+        # a copy scaled by 1 + 2**-20 beats row 0's own value
+        "scaled": (ref, np.concatenate([cov, ref[:1] * np.float32(1 + 2.0**-20)]),
+                   [0, 5, *uncovered]),
+        "float64-reference": (ref.astype(np.float64), cov, [5, *uncovered]),
+        "nan": (ref, nan, list(range(40))),
+    }
+
+
+@pytest.mark.parametrize("dim", [3, 64, 1024])
+@pytest.mark.parametrize("case", ["duplicate", "scaled", "float64-reference", "nan"])
+def test_self_covered_rows_equal_the_per_pair_oracle(case, dim, monkeypatch):
+    ref, cov, must_screen = _self_covered_cases(dim, np.random.default_rng(41 + dim))[case]
+    screened = _screened_rows(monkeypatch)
+    got = best_similarity(ref, cov)
+    if case == "nan":
+        assert np.isnan(got).all()
+    else:
+        assert np.array_equal(got, per_pair_best_similarity(ref, cov))
+    seen = np.concatenate(screened)
+    rows = {i for i, x in enumerate(ref.astype(np.float64)) if np.all(seen == x, axis=1).any()}
+    # at dim 3 a near neighbour may send more rows to the screen
+    assert rows == set(must_screen) if dim > 3 else rows >= set(must_screen)
+    if case == "scaled":
+        assert got[0] > np.einsum("i,i->", *[ref[0].astype(np.float64)] * 2)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_self_covered_check_memory_is_bounded_per_row_block():
+    # One covering row of norm 10 widens every row's window to the whole
+    # covering set; each window is then too wide to check, not held.
+    rng = np.random.default_rng(42)
+    ref = random_unit_vectors(3_000, 16, rng).astype(np.float64)
+    cov = np.concatenate([ref[:2_000], 10.0 * ref[2_000:2_001]])
+    got, peak = _traced_peak(lambda: best_similarity(ref, cov))
+    assert peak < 12 << 20
+    assert np.array_equal(got[::250], per_pair_best_similarity(ref[::250], cov))
+    # A few certified rows: the other rows are screened where they lie, and
+    # no copy of the 20 MB reference is made.
+    ref = random_unit_vectors(40_000, 64, rng).astype(np.float64)
+    got, peak = _traced_peak(lambda: best_similarity(ref, ref[:10]))
+    assert peak < 4 << 20
+    assert np.array_equal(got[:10], np.einsum("ij,ij->i", ref[:10], ref[:10]))
+    assert np.array_equal(got[::4_000], per_pair_best_similarity(ref[::4_000], ref[:10]))
+
+
 _THREAD_PROBE = """
 import hashlib
 import numpy as np

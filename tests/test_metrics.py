@@ -114,6 +114,25 @@ def test_cross_client_coverage_empty_intersection_errors():
         cross_client_coverage(domain, [([3], [3])], universe)
 
 
+def test_cross_client_coverage_names_the_smallest_unknown_id():
+    universe, domain = _universe_and_domain()
+    with pytest.raises(ValidationError, match="^unknown record id 7$"):
+        cross_client_coverage(domain, [([9, 0], [7, 3])], universe)
+
+
+def test_cross_client_coverage_pools_each_id_once():
+    universe = random_store(60, 8, seed=11, domain="med")
+    mixed = EmbeddingStore(8, universe.ids, ["med" if i % 4 else "gen" for i in range(60)],
+                           universe.vectors)
+    domain = mixed.subset_by_domain("med")
+    sets = [([0, 4, 5], [6, 5, 9]), ([9, 12], [13, 0, 40])]
+    pooled = sorted({i for local, aug in sets for i in (*local, *aug) if i % 4})
+    cov = cross_client_coverage(domain, sets, mixed)
+    want = double_loop_coverage(domain.vectors, mixed.vectors_for(pooled))
+    assert cov.value == pytest.approx(want, abs=1e-12)
+    assert cov == cross_client_coverage(domain, [([], pooled)], mixed)
+
+
 def test_cross_client_coverage_monotone_in_covering():
     universe = random_store(50, 6, seed=10, domain="med")
     domain = universe

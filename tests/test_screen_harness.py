@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import per_pair_best_similarity
 from test_augment import NEAR_TIE_BUDGETS, _near_tie_retrieval
 from test_geometry import _near_tie_covering
 from test_selection_exact import INSTANCES
@@ -92,6 +93,18 @@ def _coverage_outputs() -> list[bytes]:
     return [best_similarity(ref, cov).tobytes() for ref, cov in _coverage_cases()]
 
 
+def _certified_cases() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Float32 references of 24 rows whose covering set holds rows 12 to 23
+    bit for bit, so those are certified without a screen, and near ties of
+    rows 0 to 11, which are screened."""
+    cases = []
+    for dim in (3, 64, 1024):
+        rng = np.random.default_rng(45 + dim)
+        ref = random_unit_vectors(24, dim, rng)
+        cases.append((ref, np.concatenate([ref[12:], _near_tie_covering(ref[:12], rng, 6)])))
+    return cases
+
+
 def _retrieval_outputs() -> list[str]:
     out = []
     for dim in (3, 64, 1024):
@@ -163,6 +176,19 @@ def test_runs_hold_under_any_screen_within_the_bound(adversary, pool_path, tmp_p
     screens = _adversarial_screen(monkeypatch, adversary)
     assert _run_outputs(pool_path, tmp_path / "fake") == want
     assert screens
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+def test_certified_rows_hold_under_any_screen_within_the_bound(adversary, monkeypatch):
+    cases = _certified_cases()
+    want = [best_similarity(ref, cov) for ref, cov in cases]
+    for (ref, cov), best in zip(cases, want):
+        assert np.array_equal(best, per_pair_best_similarity(ref, cov))
+    screens = _adversarial_screen(monkeypatch, adversary)
+    got = [best_similarity(ref, cov) for ref, cov in cases]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # at dim 3 a near tie of rows 0 to 11 may also sit near rows 12 to 23
+    assert screens[0][0] >= 12 and [rows for rows, _ in screens[1:]] == [12, 12]
 
 
 def _changed(got: list, want: list) -> int:

@@ -239,6 +239,27 @@ def test_subsets_partition_the_store():
     assert sorted(union_ids) == [int(i) for i in mixed.ids]
 
 
+def test_id_lookups_follow_the_given_order_and_name_the_first_unknown_id():
+    big = 2**63 + 3  # beyond int64; 2**53 + 1 apart from its neighbour as a float
+    store = EmbeddingStore(2, [big, 5, 2**53 + 1, 2**53], ["a", "b", "a", "c"],
+                           np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
+    order = [2**53 + 1, big, 5, 2**53]
+    want = [store.index_of(i) for i in order]
+    for ids in (order, np.array(order, dtype=np.uint64), tuple(order)):
+        assert store.positions(ids).tolist() == want
+        assert np.array_equal(store.vectors_for(ids), store.vectors[want])
+        assert store.subset_by_ids(ids) == store
+    assert store.positions([5, 5]).tolist() == [store.index_of(5)] * 2
+    assert store.positions(np.array([5, 2**53], dtype=np.int64)).tolist() == [
+        store.index_of(5), store.index_of(2**53)]
+    assert store.vectors_for([]).shape == (0, 2)
+    for ids, first in [([5, 2**53 + 2, 9], 2**53 + 2), ([-1, 7], -1), ([big + 1], big + 1),
+                       ([5, 2**64 + 5], 2**64 + 5), (np.array([5, 6, 7]), 6), ([5.0, 3.0], 3.0)]:
+        for lookup in (store.positions, store.vectors_for, store.subset_by_ids):
+            with pytest.raises(ValidationError, match=f"^unknown record id {first}$"):
+                lookup(ids)
+
+
 def test_ingestion_is_deterministic(tmp_path):
     store = random_store(20, 6, seed=4)
     write_binary(store, tmp_path / "x.fdca")
