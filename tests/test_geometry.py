@@ -290,8 +290,8 @@ def test_best_similarity_screens_only_rows_without_a_copy(monkeypatch):
     got = best_similarity(ref, cov)
     rest = np.sort(order[200:])
     assert np.array_equal(np.concatenate(screened), ref[rest].astype(np.float64))
-    assert np.array_equal(got[order[:200]], np.einsum("ij,ij->i", *[ref[order[:200]]
-                                                                     .astype(np.float64)] * 2))
+    own = ref[order[:200]].astype(np.float64)
+    assert np.array_equal(got[order[:200]], np.einsum("ij,ij->i", own, own))
     assert np.array_equal(got[::7], per_pair_best_similarity(ref[::7], cov))
 
 
@@ -330,7 +330,8 @@ def test_self_covered_rows_equal_the_per_pair_oracle(case, dim, monkeypatch):
     # at dim 3 a near neighbour may send more rows to the screen
     assert rows == set(must_screen) if dim > 3 else rows >= set(must_screen)
     if case == "scaled":
-        assert got[0] > np.einsum("i,i->", *[ref[0].astype(np.float64)] * 2)
+        x = ref[0].astype(np.float64)
+        assert got[0] > np.einsum("i,i->", x, x)
 
 
 def _traced_peak(call):
