@@ -7,7 +7,6 @@ budget. Diagnostics go to stderr; results go to files or stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -270,8 +269,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _read_json(args.config, ExperimentConfig.from_json_dict)
-    strategies = [s for s in args.strategies.split(",") if s]
-    rows = compare_strategies([dataclasses.replace(cfg, strategy=s) for s in strategies])
+    rows = compare_strategies(cfg, [s for s in args.strategies.split(",") if s])
     write_rows_csv(rows, args.out)
     print(json.dumps({"rows": len(rows), "out": args.out}))
     return EXIT_OK
@@ -289,9 +287,7 @@ def _cmd_oracle(args) -> int:
         if greedy_cov is not None and selection.coverage.value > 0:
             payload["ratio_percent"] = 100.0 * greedy_cov / selection.coverage.value
     else:
-        report = approximation_report(
-            problem, args.widths, seed=args.seed, brute_budget=args.budget
-        )
+        report = approximation_report(problem, args.widths, brute_budget=args.budget)
         payload = report.to_json_dict()
         payload["method"] = "beam"
         if greedy_cov is not None and report.best_beam_coverage > 0:
@@ -424,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of beam widths")
     p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET)
     p.add_argument("--greedy", help="greedy selection.json for the approximation ratio")
-    p.add_argument("--seed", type=_integer(0), default=42, help=_INERT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_oracle)
 

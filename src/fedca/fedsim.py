@@ -7,7 +7,8 @@ sampling and message accounting only.
 
 Message choreography (all setup messages are round 0):
 
-* one ``UploadCenters`` per client (payload: xi * dim floats),
+* one ``UploadCenters`` per client (payload: min(xi, local records) * dim
+  floats),
 * one ``SelectionDone`` (payload: selected floats; empty for the baselines),
 * one ``AugmentedSet`` per client (payload: record count),
 * then one ``RoundSample`` per round naming the participating clients.
@@ -451,19 +452,6 @@ def run_experiment(
     return log
 
 
-def _check_group(configs: list[ExperimentConfig]) -> None:
-    """Raise unless ``configs`` is nonempty, valid and differs only in strategy."""
-    if not configs:
-        raise ValidationError("no configs to compare")
-    base = {k: v for k, v in configs[0].to_json_dict().items() if k != "strategy"}
-    for cfg in configs[1:]:
-        other = {k: v for k, v in cfg.to_json_dict().items() if k != "strategy"}
-        if other != base:
-            raise ValidationError("configs must differ only in strategy")
-    for cfg in configs:
-        cfg.validate()
-
-
 def _row(log: ExperimentLog) -> dict:
     """A compare row: the run's strategy and its metrics but the reference size."""
     metrics = log.metrics.to_json_dict()
@@ -472,18 +460,21 @@ def _row(log: ExperimentLog) -> dict:
 
 
 def compare_strategies(
-    configs: list[ExperimentConfig],
+    config: ExperimentConfig,
+    strategies: tuple[str, ...] = STRATEGIES,
     pool: EmbeddingStore | None = None,
 ) -> list[dict]:
-    """One metrics row per config; configs must differ only in strategy.
+    """One metrics row per strategy, in order, of ``config`` run with it.
 
-    The pool is loaded, and the domain partitioned and clustered per
-    client, once per call for every config, so each row equals the metrics
-    of a standalone ``run_experiment`` of its config. Nothing is cached
-    across calls.
+    Every config is built (and validated) before the pool is read. The pool
+    is loaded, and the domain partitioned and clustered per client, once per
+    call for every strategy, so each row equals the metrics of a standalone
+    ``run_experiment``. Nothing is cached across calls.
     """
-    _check_group(configs)
-    pool, domain_store = _load(configs[0], pool)
+    if not strategies:
+        raise ValidationError("no configs to compare")
+    configs = [dataclasses.replace(config, strategy=s) for s in strategies]
+    pool, domain_store = _load(config, pool)
     return [_row(log) for log in _runs(configs, pool, domain_store, {})]
 
 

@@ -33,13 +33,13 @@ keeps each row's pairs that may rank among the row's top k by canonical
 value (its docstring holds the bound), and rescores only those, through
 ``_canonical_dots``. ``best_similarity`` is its k = 1 case: the maximum of
 each row's kept pairs, for every reference row that is not self-covered. A
-reference row x is self-covered when it is bit-equal to a covering row and
-no other covering row can reach a canonical value above c(x, x), by a bound
-on squared distances (``_self_covered``); its maximum is then c(x, x), its
+reference row x is self-covered when a bound on squared distances
+(``_self_covered``) rules out every covering row but one from scoring above
+c(x, x), and that one is bit-equal to x; its maximum is then c(x, x), its
 own squared norm, computed as every canonical value is, and it is not
-screened. ``_top_candidates`` (direct retrieval) splits the
-pairs per query. The selection scorer takes its operands, reference norms
-and slack from the same set-up and rescores through ``_canonical_dots``
+screened. ``_top_candidates`` (direct retrieval) splits the pairs per
+query. The selection scorer takes its operands, reference norms and slack
+from the same set-up and rescores through ``_canonical_dots``
 too. Every screen GEMM runs through ``_screen_gemm``, the one seam where a
 test can put screen values anywhere within the bound and check that no
 output moves. ``_screen_operands`` sets every screen up as one of:
@@ -227,7 +227,7 @@ def _operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndar
 
 
 def _screen_operands(
-    rows, others, names: tuple[str, str], others_norm: float | None = None
+    rows, others, names: tuple[str, str], others_norm: float | None = None, row_norms=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The set-up of a screen of every row of ``rows`` against ``others``:
     both as ``_operands`` gives them, each row's slack, and the float64 row
@@ -237,10 +237,12 @@ def _screen_operands(
     an SGEMM screen; both are widened to float64 otherwise (exactly).
     ``slack[i]`` is ``_screen_slack(d, u) * max_j |others_j| * |rows_i|`` at
     the screen's unit roundoff u. ``others_norm``, when given, is the largest
-    float64 row norm of ``others`` and spares a pass over it.
+    float64 row norm of ``others``, and ``row_norms`` the ``_row_norms`` of
+    ``rows``; each spares a pass.
     """
     a, b = _operands(rows, others, names)
-    row_norms = _row_norms(a)
+    if row_norms is None:
+        row_norms = _row_norms(a)
     if others_norm is None:
         others_norm = float(_row_norms(b).max())
     u = _screen_roundoff(a.dtype, row_norms, others_norm)
@@ -275,7 +277,8 @@ def _canonical_dots(
 
 
 def _screened_pairs(
-    rows, others, names: tuple[str, str], budgets=None, others_norm=None, subset=None
+    rows, others, names: tuple[str, str], budgets=None, others_norm=None, subset=None,
+    row_norms=None,
 ):
     """Yield ``(starts, cols, values)`` per block of ``_QUERY_BLOCK`` rows of
     ``rows`` (of ``rows[subset]``, gathered one block at a time, when
@@ -286,7 +289,8 @@ def _screened_pairs(
     canonical values; every row has at least one pair.
 
     Each block is screened against all of ``others`` with one
-    ``_screen_gemm`` set up by ``_screen_operands``, so the screen holds
+    ``_screen_gemm`` set up by ``_screen_operands`` (given ``others_norm``
+    and ``row_norms``), so the screen holds
     ``_QUERY_BLOCK * len(others)`` values at most. Let g_k be the k-th
     largest screen value of row i, u the screen's unit roundoff and e =
     ``gamma_d(u) * |x_i| * max_j |y_j|``. A screen value lies within e of
@@ -305,7 +309,7 @@ def _screened_pairs(
     ``others`` by canonical value, under any blocking, for float32 input and
     the same input widened to float64, and at any BLAS thread count.
     """
-    a, b, slack, _ = _screen_operands(rows, others, names, others_norm)
+    a, b, slack, _ = _screen_operands(rows, others, names, others_norm, row_norms)
     n = b.shape[0]
     for lo in range(0, a.shape[0] if subset is None else len(subset), _QUERY_BLOCK):
         part = slice(lo, lo + _QUERY_BLOCK)
@@ -333,29 +337,6 @@ def _screened_pairs(
         yield starts, cols, values
 
 
-def _row_keys(x: np.ndarray) -> np.ndarray:
-    """A uint64 key per row of C-contiguous ``x``: its first 8 bytes, zero
-    padded when a row is narrower. Bit-equal rows have equal keys."""
-    raw = x.view(np.uint8).reshape(x.shape[0], -1)
-    width = min(8, raw.shape[1])
-    keys = np.zeros((x.shape[0], 8), np.uint8)
-    keys[:, :width] = raw[:, :width]
-    return keys.view(np.uint64).ravel()
-
-
-def _key_twins(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``a`` whose key ``_row_keys`` matches exactly one row of
-    ``b``, and that row. A row that may be bit-equal to several rows of ``b``
-    is left out."""
-    b_keys = _row_keys(b)
-    order = np.argsort(b_keys, kind="stable")
-    b_keys = b_keys[order]
-    a_keys = _row_keys(a)
-    lo = np.searchsorted(b_keys, a_keys, "left")
-    rows = np.flatnonzero(np.searchsorted(b_keys, a_keys, "right") - lo == 1)
-    return rows, order[lo[rows]]
-
-
 def _spread_coords(b: np.ndarray) -> np.ndarray:
     """Up to ``_CHECK_COORDS`` coordinates of the rows of ``b``, widest spread
     (standard deviation over at most about 256 evenly spaced rows) first."""
@@ -363,11 +344,12 @@ def _spread_coords(b: np.ndarray) -> np.ndarray:
     return np.argsort(-sample.std(axis=0), kind="stable")[:_CHECK_COORDS]
 
 
-def _self_covered(a: np.ndarray, b: np.ndarray, b_squares: np.ndarray):
+def _self_covered(a: np.ndarray, b: np.ndarray, a_squares, b_squares):
     """The rows of ``a`` certified self-covered by ``b``, ascending, and
     their values: each such row x is bit-equal to a row of ``b``, and its
     canonical maximum over ``b`` is c(x, x), its own squared float64 norm,
-    which ``b_squares`` (``_squared_norms(b)``) holds for that row.
+    which ``a_squares`` (``_squared_norms(a)``) holds; ``b_squares`` is
+    ``_squared_norms(b)``.
 
     Let M be the largest row norm of ``b`` and d the width. For any y,
     x.y = (|x|**2 + |y|**2 - |x - y|**2) / 2, and a canonical value lies
@@ -381,38 +363,36 @@ def _self_covered(a: np.ndarray, b: np.ndarray, b_squares: np.ndarray):
     x on it can lie within reach of x, and the squared distance over the
     chosen coordinates bounds |x - y|**2 from below (partial-distance
     elimination; Bei and Gray, IEEE Trans. Commun., 1985). x is certified
-    when its own copy is the only row of ``b`` that no bound rules out. A
-    second copy, a near neighbour or a poor choice of coordinates leaves x to
-    the screen, which changes speed, never a value; so does the choice of
-    coordinates.
+    when exactly one row of ``b`` lies within that bound of it and that row
+    is bit-equal to x over the whole row: every other row of ``b`` is ruled
+    out, and its copy gives c(x, x). A second copy, a near neighbour or a
+    poor choice of coordinates leaves x to the screen, which changes speed,
+    never a value.
 
     The check runs only when every norm of ``b`` is finite and at most
-    ``_CHECK_RANGE[1]``, and certifies only rows whose norm is at least
-    ``_CHECK_RANGE[0]``, so no square or product it relies on overflows and
-    underflow stays far below the padding; zero rows go to the screen. Per
-    block of ``_QUERY_BLOCK`` rows it holds at most ``max(16, len(b) //
+    ``_CHECK_RANGE[1]``, and reads only rows of ``a`` whose squared norm is
+    at least ``_CHECK_RANGE[0] ** 2`` and at most M**2 (a copy's norm is at
+    most M), so no square or product it relies on overflows and underflow
+    stays far below the padding; zero, NaN and longer rows go to the screen.
+    Per block of ``_QUERY_BLOCK`` rows it holds at most ``max(16, len(b) //
     16)`` pairs per row; a row with a wider window goes to the screen.
     """
     none = np.empty(0, np.intp), np.empty(0)
     top2 = float(b_squares.max())
     if not (np.isfinite(b_squares).all() and top2 <= _CHECK_RANGE[1] ** 2):
         return none
-    rows, twins = _key_twins(a, b)
-    if rows.size == 0:
-        return none
+    rows = np.flatnonzero((a_squares >= _CHECK_RANGE[0] ** 2) & (a_squares <= top2))
     coords = _spread_coords(b)
     keys = _wide(b[:, coords])
-    sorted_t = np.ascontiguousarray(keys[np.argsort(keys[:, 0], kind="stable")].T)
+    order = np.argsort(keys[:, 0], kind="stable")
+    sorted_t = np.ascontiguousarray(keys[order].T)
     bits = f"u{a.itemsize}"
     pad = 16.0 * _gamma(a.shape[1] + 2)
     cap = max(16, b.shape[0] // 16)
-    found, values = [], []
+    found, values = [none[0]], [none[1]]
     for lo in range(0, rows.size, _QUERY_BLOCK):
-        at, twin = rows[lo : lo + _QUERY_BLOCK], twins[lo : lo + _QUERY_BLOCK]
-        same = np.all(a[at].view(bits) == b[twin].view(bits), axis=1)
-        sq = b_squares[twin]
-        keep = same & (sq >= _CHECK_RANGE[0] ** 2)
-        at, sq = at[keep], sq[keep]
+        at = rows[lo : lo + _QUERY_BLOCK]
+        sq = a_squares[at]
         reach = (top2 - sq) + pad * (top2 + sq)
         x_t = _wide(a[np.ix_(at, coords)]).T
         half = np.sqrt(reach) * (1.0 + 2.0**-20) + 2.0**-50 * np.abs(x_t[0])
@@ -425,10 +405,13 @@ def _self_covered(a: np.ndarray, b: np.ndarray, b_squares: np.ndarray):
         for xc, yc in zip(x_t, sorted_t):
             diff = xc[owner] - yc[col]
             dist += diff * diff
-        near = np.bincount(owner[dist <= reach[owner]], minlength=sizes.size)
-        ok = (sizes > 0) & (near == 1)
-        found.append(at[ok])
-        values.append(sq[ok])
+        inside = dist <= reach[owner]
+        lone = np.flatnonzero(np.bincount(owner[inside], minlength=sizes.size) == 1)
+        twin = np.empty(sizes.size, np.intp)
+        twin[owner[inside]] = order[col[inside]]
+        same = np.all(a[at[lone]].view(bits) == b[twin[lone]].view(bits), axis=1)
+        found.append(at[lone[same]])
+        values.append(sq[lone[same]])
     return np.concatenate(found), np.concatenate(values)
 
 
@@ -437,12 +420,13 @@ def best_similarity(reference, covering) -> np.ndarray:
 
     Rows that ``_self_covered`` certifies take their own squared norm; every
     other row takes the maximum of its ``_screened_pairs``, its block of the
-    reference gathered where it lies rather than copied out first.
+    reference gathered where it lies rather than copied out first. Each
+    operand's ``_squared_norms`` is taken once and serves both.
     """
     names = ("reference", "covering")
     a, b = _operands(reference, covering, names)
-    b_squares = _squared_norms(b)
-    covered, own = _self_covered(a, b, b_squares)
+    a_squares, b_squares = _squared_norms(a), _squared_norms(b)
+    covered, own = _self_covered(a, b, a_squares, b_squares)
     best = np.empty(a.shape[0])
     best[covered] = own
     rest = np.delete(np.arange(a.shape[0]), covered)
@@ -450,7 +434,8 @@ def best_similarity(reference, covering) -> np.ndarray:
         best[rest] = np.concatenate([
             np.maximum.reduceat(values, starts)
             for starts, _, values in _screened_pairs(
-                a, b, names, others_norm=float(np.sqrt(b_squares.max())), subset=rest)
+                a, b, names, others_norm=float(np.sqrt(b_squares.max())), subset=rest,
+                row_norms=np.sqrt(a_squares))
         ])
     return best
 

@@ -641,18 +641,17 @@ class ApproximationReport:
 def approximation_report(
     problem: SelectionProblem,
     widths: list[int],
-    seed: int = 0,
     brute_budget: int = DEFAULT_BRUTE_BUDGET,
 ) -> ApproximationReport:
     """Run greedy and each beam width; report greedy/best-beam as a percentage.
 
     When exhaustive enumeration fits ``brute_budget``, the ratio to the true
-    optimum is reported as well. ``seed`` goes to ``greedy_select`` with its
-    default ``init="first"``, which does not read it, so it changes no output.
+    optimum is reported as well. Greedy starts from each client's first
+    candidate (``init="first"``), so no seed is read.
     """
     if not widths:
         raise ValidationError("widths must be nonempty")
-    greedy = greedy_select(problem, seed)
+    greedy = greedy_select(problem)
     beam_cov = {w: beam_select(problem, w).coverage.value for w in widths}
     best_beam = max(beam_cov.values())
     ratio = 100.0 * greedy.coverage.value / best_beam if best_beam > 0 else None

@@ -248,9 +248,6 @@ class EmbeddingStore:
     def get(self, record_id: int) -> InstructionRecord:
         return self.record_at(self.index_of(record_id))
 
-    def domain_of(self, record_id: int) -> str:
-        return self._domains[self.index_of(record_id)]
-
     def positions(self, record_ids: Sequence[int]) -> np.ndarray:
         """Row positions of the given ids, in the given order; a
         ValidationError names the first id that is not in the store.

@@ -140,19 +140,19 @@ def test_round_sampling_uniformity_chi_squared():
 
 def test_compare_strategies_rows_and_validation(pool):
     cfg = _config()
-    rows = compare_strategies(
-        [dataclasses.replace(cfg, strategy=s) for s in ("feddca", "direct", "random")],
-        pool=pool,
-    )
+    rows = compare_strategies(cfg, ("feddca", "direct", "random"), pool=pool)
     assert [r["strategy"] for r in rows] == ["feddca", "direct", "random"]
     for row in rows:
         assert 0.0 < row["domain_coverage"] <= 1.0
         assert 0.0 < row["ruai"] <= 1.0
     # identical strategy repeated gives identical rows
-    twice = compare_strategies([cfg, cfg], pool=pool)
+    twice = compare_strategies(cfg, ("feddca", "feddca"), pool=pool)
     assert twice[0] == twice[1]
-    with pytest.raises(ValidationError, match="only in strategy"):
-        compare_strategies([cfg, dataclasses.replace(cfg, seed=1)], pool=pool)
+    with pytest.raises(ValidationError, match="no configs"):
+        compare_strategies(cfg, (), pool=pool)
+    # an unknown name fails before the pool (an absent path here) is read
+    with pytest.raises(ValidationError, match="unknown strategy 'bogus'"):
+        compare_strategies(cfg, ("feddca", "bogus"))
 
 
 def test_heterogeneity_sweep_shape_and_csv(pool, tmp_path):
@@ -189,7 +189,7 @@ def test_compare_rows_and_logs_equal_standalone_runs(pool, monkeypatch, mode, or
 
     monkeypatch.setattr(fedsim, "_run_strategy", spy)
     configs = [_config(beta_or_mode=mode, strategy=s) for s in order]
-    rows = compare_strategies(configs, pool=pool)
+    rows = compare_strategies(_config(beta_or_mode=mode), order, pool=pool)
     monkeypatch.undo()
     assert [log.config for log in logs] == configs
     for cfg, row, log in zip(configs, rows, logs):
@@ -226,7 +226,7 @@ def test_compare_and_sweep_run_the_prefix_once(pool, monkeypatch):
     run_experiment(_config(), pool=pool)
     assert kmeans_calls == {"other": 1, "client": 6}  # pseudo-labels; one per client
     kmeans_calls.clear()
-    compare_strategies([_config(strategy=s) for s in STRATEGIES], pool=pool)
+    compare_strategies(_config(), pool=pool)
     assert kmeans_calls == {"other": 1, "client": 6}  # pseudo-labels; one per client
     kmeans_calls.clear()
     heterogeneity_sweep(_config(), [0.1, 1.0, 10.0], pool=pool)

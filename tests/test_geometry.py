@@ -305,6 +305,12 @@ def _self_covered_cases(dim: int, rng: np.random.Generator) -> dict:
     uncovered = list(range(30, 40))
     nan = cov.copy()
     nan[3, 1] = np.nan
+    # row 0's first 8 bytes (two float32 coordinates), the rest negated: far
+    # from row 0 however its coordinates are chosen
+    collision = np.concatenate([ref[0, :2], -ref[0, 2:]])
+    # row 0's copy replaced by a neighbour within its reach that is not a copy
+    lone = cov.copy()
+    lone[np.all(cov == ref[0], axis=1)] = ref[0] * np.float32(1 - 2.0**-22)
     return {
         "duplicate": (ref, np.concatenate([cov, ref[:1]]), [0, 5, *uncovered]),
         # a copy scaled by 1 + 2**-20 beats row 0's own value
@@ -312,11 +318,14 @@ def _self_covered_cases(dim: int, rng: np.random.Generator) -> dict:
                    [0, 5, *uncovered]),
         "float64-reference": (ref.astype(np.float64), cov, [5, *uncovered]),
         "nan": (ref, nan, list(range(40))),
+        "key-collision": (ref, np.concatenate([cov, collision[None]]), [5, *uncovered]),
+        "lone-neighbour": (ref, lone, [0, 5, *uncovered]),
     }
 
 
 @pytest.mark.parametrize("dim", [3, 64, 1024])
-@pytest.mark.parametrize("case", ["duplicate", "scaled", "float64-reference", "nan"])
+@pytest.mark.parametrize("case", ["duplicate", "scaled", "float64-reference", "nan",
+                                  "key-collision", "lone-neighbour"])
 def test_self_covered_rows_equal_the_per_pair_oracle(case, dim, monkeypatch):
     ref, cov, must_screen = _self_covered_cases(dim, np.random.default_rng(41 + dim))[case]
     screened = _screened_rows(monkeypatch)
@@ -332,6 +341,38 @@ def test_self_covered_rows_equal_the_per_pair_oracle(case, dim, monkeypatch):
     if case == "scaled":
         x = ref[0].astype(np.float64)
         assert got[0] > np.einsum("i,i->", x, x)
+
+
+def test_reference_rows_longer_than_every_covering_row_raise_nothing():
+    # Row 0 is twice as long as any covering row, so no covering row can be
+    # its copy and the check must not take the root of a negative reach.
+    rng = np.random.default_rng(43)
+    ref = random_unit_vectors(40, 64, rng)
+    ref[0] *= 2
+    cov = np.concatenate([ref[1:30], random_unit_vectors(30, 64, rng)])
+    with np.errstate(invalid="raise"):
+        got = best_similarity(ref, cov)
+    assert np.array_equal(got, per_pair_best_similarity(ref, cov))
+
+
+def test_best_similarity_takes_each_operands_squared_norms_once(monkeypatch):
+    rng = np.random.default_rng(44)
+    ref = random_unit_vectors(300, 64, rng)
+    cov = np.concatenate([ref[:200], random_unit_vectors(40, 64, rng)])
+    passes = []
+    squared_norms = geometry._squared_norms
+
+    def spy(x):
+        passes.append(x.shape[0])
+        return squared_norms(x)
+
+    monkeypatch.setattr(geometry, "_squared_norms", spy)
+    screened = _screened_rows(monkeypatch)
+    got = best_similarity(ref, cov)
+    # both the check and the screen ran, on one norm pass per operand
+    assert sorted(passes) == [240, 300]
+    assert sum(len(rows) for rows in screened) == 100
+    assert np.array_equal(got, per_pair_best_similarity(ref, cov))
 
 
 def _traced_peak(call):
