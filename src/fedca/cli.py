@@ -19,7 +19,6 @@ from .augment import (
     augset_ids_from_json,
     direct_retrieval_augment,
     feddca_augment,
-    random_sampling_augment,
 )
 from .clustering import CandidateCenters, _inertia, _lloyd
 from .errors import BudgetExceededError, FedcaError, ValidationError, check_number
@@ -29,7 +28,9 @@ from .fedsim import (
     compare_strategies,
     heterogeneity_sweep,
     partition_domain,
+    random_augment,
     run_experiment,
+    write_json,
     write_rows_csv,
 )
 from .partition import PartitionPlan
@@ -120,10 +121,6 @@ def _build_problem(args) -> SelectionProblem:
     return SelectionProblem(candidates_per_client=candidates, reference=reference)
 
 
-def _write_json(path: str, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
 def _read_json(path: str, parse):
     """``parse`` applied to the JSON file at ``path``; errors name the file,
     decoding errors included: malformed JSON, bytes that are not UTF-8,
@@ -180,7 +177,7 @@ def _cmd_partition(args) -> int:
     plan = partition_domain(
         store, beta_or_mode, args.clients, args.per_client, args.label_clusters, args.seed
     )
-    _write_json(args.out, plan.to_json_dict())
+    write_json(plan.to_json_dict(), args.out)
     print(json.dumps({
         "clients": len(plan.assignments), "shortfalls": plan.shortfalls, "out": args.out,
     }))
@@ -200,7 +197,7 @@ def _cmd_select(args) -> int:
         selection = beam_select(problem, args.width)
     else:
         selection = brute_force_select(problem, args.budget)
-    _write_json(args.out, selection.to_json_dict())
+    write_json(selection.to_json_dict(), args.out)
     print(json.dumps({
         "coverage": selection.coverage.value,
         "passes": selection.passes,
@@ -224,8 +221,8 @@ def _cmd_augment(args) -> int:
     else:
         if args.clients is None:
             raise ValidationError("--clients is required for the random strategy")
-        results = random_sampling_augment(pool, args.clients, args.per_client, args.seed)
-    _write_json(args.out, augments_to_json(results))
+        results = random_augment(pool, args.clients, args.per_client, args.seed)
+    write_json(augments_to_json(results), args.out)
     print(json.dumps({
         "clients": len(results),
         "total_hits": sum(len(r.hits) for r in results),
@@ -243,7 +240,7 @@ def _cmd_metrics(args) -> int:
     report = assemble_metrics(
         domain, universe, plan.assignments, aug_ids, args.xi, args.seed, passes
     )
-    _write_json(args.out, report.to_json_dict())
+    write_json(report.to_json_dict(), args.out)
     print(json.dumps({"domain_coverage": report.domain_coverage.value, "out": args.out}))
     return EXIT_OK
 
@@ -292,7 +289,7 @@ def _cmd_oracle(args) -> int:
         payload["method"] = "beam"
         if greedy_cov is not None and report.best_beam_coverage > 0:
             payload["ratio_percent"] = 100.0 * greedy_cov / report.best_beam_coverage
-    _write_json(args.out, payload)
+    write_json(payload, args.out)
     print(json.dumps({"method": payload["method"], "out": args.out}))
     return EXIT_OK
 
@@ -333,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="seeded k-means over a store")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=_integer(), required=True)
-    p.add_argument("--seed", type=_integer(0), default=42)
+    p.add_argument("--seed", type=_integer(0), default=42, help="the k-means seed itself")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_cluster)
 
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="similarity threshold for the feddca strategy; hits above it "
                         "are excluded (values above 1 disable filtering)")
     p.add_argument("--strategy", choices=["feddca", "direct", "random"], default="feddca")
-    p.add_argument("--seed", type=_integer(0), default=42)
+    p.add_argument("--seed", type=_integer(0), default=42, help="the run seed, as in 'fedca run'")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_augment)
 

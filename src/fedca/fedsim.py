@@ -63,11 +63,10 @@ STRATEGIES = ("feddca", "direct", "random")
 # MAX_ROUNDS rounds and 2 * MAX_ROUNDS picks in all keep log.jsonl near 10 MB
 MAX_ROUNDS = 100_000
 
-# labels for seed-stream derivation; adding streams must not renumber old ones
+# labels for seed-stream derivation; adding or dropping one renumbers no other
 _STREAM_PSEUDO_LABELS = 1
 _STREAM_PARTITION = 2
 _STREAM_CLIENT_KMEANS = 3
-_STREAM_SELECTION = 4
 _STREAM_AUGMENT = 5
 _STREAM_ICACS = 6
 _STREAM_ROUNDS = 7
@@ -218,17 +217,11 @@ class ExperimentLog:
         run_dir = Path(out_dir) / self.config.config_hash()
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "log.jsonl").write_text("\n".join(self.to_lines()) + "\n", encoding="utf-8")
-        (run_dir / "timing.json").write_text(json.dumps(self.timings, indent=2), encoding="utf-8")
-        (run_dir / "plan.json").write_text(
-            json.dumps(self.plan.to_json_dict()), encoding="utf-8"
-        )
+        write_json(self.timings, run_dir / "timing.json")
+        write_json(self.plan.to_json_dict(), run_dir / "plan.json")
         if self.selection is not None:
-            (run_dir / "selection.json").write_text(
-                json.dumps(self.selection.to_json_dict()), encoding="utf-8"
-            )
-        (run_dir / "augsets.json").write_text(
-            json.dumps(augments_to_json(self.augsets)), encoding="utf-8"
-        )
+            write_json(self.selection.to_json_dict(), run_dir / "selection.json")
+        write_json(augments_to_json(self.augsets), run_dir / "augsets.json")
         self.run_dir = run_dir
         return run_dir
 
@@ -272,6 +265,11 @@ def _pseudo_labels(domain_store: EmbeddingStore, label_clusters: int, seed: int)
     points = domain_store.vectors.astype(np.float64)
     pseudo = kmeans(points, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
     return assign_labels(points, pseudo)
+
+
+def random_augment(pool: EmbeddingStore, n_clients: int, per_client: int, seed: int) -> list:
+    """The random strategy's augmented sets on the stream derived from run seed ``seed``."""
+    return random_sampling_augment(pool, n_clients, per_client, derive_seed(seed, _STREAM_AUGMENT))
 
 
 def assemble_metrics(
@@ -382,8 +380,7 @@ def _run_strategy(
     t0 = time.perf_counter()
     selection: CenterSelection | None = None
     if config.strategy == "feddca":
-        problem = SelectionProblem(candidates_per_client=candidates)
-        selection = greedy_select(problem, derive_seed(config.seed, _STREAM_SELECTION))
+        selection = greedy_select(SelectionProblem(candidates_per_client=candidates))
         sel_payload = len(selection.slots) * pool.dim
     else:
         sel_payload = 0
@@ -399,10 +396,7 @@ def _run_strategy(
     elif config.strategy == "direct":
         augsets = direct_retrieval_augment(pool, candidates, config.per_client_aug)
     else:
-        augsets = random_sampling_augment(
-            pool, config.n_clients, config.per_client_aug,
-            derive_seed(config.seed, _STREAM_AUGMENT),
-        )
+        augsets = random_augment(pool, config.n_clients, config.per_client_aug, config.seed)
     # augset i is distributed to client i (slot order for feddca)
     for k, result in enumerate(augsets):
         messages.append(ProtocolMessage(
@@ -507,6 +501,12 @@ def heterogeneity_sweep(
         for beta, configs in zip(betas, groups)
         for log in _runs(configs, pool, domain_store, {}, labels)
     ]
+
+
+def write_json(obj, path: str | Path) -> None:
+    """``obj`` as compact JSON (Python's C encoder; ``indent`` is pure Python)
+    and a newline: the one layout of every JSON file fedca writes."""
+    Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
 def write_rows_csv(rows: list[dict], path: str | Path) -> None:

@@ -371,9 +371,9 @@ def _self_covered(a: np.ndarray, b: np.ndarray, a_squares, b_squares):
 
     The check runs only when every norm of ``b`` is finite and at most
     ``_CHECK_RANGE[1]``, and reads only rows of ``a`` whose squared norm is
-    at least ``_CHECK_RANGE[0] ** 2`` and at most M**2 (a copy's norm is at
-    most M), so no square or product it relies on overflows and underflow
-    stays far below the padding; zero, NaN and longer rows go to the screen.
+    at least ``_CHECK_RANGE[0] ** 2`` and equal to one of ``b`` (a copy's is),
+    so no square or product it relies on overflows and underflow stays far
+    below the padding; zero, NaN and uncopied rows go to the screen.
     Per block of ``_QUERY_BLOCK`` rows it holds at most ``max(16, len(b) //
     16)`` pairs per row; a row with a wider window goes to the screen.
     """
@@ -381,7 +381,9 @@ def _self_covered(a: np.ndarray, b: np.ndarray, a_squares, b_squares):
     top2 = float(b_squares.max())
     if not (np.isfinite(b_squares).all() and top2 <= _CHECK_RANGE[1] ** 2):
         return none
-    rows = np.flatnonzero((a_squares >= _CHECK_RANGE[0] ** 2) & (a_squares <= top2))
+    rows = np.flatnonzero((a_squares >= _CHECK_RANGE[0] ** 2) & np.isin(a_squares, b_squares))
+    if rows.size == 0:
+        return none
     coords = _spread_coords(b)
     keys = _wide(b[:, coords])
     order = np.argsort(keys[:, 0], kind="stable")

@@ -118,7 +118,7 @@ def icacs(
     client's vectors are canonicalized (lexicographic row sort) and its
     k-means seed is derived from the run seed plus the canonical content.
     A client with fewer vectors than ``k`` is clustered with k shrunk to its
-    size (logged).
+    size; one warning per call counts such clients.
     """
     if len(per_client_augmented) < 2:
         raise ValidationError("ICACS requires at least 2 clients")
@@ -128,11 +128,6 @@ def icacs(
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise ValidationError(f"client {idx} has no augmented vectors")
         k_eff = min(k, arr.shape[0])
-        if k_eff < k:
-            logger.warning(
-                "client %d has %d vectors; shrinking ICACS k from %d to %d",
-                idx, arr.shape[0], k, k_eff,
-            )
         canon = arr[_lexicographic_order(arr)]
         digest = hashlib.sha256(canon).digest()
         content_key = int.from_bytes(digest[:8], "little")
@@ -140,6 +135,10 @@ def icacs(
         centers.append(
             kmeans(canon, k_eff, seed=client_seed, client_id=idx).centers.astype(np.float64)
         )
+    shrunk = [len(c) for c in centers if len(c) < k]
+    if shrunk:
+        logger.warning("%d clients have fewer than %d vectors, the smallest %d; shrinking "
+                       "ICACS k to each one's size", len(shrunk), k, min(shrunk))
     sims: list[float] = []
     for a in range(len(centers)):
         for b in range(a + 1, len(centers)):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,13 @@ import pytest
 
 from fedca import geometry, selfcheck
 from fedca.cli import EXIT_USAGE, build_parser, main
+from fedca.fedsim import (
+    _STREAM_CLIENT_KMEANS,
+    STRATEGIES,
+    ExperimentConfig,
+    derive_seed,
+    run_experiment,
+)
 from fedca.store import ingest_binary, write_binary, write_jsonl
 from fedca.synthetic import planted_cluster_pool, random_store
 from oracles import literal_kmeans
@@ -296,8 +304,7 @@ def test_cli_partition_and_metrics_reproduce_the_run(runs, workspace, tmp_path, 
                "--label-clusters", str(cfg["pseudo_label_clusters"]),
                "--out", str(tmp_path / "plan.json")])
     assert rc == 0
-    assert (json.loads((tmp_path / "plan.json").read_text())
-            == json.loads((run_dir / "plan.json").read_text()))
+    assert (tmp_path / "plan.json").read_bytes() == (run_dir / "plan.json").read_bytes()
 
     argv = ["metrics", "--domain", domain, "--universe", str(workspace / "pool.fdca"),
             "--plan", str(run_dir / "plan.json"), "--augsets", str(run_dir / "augsets.json"),
@@ -309,6 +316,61 @@ def test_cli_partition_and_metrics_reproduce_the_run(runs, workspace, tmp_path, 
     run_metrics = json.loads((run_dir / "log.jsonl").read_text().splitlines()[-1])
     assert run_metrics.pop("record") == "metrics"
     assert json.loads((tmp_path / "report.json").read_text()) == run_metrics
+
+
+def test_cli_walkthrough_writes_a_runs_files_byte_for_byte(workspace, tmp_path):
+    pool, domain = str(workspace / "pool.fdca"), str(workspace / "domain.fdca")
+    cfg = ExperimentConfig(
+        pool_path=pool, domain_label="dom", n_clients=4, per_client_local=15,
+        per_client_aug=20, xi=3, alpha=0.7, beta_or_mode=0.5, rounds=3, clients_per_round=2,
+        seed=7, pseudo_label_clusters=6,
+    )
+    run_dirs = {
+        s: run_experiment(dataclasses.replace(cfg, strategy=s), out_dir=tmp_path / "runs").run_dir
+        for s in STRATEGIES
+    }
+
+    def cli(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    # the walkthrough: one store per client of the plan, clustered at the
+    # seed a run derives for that client
+    cli("partition", "--in", domain, "--mode", "dirichlet", "--beta", cfg.beta_or_mode,
+        "--clients", cfg.n_clients, "--per-client", cfg.per_client_local, "--seed", cfg.seed,
+        "--label-clusters", cfg.pseudo_label_clusters, "--out", tmp_path / "plan.json")
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    domain_store = ingest_binary(domain)
+    centers = []
+    for k, ids in enumerate(plan["clients"]):
+        write_binary(domain_store.subset_by_ids(ids), tmp_path / f"client{k}.fdca")
+        centers.append(tmp_path / f"centers{k}.fdca")
+        cli("cluster", "--in", tmp_path / f"client{k}.fdca", "--k", min(cfg.xi, len(ids)),
+            "--seed", derive_seed(cfg.seed, _STREAM_CLIENT_KMEANS, k), "--out", centers[k])
+    cli("select", "--centers", *centers, "--out", tmp_path / "selection.json")
+    cli("augment", "--pool", pool, "--selection", tmp_path / "selection.json",
+        "--per-client", cfg.per_client_aug, "--alpha", cfg.alpha, "--strategy", "feddca",
+        "--out", tmp_path / "feddca.json")
+    cli("augment", "--pool", pool, "--centers", *centers, "--per-client", cfg.per_client_aug,
+        "--strategy", "direct", "--out", tmp_path / "direct.json")
+    cli("augment", "--pool", pool, "--clients", cfg.n_clients,
+        "--per-client", cfg.per_client_aug, "--strategy", "random", "--seed", cfg.seed,
+        "--out", tmp_path / "random.json")
+
+    assert ((tmp_path / "selection.json").read_bytes()
+            == (run_dirs["feddca"] / "selection.json").read_bytes())
+    for strategy, run_dir in run_dirs.items():
+        assert (tmp_path / "plan.json").read_bytes() == (run_dir / "plan.json").read_bytes()
+        assert ((tmp_path / f"{strategy}.json").read_bytes()
+                == (run_dir / "augsets.json").read_bytes())
+        argv = ["metrics", "--domain", domain, "--universe", pool,
+                "--plan", tmp_path / "plan.json", "--augsets", tmp_path / f"{strategy}.json",
+                "--xi", cfg.xi, "--seed", cfg.seed, "--out", tmp_path / f"{strategy}.report.json"]
+        if strategy == "feddca":
+            argv += ["--selection", tmp_path / "selection.json"]
+        cli(*argv)
+        run_metrics = json.loads((run_dir / "log.jsonl").read_text().splitlines()[-1])
+        assert run_metrics.pop("record") == "metrics"
+        assert json.loads((tmp_path / f"{strategy}.report.json").read_text()) == run_metrics
 
 
 def _without(obj, key):

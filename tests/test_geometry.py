@@ -375,6 +375,30 @@ def test_best_similarity_takes_each_operands_squared_norms_once(monkeypatch):
     assert np.array_equal(got, per_pair_best_similarity(ref, cov))
 
 
+def test_self_covered_check_reads_no_coordinates_without_a_copy(monkeypatch):
+    # No reference row has a copy among the covering rows: no squared norm
+    # matches, and the check returns before it sorts the covering rows.
+    rng = np.random.default_rng(45)
+    ref = random_unit_vectors(2_000, 64, rng)
+    cov = random_unit_vectors(10, 64, rng)
+    sorted_sets = []
+    spread_coords = geometry._spread_coords
+
+    def spy(b):
+        sorted_sets.append(b.shape[0])
+        return spread_coords(b)
+
+    monkeypatch.setattr(geometry, "_spread_coords", spy)
+    assert np.array_equal(best_similarity(ref, cov), per_pair_best_similarity(ref, cov))
+    assert sorted_sets == []
+    # one copy brings the check back, and it certifies that copy
+    screened = _screened_rows(monkeypatch)
+    cov = np.concatenate([cov, ref[7:8]])
+    assert np.array_equal(best_similarity(ref, cov), per_pair_best_similarity(ref, cov))
+    assert sorted_sets == [11]
+    assert sum(len(rows) for rows in screened) == 1_999
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:

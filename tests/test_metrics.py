@@ -66,11 +66,14 @@ def test_icacs_invariant_to_client_order_and_permutation():
 
 
 def test_icacs_shrinks_k_for_small_clients(caplog):
-    a = random_unit_vectors(3, 4, np.random.default_rng(7))
+    # 50 clients of 3 to 7 vectors and one of 12: one warning for the call
+    small = [random_unit_vectors(3 + k % 5, 4, np.random.default_rng(7 + k)) for k in range(50)]
     b = random_unit_vectors(12, 4, np.random.default_rng(8))
     with caplog.at_level("WARNING"):
-        value = icacs([a, b], k=10, seed=1)
-    assert "shrinking" in caplog.text
+        value = icacs([*small, b], k=10, seed=1)
+    shrinking = [r.getMessage() for r in caplog.records if "shrinking" in r.getMessage()]
+    assert len(shrinking) == 1
+    assert shrinking[0].startswith("50 clients have fewer than 10 vectors, the smallest 3;")
     assert -1.0 <= value <= 1.0
 
 
