@@ -7,6 +7,27 @@ cosine. Centroid updates take the per-cluster mean and re-normalize it to
 unit length; on the sphere that renormalized mean is the in-cluster SSE
 minimizer, so inertia is non-increasing across iterations.
 
+Dtype rule: float32 points (store rows, ICACS's canonicalized sets, client
+sets) are clustered in float32; any other input is widened to float64.
+:func:`_lloyd` widens float32 points once, exactly, for the update and the
+empty-cluster repair, so the centers are float64 and have the bits a
+float64 copy of the points gives them.
+
+Seeding rule: the first center is a uniform draw; each later one is drawn
+with probability proportional to D^2 = max(0, 2 - 2 * s), s a point's
+largest similarity to a chosen center, from one GEMV per chosen center in
+the points' precision, widened to float64 before ``rng.choice``. (float32
+and float64 GEMVs pick another point only when the draw lands within about
+1e-7 of a cumulative-D^2 boundary.)
+
+Assignment rule: a point's label is the lowest index of the centers whose
+canonical similarity to it (``fedca.geometry``'s value contract) is
+largest. :func:`_assign` screens every point against every center in the
+points' precision, settles each point whose best screen entry beats every
+other entry by more than a rigorous bound, and computes canonical values
+only for the others (its docstring holds the bound). So labels do not
+depend on the BLAS thread count.
+
 Update rule: the first update re-centers every cluster; each later update
 re-centers only the clusters that a point entered or left since the one
 before, by assignment or by an empty-cluster repair. Every other center
@@ -40,10 +61,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import _row_norms, _vectors
+from .geometry import (
+    _SINGLE_RANGE,
+    _SINGLE_ROUNDOFF,
+    _UNIT_ROUNDOFF,
+    _canonical_dots,
+    _row_dots,
+    _row_norms,
+    _screen_gemm,
+    _screen_slack,
+    _vectors,
+    _wide,
+)
 
 DEFAULT_MAX_ITERS = 100
 _UNIT_TOLERANCE = 1e-3
+# Every row norm of points that pass the unit-norm check lies in this span.
+_UNIT_SPAN = (1.0 - _UNIT_TOLERANCE, 1.0 + _UNIT_TOLERANCE)
 
 
 @dataclass
@@ -67,8 +101,16 @@ class CandidateCenters:
         return self.centers.shape[1]
 
 
-def _points64(points) -> np.ndarray:
-    pts = _vectors(points, "points")
+def _own_precision(x, name: str) -> np.ndarray:
+    """``x`` as a C-contiguous vector set: float32 when it is float32, float64
+    otherwise (the dtype rule)."""
+    arr = np.asarray(x)
+    return _vectors(arr, name, dtype=np.float32 if arr.dtype == np.float32 else np.float64)
+
+
+def _points(points) -> tuple[np.ndarray, np.ndarray]:
+    """The points in their own precision and their float64 row norms."""
+    pts = _own_precision(points, "points")
     if pts.shape[0] == 0:
         raise ValidationError("cannot cluster an empty point set")
     norms = _row_norms(pts)
@@ -76,14 +118,19 @@ def _points64(points) -> np.ndarray:
         raise ValidationError("points have non-finite values")
     if np.any(np.abs(norms - 1.0) > _UNIT_TOLERANCE):
         raise ValidationError("points must be unit-norm")
-    return pts
+    return pts, norms
 
 
-def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """The indices of the ``k`` seeded centers (the seeding rule)."""
     n = pts.shape[0]
+
+    def d2_to(i: int) -> np.ndarray:
+        # squared Euclidean distance on unit vectors: 2 - 2 * cosine
+        return np.maximum(0.0, 2.0 - 2.0 * _wide(pts @ pts[i]))
+
     chosen = [int(rng.integers(n))]
-    # squared Euclidean distance on unit vectors: 2 - 2 * cosine
-    d2 = np.maximum(0.0, 2.0 - 2.0 * (pts @ pts[chosen[0]]))
+    d2 = d2_to(chosen[0])
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -94,14 +141,61 @@ def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         else:
             nxt = int(rng.choice(n, p=d2 / total))
         chosen.append(nxt)
-        np.minimum(d2, np.maximum(0.0, 2.0 - 2.0 * (pts @ pts[nxt])), out=d2)
-    return pts[chosen].copy()
+        np.minimum(d2, d2_to(nxt), out=d2)
+    return chosen
 
 
-def _assign(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # argmax of cosine == argmin of Euclidean for unit rows; argmax breaks
-    # ties toward the lowest center index
-    return np.argmax(pts @ centers.T, axis=1)
+def _assign(
+    pts: np.ndarray, norms: np.ndarray, span: tuple[float, float], centers: np.ndarray
+) -> np.ndarray:
+    """The label of every row x of ``pts``: the lowest index of the
+    ``centers`` whose canonical similarity to x is largest. ``norms`` are the
+    float64 row norms of ``pts`` and ``span`` their least and largest.
+
+    One ``_screen_gemm`` screens every point against every center. Float32
+    points take an SGEMM against the centers rounded to float32 when every
+    center norm and every product |x| * M, M the largest center norm, lies
+    in ``_SINGLE_RANGE`` (as ``geometry._screen_roundoff`` asks of a float32
+    screen); anything else takes a DGEMM over float64 operands. Let u be the
+    screen's unit roundoff and d the width. A screen value s_j lies within
+    e = (gamma_d(u) * (1 + 2u) + 2u + gamma_d(2**-53)) * |x| * M of the
+    canonical value c_j: the screen's rounding, the rounding of c_j to
+    float32 (at most 2u * |c_j|, subnormal parts included, since |c_j| lies
+    in that range; none for a DGEMM), and the canonical value's own error
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.1).
+    So e <= 2 * gamma_(d+1)(u) * |x| * M, and the slack ``_screen_slack(d + 1, u) *
+    |x| * M`` = 4 * gamma_(d+2)(u) * |x| * M exceeds 2e by 4u * |x| * M,
+    more than the rounding of the floor below. Let b be the row's best
+    screen entry and floor its value less the slack, rounded to the screen's
+    dtype. A column j whose canonical value reaches c_b has s_j >= c_b - e >=
+    s_b - 2e > floor; when b is the only column not below floor, every other
+    c_j < s_b - e <= c_b, and b is the label. The other rows take canonical
+    values for their columns not below floor (``_canonical_dots``) and the
+    lowest column holding their maximum.
+    """
+    wide_centers = _wide(centers)
+    squares = _row_dots(wide_centers, wide_centers)
+    top = math.sqrt(float(squares.max()))
+    lo, hi = _SINGLE_RANGE
+    if (pts.dtype == np.float32 and lo * lo <= float(squares.min()) and top <= hi
+            and lo <= span[0] * top and span[1] * top <= hi):
+        u, screen = _SINGLE_ROUNDOFF, _screen_gemm(pts, centers.astype(np.float32))
+    else:
+        u, screen = _UNIT_ROUNDOFF, _screen_gemm(_wide(pts), wide_centers)
+    n, k = screen.shape
+    best = screen.argmax(axis=1)
+    floor = screen.ravel()[best + np.arange(0, n * k, k)] - (
+        _screen_slack(pts.shape[1] + 1, u) * top * norms)
+    below = screen < floor.astype(screen.dtype)[:, None]
+    if np.count_nonzero(below) == n * (k - 1):  # one column per row is not below
+        return best
+    at, cols = np.divmod(np.flatnonzero(~below), k)
+    open_ = np.bincount(at, minlength=n)[at] > 1
+    at, cols = at[open_], cols[open_]
+    order = np.lexsort((cols, -_canonical_dots(pts, at, centers, cols), at))
+    first = order[np.append(True, np.diff(at[order]) != 0)]
+    best[at[first]] = cols[first]
+    return best
 
 
 def _repair_empty(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -159,29 +253,28 @@ def _inertia(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
 def _lloyd(
     points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float64 points, the float64 centers and the final labels of
-    :func:`kmeans`; ``fedca cluster`` takes its inertia over them."""
-    pts = _points64(points)
+    """The points widened to float64, the float64 centers and the final
+    labels of :func:`kmeans`; ``fedca cluster`` takes its inertia over them."""
+    pts, norms = _points(points)
     n = pts.shape[0]
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if k > n:
         raise ValidationError(f"k={k} exceeds the number of points ({n}); shrink k")
 
-    rng = np.random.default_rng(seed)
-    centers = _plus_plus_init(pts, k, rng)
-    labels = _assign(pts, centers)
-    labels = _repair_empty(pts, centers, labels)
+    wide = _wide(pts)
+    centers = wide[_plus_plus_init(pts, k, np.random.default_rng(seed))]
+    labels = _repair_empty(wide, centers, _assign(pts, norms, _UNIT_SPAN, centers))
     stale = np.arange(k)
     for _ in range(max_iters):
-        _update(pts, labels, centers, stale)
-        assigned = _assign(pts, centers)
-        new_labels = _repair_empty(pts, centers, assigned)
+        _update(wide, labels, centers, stale)
+        assigned = _assign(pts, norms, _UNIT_SPAN, centers)
+        new_labels = _repair_empty(wide, centers, assigned)
         if np.array_equal(new_labels, labels):
             break
         stale = _touched(labels, assigned, new_labels)
         labels = new_labels
-    return pts, centers, labels
+    return wide, centers, labels
 
 
 def kmeans(
@@ -206,13 +299,14 @@ def kmeans(
 
 
 def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:
-    """Label each point by its nearest center (cosine), ties to lowest index.
+    """Label each point by its nearest center (cosine), ties to lowest index:
+    the assignment rule, on each input in its own precision (the dtype rule).
 
     Raises if either input holds a NaN or an infinity.
     """
-    pts = _vectors(points, "points")
-    cmat = _vectors(centers.centers if isinstance(centers, CandidateCenters) else centers,
-                    "centers")
+    pts = _own_precision(points, "points")
+    cmat = _own_precision(
+        centers.centers if isinstance(centers, CandidateCenters) else centers, "centers")
     if pts.shape[1] != cmat.shape[1]:
         raise ValidationError(
             f"dimension mismatch: points {pts.shape[1]} vs centers {cmat.shape[1]}"
@@ -220,4 +314,6 @@ def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:
     for arr, name in ((pts, "points"), (cmat, "centers")):
         if not np.isfinite(arr).all():
             raise ValidationError(f"{name} have non-finite values")
-    return _assign(pts, cmat)
+    norms = _row_norms(pts)
+    span = (float(norms.min(initial=np.inf)), float(norms.max(initial=0.0)))
+    return _assign(pts, norms, span, cmat)

@@ -261,10 +261,8 @@ def partition_domain(
 def _pseudo_labels(domain_store: EmbeddingStore, label_clusters: int, seed: int) -> np.ndarray:
     """Pseudo-label of every domain record; independent of beta and strategy."""
     k_lab = min(label_clusters, len(domain_store))
-    # widened once for both calls; float32 rows widen exactly
-    points = domain_store.vectors.astype(np.float64)
-    pseudo = kmeans(points, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
-    return assign_labels(points, pseudo)
+    pseudo = kmeans(domain_store.vectors, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
+    return assign_labels(domain_store.vectors, pseudo)
 
 
 def random_augment(pool: EmbeddingStore, n_clients: int, per_client: int, seed: int) -> list:

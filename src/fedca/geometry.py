@@ -9,7 +9,9 @@ its root, ``_row_norms``) is the package's one blocked row-norm pass.
 
 Value contract. This is the one statement of which similarity values the
 package computes and what they may depend on; the other modules and the
-README refer to it.
+README refer to it. Each value that BLAS computes falls under one bullet,
+and ``tests/test_blas_products.py`` holds every BLAS product in the package
+to the bullet that covers it.
 
 * Canonical values are the dot product of two rows widened to float64, as
   ``np.einsum("ij,ij->i", a, b)`` (``_row_dots``) computes it. They do not
@@ -17,14 +19,29 @@ README refer to it.
   thread count. ``cosine``, ``best_similarity`` (so ``coverage``,
   ``facility_value`` and ``marginal_gain``), ``_top_candidates`` (direct
   retrieval), the selection scorer (so every greedy, beam and brute-force
-  decision, trace and coverage value) and the logging sims of random
-  sampling return canonical values only.
+  decision, trace and coverage value), k-means assignment
+  (``clustering.assign_labels`` and every label inside ``clustering.kmeans``)
+  and the logging sims of random sampling return canonical values, or
+  decisions taken on them, only.
+* Screen values come from ``_screen_gemm``, the screen seam, and never leave
+  the kernel that reads them: ``_screened_pairs``, the selection scorer and
+  k-means assignment keep a pair only where a rigorous bound lets its
+  canonical value decide, as described below.
 * GEMV values come from ``_gemv_rows``, which threshold-filtered (feddca)
   retrieval ranks by, the last path that does. Each row is bit for bit a
   single-threaded ``matrix.astype(float64) @ v`` at one or two BLAS
   threads, but not at more; see ``_gemv_spans``.
-* k-means assignment (``clustering``) takes an argmax over GEMM output,
-  which is not guaranteed to be the same at every BLAS thread count.
+* k-means seeding (``clustering._plus_plus_init``) ranks by one GEMV per
+  chosen center in the points' precision, widened to float64 before the D^2
+  draw. Its bits may change with the BLAS thread count, and so may the
+  seeded centers and every center k-means returns.
+* k-means center norms: ``clustering._update`` divides each mean by
+  ``sqrt(mean.dot(mean))``, the BLAS dot of one float64 vector that
+  ``np.linalg.norm`` runs.
+* ICACS (``metrics.icacs``) averages GEMM products of float64 k-means
+  centers, ``centers[a] @ centers[b].T``.
+* Selfcheck oracles (``fedca.selfcheck``) compare ``np.dot`` loops with the
+  package within a tolerance and write no output.
 
 One kernel, ``_screened_pairs``, computes every canonical value that a
 GEMM screen selects. Per block of ``_QUERY_BLOCK`` rows it runs one GEMM,
@@ -51,6 +68,10 @@ output moves. ``_screen_operands`` sets every screen up as one of:
 * DGEMM over operands widened to float64 otherwise: float64 callers, mixed
   dtypes, and float32 inputs whose norms are out of that range or not
   finite; u = 2**-53.
+
+k-means assignment (``clustering._assign``) sets up its own screen by the
+same rule, except that float64 centers against float32 points are rounded
+to float32, and its bound covers that rounding too.
 
 Screen values never leave the kernel, and the self-covered check reads no
 screen and never certifies a row whose maximum is not c(x, x), so each

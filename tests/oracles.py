@@ -113,19 +113,42 @@ def best_two_partition_cost(points) -> float:
     return best
 
 
+def per_pair_labels(points, centers) -> np.ndarray:
+    """Label of each point: the lowest index of the centers with the largest
+    canonical pair value ``np.einsum("i,i->", x, c)``, rows widened to
+    float64, one pair at a time."""
+    pts = np.asarray(points, dtype=np.float64)
+    cen = np.asarray(centers, dtype=np.float64)
+    labels = []
+    for x in pts:
+        sims = [float(np.einsum("i,i->", x, c)) for c in cen]
+        labels.append(max(range(len(sims)), key=lambda j: (sims[j], -j)))
+    return np.array(labels, dtype=np.intp)
+
+
 def literal_kmeans(points, k: int, seed: int, max_iters: int = 100):
     """Seeded spherical k-means as a plain Lloyd loop: D^2 seeding, argmax
     assignment with empty-cluster repair, and every cluster re-centered from
     a boolean mask in every round. Returns the float64 centers, the final
     labels, the inertia ``np.sum(diff * diff)`` over three n x d
-    temporaries, and counts of rounds, repairs and zero-norm means kept."""
-    pts = np.asarray(points, dtype=np.float64)
+    temporaries, and counts of rounds, repairs and zero-norm means kept.
+
+    Float32 points are seeded in float32: each D^2 step is ``pts32 @
+    pts32[c]`` widened to float64; any other input is widened first.
+    Assignment takes, per center, the canonical column ``np.einsum("ij,ij->i",
+    pts, c)`` and the lowest index holding each row's maximum."""
+    own = np.asarray(points)
+    own = own if own.dtype == np.float32 else own.astype(np.float64)
+    pts = own.astype(np.float64)
     n = pts.shape[0]
     stats = {"rounds": 0, "repairs": 0, "zero_norms": 0}
 
+    def d2_to(c):
+        return np.maximum(0.0, 2.0 - 2.0 * (own @ own[c]).astype(np.float64))
+
     def plus_plus_init(rng):
         chosen = [int(rng.integers(n))]
-        d2 = np.maximum(0.0, 2.0 - 2.0 * (pts @ pts[chosen[0]]))
+        d2 = d2_to(chosen[0])
         for _ in range(1, k):
             total = float(d2.sum())
             if total <= 0.0:
@@ -134,11 +157,13 @@ def literal_kmeans(points, k: int, seed: int, max_iters: int = 100):
             else:
                 nxt = int(rng.choice(n, p=d2 / total))
             chosen.append(nxt)
-            np.minimum(d2, np.maximum(0.0, 2.0 - 2.0 * (pts @ pts[nxt])), out=d2)
+            np.minimum(d2, d2_to(nxt), out=d2)
         return pts[chosen].copy()
 
     def assign(centers):
-        return np.argmax(pts @ centers.T, axis=1)
+        sims = np.stack([np.einsum("ij,ij->i", pts, np.broadcast_to(c, pts.shape))
+                         for c in centers], axis=1)
+        return np.argmax(sims, axis=1)
 
     def repair_empty(centers, labels):
         counts = np.bincount(labels, minlength=k)

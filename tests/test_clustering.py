@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 import pytest
-from oracles import best_two_partition_cost, literal_kmeans
+from oracles import best_two_partition_cost, literal_kmeans, per_pair_labels
+from probes import probe_digests
 
 from fedca import clustering
 from fedca.clustering import (
@@ -129,6 +130,114 @@ def test_assign_labels_matches_linear_scan_oracle():
         sims = [float(np.dot(p, c)) for c in centers.astype(np.float64)]
         best = max(range(7), key=lambda j: (sims[j], -j))
         assert got[i] == best
+
+
+def _near_tie_assignment(n, dim, dtype, seed):
+    """``n`` random unit points in ``dtype`` and two float64 unit centers per
+    point: one near the point and its mirror image in a random hyperplane
+    through the point, so the point lies within a few ulps of equidistant to
+    the pair, or exactly on it."""
+    rng = np.random.default_rng(seed)
+    pts = random_unit_vectors(n, dim, rng).astype(dtype)
+    centers = []
+    for x in pts.astype(np.float64):
+        a = x + 0.5 * random_unit_vectors(1, dim, rng)[0].astype(np.float64)
+        a /= np.linalg.norm(a)
+        w = rng.standard_normal(dim)
+        w -= (w @ x) / (x @ x) * x
+        w /= np.linalg.norm(w)
+        centers += [a, a - 2.0 * (a @ w) * w]
+    return pts, np.array(centers)
+
+
+def _canonical_rows(monkeypatch) -> list[int]:
+    """Pairs given canonical values by each assignment while the list is live."""
+    counts = []
+    canonical = clustering._canonical_dots
+
+    def spy(rows, at, *args):
+        counts.append(len(at))
+        return canonical(rows, at, *args)
+
+    monkeypatch.setattr(clustering, "_canonical_dots", spy)
+    return counts
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [3, 64, 1024])
+def test_assign_labels_equals_per_pair_oracle_on_near_ties(dim, dtype, monkeypatch):
+    pts, centers = _near_tie_assignment(12, dim, dtype, 5 + dim)
+    opened = _canonical_rows(monkeypatch)
+    want = per_pair_labels(pts, centers)
+    assert np.array_equal(assign_labels(pts, centers), want)
+    assert opened and opened[0] >= 2 * 8  # most rows are decided by canonical values
+    # float32 centers, bare and as CandidateCenters: no rounding to undo
+    c32 = centers.astype(np.float32)
+    want32 = per_pair_labels(pts, c32)
+    assert np.array_equal(assign_labels(pts, c32), want32)
+    assert np.array_equal(assign_labels(pts, CandidateCenters(0, c32)), want32)
+    # labels are row-local
+    perm = np.random.default_rng(dim).permutation(len(pts))
+    assert np.array_equal(assign_labels(pts[perm], centers), want[perm])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_assign_labels_takes_the_lowest_of_duplicate_centers(dtype):
+    pts, centers = _near_tie_assignment(12, 64, dtype, 70)
+    for dup in (np.concatenate([centers, centers]), np.repeat(centers, 2, axis=0)):
+        got = assign_labels(pts, dup)
+        assert np.array_equal(got, per_pair_labels(pts, dup))
+    assert np.all(got % 2 == 0)
+    # every point sits on a center twice over: a tie of exact equals
+    assert assign_labels(pts, np.concatenate([pts[::-1], pts[::-1]])).tolist() == list(
+        range(len(pts) - 1, -1, -1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_assign_labels_with_one_center_gives_label_zero(dtype):
+    pts, centers = _near_tie_assignment(12, 16, dtype, 71)
+    assert assign_labels(pts, centers[:1]).tolist() == [0] * 12
+    assert assign_labels(pts, pts[:1]).tolist() == [0] * 12
+
+
+@pytest.mark.parametrize("case", ["d3-planted-f64", "d64-planted-f32", "d1024-planted-f32",
+                                  "d1024-random-f64"])
+def test_converged_kmeans_labels_equal_per_pair_oracle(case):
+    make, k, max_iters = _BATTERY[case]
+    pts = make(1)
+    _, centers, labels = _lloyd(pts, k, 1, max_iters)
+    assert literal_kmeans(pts, k, 1, max_iters)[3]["rounds"] < max_iters  # converged
+    assert np.array_equal(labels, per_pair_labels(pts, centers))
+    result = kmeans(pts, k, 1, max_iters)
+    assert np.array_equal(assign_labels(pts, result), per_pair_labels(pts, result.centers))
+
+
+# Planted float32 points with 50 float64 centers and, for one point of each
+# cluster, the mirror image of its center in a hyperplane through that point.
+_ASSIGN_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from fedca.clustering import assign_labels
+rng = np.random.default_rng(11)
+dirs = rng.standard_normal((50, 1024))
+dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+pts = dirs[np.arange(5000) % 50] + 0.03 * rng.standard_normal((5000, 1024))
+pts = (pts / np.linalg.norm(pts, axis=1, keepdims=True)).astype(np.float32)
+x = pts[:50].astype(np.float64)
+w = rng.standard_normal(x.shape)
+w -= np.einsum("ij,ij->i", w, x)[:, None] / np.einsum("ij,ij->i", x, x)[:, None] * x
+w /= np.linalg.norm(w, axis=1, keepdims=True)
+centers = np.concatenate([dirs, dirs - 2.0 * np.einsum("ij,ij->i", dirs, w)[:, None] * w])
+digest = hashlib.sha256()
+for c in (centers, centers.astype(np.float32)):
+    digest.update(assign_labels(pts, c).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_assign_labels_is_invariant_to_blas_threads():
+    digests = probe_digests(_ASSIGN_THREAD_PROBE, threads=(1, 2, 4))
+    assert len(set(digests)) == 1
 
 
 @pytest.mark.parametrize("n, dim, k", [(1, 3, 1), (37, 5, 4), (200, 64, 9), (513, 1024, 16)])

@@ -11,7 +11,10 @@ product. The fake screens below replace every binding of
 picks. At amplitude 1.8 the 0.2e left over covers the float32 rounding of
 the returned values at d >= 3, so every output must equal the real
 screen's; a halved slack or a larger amplitude must show up somewhere, or
-the near-tie instances would prove nothing.
+the near-tie instances would prove nothing. k-means assignment
+(``clustering._assign``) screens float32 points against float64 centers
+rounded to float32, so its fakes move the canonical values of the rounded
+centers, and its own bound covers that rounding on top.
 """
 
 import json
@@ -21,11 +24,13 @@ import numpy as np
 import pytest
 from oracles import per_pair_best_similarity
 from test_augment import NEAR_TIE_BUDGETS, _near_tie_retrieval
+from test_clustering import _near_tie_assignment, _planted
 from test_geometry import _near_tie_covering
 from test_selection_exact import INSTANCES
 
 from fedca import geometry
 from fedca.augment import augments_to_json, direct_retrieval_augment
+from fedca.clustering import assign_labels, kmeans
 from fedca.fedsim import STRATEGIES, ExperimentConfig, run_experiment
 from fedca.geometry import SimilarityMode, best_similarity
 from fedca.selection import beam_select, brute_force_select, greedy_select
@@ -75,8 +80,13 @@ def _adversarial_screen(monkeypatch, adversary: str, amplitude: float = 1.8) -> 
 
 
 def _halve_slack(monkeypatch) -> None:
+    """Halve every binding of ``geometry._screen_slack``: the screens' and
+    k-means assignment's."""
     slack = geometry._screen_slack
-    monkeypatch.setattr(geometry, "_screen_slack", lambda dim, u: 0.5 * slack(dim, u))
+    for name, module in list(sys.modules.items()):
+        if (name == "fedca" or name.startswith("fedca.")) and vars(module).get(
+                "_screen_slack") is slack:
+            monkeypatch.setattr(module, "_screen_slack", lambda dim, u: 0.5 * slack(dim, u))
 
 
 def _coverage_cases() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -111,6 +121,21 @@ def _retrieval_outputs() -> list[str]:
         pool, clients = _near_tie_retrieval(dim)
         out += [json.dumps(augments_to_json(direct_retrieval_augment(pool, clients, k)))
                 for k in NEAR_TIE_BUDGETS]
+    return out
+
+
+def _assignment_outputs() -> list[bytes]:
+    """Labels of near-tie points against float64 centers (rounded to float32
+    for a float32 screen) and against float32 centers, then the centers and
+    cluster sizes of k-means on planted points."""
+    out = []
+    for dim in (3, 64, 1024):
+        for dtype in (np.float64, np.float32):
+            pts, centers = _near_tie_assignment(12, dim, dtype, 5 + dim)
+            out += [assign_labels(pts, c).tobytes() for c in (centers, centers.astype(np.float32))]
+    for dtype in (np.float64, np.float32):
+        result = kmeans(_planted(120, 16, 5, 0.3, dtype, 9), 6, seed=3)
+        out.append(result.centers.tobytes() + result.cluster_sizes.tobytes())
     return out
 
 
@@ -156,7 +181,7 @@ def _run_outputs(pool_path, out_dir) -> dict:
 def real():
     """Outputs under the real screen."""
     return {"coverage": _coverage_outputs(), "retrieval": _retrieval_outputs(),
-            "selection": _selection_outputs()}
+            "selection": _selection_outputs(), "assignment": _assignment_outputs()}
 
 
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
@@ -166,6 +191,14 @@ def test_outputs_hold_under_any_screen_within_the_bound(adversary, real, monkeyp
     assert _retrieval_outputs() == real["retrieval"]
     assert _selection_outputs() == real["selection"]
     assert len(screens) == 6 + 3 * len(NEAR_TIE_BUDGETS) + 2 * 10 * len(INSTANCES)
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+def test_assignment_holds_under_any_screen_within_the_bound(adversary, real, monkeypatch):
+    screens = _adversarial_screen(monkeypatch, adversary)
+    assert _assignment_outputs() == real["assignment"]
+    # one screen per labelling, then one per k-means assignment
+    assert screens[:12] == [(12, 24)] * 12 and len(screens) > 14
 
 
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
@@ -206,8 +239,14 @@ def test_halved_slack_shows_under_the_harness(real, monkeypatch):
     for mode in SimilarityMode:
         got = _selection_output("screen-tied-maxima", mode)
         assert got != real["selection"]["screen-tied-maxima", mode], mode
+    monkeypatch.undo()
+    _halve_slack(monkeypatch)
+    assert _assignment_outputs() == real["assignment"]
+    _adversarial_screen(monkeypatch, "rows")
+    assert _changed(_assignment_outputs()[:12], real["assignment"][:12]) >= 1
 
 
 def test_amplitude_beyond_the_bound_shows_under_the_harness(real, monkeypatch):
     _adversarial_screen(monkeypatch, "rows", amplitude=4.0)
     assert _changed(_coverage_outputs(), real["coverage"]) >= 1
+    assert _changed(_assignment_outputs()[:12], real["assignment"][:12]) >= 1
