@@ -163,9 +163,9 @@ def _assign(
     float32 (at most 2u * |c_j|, subnormal parts included, since |c_j| lies
     in that range; none for a DGEMM), and the canonical value's own error
     (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.1).
-    So e <= 2 * gamma_(d+1)(u) * |x| * M, and the slack ``_screen_slack(d + 1, u) *
-    |x| * M`` = 4 * gamma_(d+2)(u) * |x| * M exceeds 2e by 4u * |x| * M,
-    more than the rounding of the floor below. Let b be the row's best
+    So e <= 2 * gamma_(d+1)(u) * |x| * M, and the slack
+    ``_screen_slack(d + 1, u) * |x| * M`` = 4 * gamma_(d+2)(u) * |x| * M
+    exceeds 2e by 4u * |x| * M, more than the rounding of the floor below. Let b be the row's best
     screen entry and floor its value less the slack, rounded to the screen's
     dtype. A column j whose canonical value reaches c_b has s_j >= c_b - e >=
     s_b - 2e > floor; when b is the only column not below floor, every other
