@@ -177,6 +177,8 @@ def direct_retrieval_augment(
             raise ValidationError(
                 f"dimension mismatch: centers {cand.dim} vs pool {pool.dim}"
             )
+        if not np.isfinite(cand.centers).all():
+            raise ValidationError(f"client {cand.client_id} has non-finite centroids")
         base, extra = divmod(per_client, cand.k)
         earlier = 0
         for j in range(cand.k):

@@ -40,8 +40,6 @@ to the bullet that covers it.
   ``np.linalg.norm`` runs.
 * ICACS (``metrics.icacs``) averages GEMM products of float64 k-means
   centers, ``centers[a] @ centers[b].T``.
-* Selfcheck oracles (``fedca.selfcheck``) compare ``np.dot`` loops with the
-  package within a tolerance and write no output.
 
 One kernel, ``_screened_pairs``, computes every canonical value that a
 GEMM screen selects. Per block of ``_QUERY_BLOCK`` rows it runs one GEMM,

@@ -4,7 +4,8 @@
   pooled client data (local plus augmented) over a domain reference set;
 * ICACS: mean pairwise cosine between different clients' augmented-set
   cluster centers (never intra-client pairs) -- lower means more distinct
-  augmentation;
+  augmentation. Each client's rows are put in byte order before k-means,
+  and the products stream into ``math.fsum`` exactly, a client pair at a time;
 * RUAI: unique / total ids across the pooled augmented sets -- higher means
   less redundancy;
 * communication accounting: floats uploaded as candidate centers, record
@@ -86,25 +87,6 @@ def cross_client_coverage(
     return coverage(domain_ref.vectors, universe.vectors[in_domain])
 
 
-def _lexicographic_order(arr: np.ndarray) -> np.ndarray:
-    """``np.lexsort(arr.T[::-1])``, the stable lexicographic row order.
-
-    Rows are sorted on their first 8 columns. When no two adjacent rows of
-    that order are equal on those columns, the prefix already orders every
-    pair, so the permutation is the full sort's; otherwise the full sort
-    runs. Equality is the sort's own (-0.0 equals 0.0, NaN equals NaN), so
-    the result is the same permutation in every case.
-    """
-    if arr.shape[1] > 8:
-        prefix = arr[:, :8]
-        order = np.lexsort(prefix.T[::-1])
-        ranked = prefix[order]
-        a, b = ranked[1:], ranked[:-1]
-        if not np.any(np.all((a == b) | (np.isnan(a) & np.isnan(b)), axis=1)):
-            return order
-    return np.lexsort(arr.T[::-1])
-
-
 def icacs(
     per_client_augmented: list[np.ndarray],
     k: int = ICACS_DEFAULT_CENTERS,
@@ -115,35 +97,37 @@ def icacs(
     Clusters each client's augmented embeddings (k-means) and averages the
     cosine over every cross-client pair of centers. To make the metric
     invariant to client ordering and to permutations within a client, each
-    client's vectors are canonicalized (lexicographic row sort) and its
-    k-means seed is derived from the run seed plus the canonical content.
+    client's rows are put in byte order (a stable argsort of their
+    little-endian float32 bytes, as ``sorted`` by ``row.tobytes()``) and its
+    k-means seed is derived from the run seed plus the sha256 of those rows.
     A client with fewer vectors than ``k`` is clustered with k shrunk to its
-    size; one warning per call counts such clients.
+    size; one warning per call counts such clients. The products stream
+    into ``fsum`` one client pair at a time; it rounds correctly however its
+    terms arrive, so no bit moves and no list of every product is held.
     """
     if len(per_client_augmented) < 2:
         raise ValidationError("ICACS requires at least 2 clients")
     centers = []
     for idx, vectors in enumerate(per_client_augmented):
-        arr = np.asarray(vectors, dtype=np.float32)
-        if arr.ndim != 2 or arr.shape[0] == 0:
+        rows = np.ascontiguousarray(vectors, dtype="<f4")
+        if rows.ndim != 2 or 0 in rows.shape:
             raise ValidationError(f"client {idx} has no augmented vectors")
-        k_eff = min(k, arr.shape[0])
-        canon = arr[_lexicographic_order(arr)]
+        k_eff = min(k, rows.shape[0])
+        canon = rows[np.argsort(rows.view(f"V{4 * rows.shape[1]}").ravel(), kind="stable")]
         digest = hashlib.sha256(canon).digest()
         content_key = int.from_bytes(digest[:8], "little")
         client_seed = int(np.random.SeedSequence([seed, content_key]).generate_state(1)[0])
         centers.append(
             kmeans(canon, k_eff, seed=client_seed, client_id=idx).centers.astype(np.float64)
         )
-    shrunk = [len(c) for c in centers if len(c) < k]
+    sizes = [len(c) for c in centers]
+    shrunk = [s for s in sizes if s < k]
     if shrunk:
         logger.warning("%d clients have fewer than %d vectors, the smallest %d; shrinking "
                        "ICACS k to each one's size", len(shrunk), k, min(shrunk))
-    sims: list[float] = []
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            sims.extend((centers[a] @ centers[b].T).ravel().tolist())
-    return fsum(sims) / len(sims)
+    pairs = (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
+    return fsum(sim for a in range(len(centers)) for b in range(a + 1, len(centers))
+                for sim in (centers[a] @ centers[b].T).ravel().tolist()) / pairs
 
 
 def ruai(client_sets: list[list[int]]) -> float:

@@ -30,7 +30,7 @@ class PropertyResult:
 def _double_loop_coverage(reference: np.ndarray, covering: np.ndarray) -> float:
     per_point = []
     for r in reference.astype(np.float64):
-        per_point.append(max(float(np.dot(r, c)) for c in covering.astype(np.float64)))
+        per_point.append(max(float(np.einsum("i,i->", r, c)) for c in covering.astype(np.float64)))
     return fsum(per_point) / len(per_point)
 
 
@@ -126,7 +126,7 @@ def _check_retrieval_oracle(rng: np.random.Generator, trials: int) -> PropertyRe
         pool = random_store(30, 6, seed=int(rng.integers(2**31)))
         query = random_unit_vectors(1, 6, rng)[0]
         got = retrieve_topk(pool, query, 7)
-        sims = [(float(np.dot(query.astype(np.float64), v.astype(np.float64))), int(i))
+        sims = [(float(np.einsum("i,i->", query.astype(np.float64), v.astype(np.float64))), int(i))
                 for i, v in zip(pool.ids, pool.vectors)]
         want = sorted(sims, key=lambda p: (-p[0], p[1]))[:7]
         ok = ok and [i for _, i in want] == got.ids()

@@ -230,12 +230,7 @@ class EmbeddingStore:
     # ---------------------------------------------------------------- lookups
 
     def index_of(self, record_id: int) -> int:
-        key = int(record_id)
-        if 0 <= key < 2**64:
-            pos = int(np.searchsorted(self._ids, np.uint64(key)))
-            if pos < len(self._ids) and int(self._ids[pos]) == key:
-                return pos
-        raise ValidationError(f"unknown record id {record_id}")
+        return int(self.positions([record_id])[0])
 
     def record_at(self, position: int) -> InstructionRecord:
         return InstructionRecord(
@@ -249,22 +244,32 @@ class EmbeddingStore:
         return self.record_at(self.index_of(record_id))
 
     def positions(self, record_ids: Sequence[int]) -> np.ndarray:
-        """Row positions of the given ids, in the given order; a
-        ValidationError names the first id that is not in the store.
+        """Row positions of the given ids, in the given order, found with one
+        ``searchsorted``; ``index_of`` and ``in`` look up one id through here.
 
-        Integer ids are found with one ``searchsorted`` over the sorted ids;
-        any other kind of id goes through ``index_of`` one at a time.
+        Ids are numpy or Python integers, not bools. A ValidationError names
+        the first id that is not an integer, or else the first not in the store.
         """
-        want = np.asarray(record_ids)
-        if want.ndim != 1 or want.dtype.kind not in "iu":
-            return np.array([self.index_of(r) for r in record_ids], dtype=np.intp)
-        known = want >= 0
-        want = want.astype(np.uint64)  # a negative id wraps, but is unknown already
+        items = record_ids
+        if not (isinstance(items, np.ndarray) and items.ndim == 1 and items.dtype.kind in "iu"):
+            items = items.tolist() if isinstance(items, np.ndarray) else list(items)
+            bad = {t for t in set(map(type, items))
+                   if t is bool or not issubclass(t, (int, np.integer))}
+            if bad:
+                first = next(r for r in items if type(r) in bad)
+                raise ValidationError(f"record id {first!r} is not an integer")
+        want = np.asarray(items)
+        if want.dtype.kind in "iu":
+            known = want >= 0
+            want = want.astype(np.uint64)  # a negative id wraps, but is unknown already
+        else:  # no ids, or ids both negative and past int64, or past uint64
+            known = np.array([0 <= int(r) < 2**64 for r in items], dtype=bool)
+            want = np.array([int(r) if k else 0 for r, k in zip(items, known)], dtype=np.uint64)
         pos = np.searchsorted(self._ids, want)
         known &= pos < len(self._ids)
         known[known] = self._ids[pos[known]] == want[known]
         if not known.all():
-            raise ValidationError(f"unknown record id {record_ids[int(np.argmin(known))]}")
+            raise ValidationError(f"unknown record id {items[int(np.argmin(known))]}")
         return pos
 
     def vectors_for(self, record_ids: Sequence[int]) -> np.ndarray:

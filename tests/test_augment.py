@@ -161,6 +161,17 @@ def test_non_finite_queries_are_rejected(bad):
         feddca_augment(pool, selection, 5, 0.7)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_direct_retrieval_rejects_non_finite_centroids(bad):
+    pool = random_store(50, 8, seed=1)
+    centers = random_unit_vectors(2, 8, np.random.default_rng(2))
+    centers[1, 3] = bad
+    clients = [CandidateCenters(client_id=0, centers=centers[:1]),
+               CandidateCenters(client_id=1, centers=centers)]
+    with pytest.raises(ValidationError, match="^client 1 has non-finite centroids$"):
+        direct_retrieval_augment(pool, clients, per_client=6)
+
+
 def test_threshold_below_minus_one_is_rejected():
     pool = random_store(40, 6, seed=44)
     selection = greedy_select(random_selection_problem(2, 2, 6, seed=45))

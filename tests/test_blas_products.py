@@ -20,8 +20,6 @@ ALLOWED = {
     ("clustering", "_plus_plus_init.d2_to"): "k-means seeding",
     ("clustering", "_update"): "k-means center norms",
     ("metrics", "icacs"): "ICACS",
-    ("selfcheck", "_double_loop_coverage"): "Selfcheck oracles",
-    ("selfcheck", "_check_retrieval_oracle"): "Selfcheck oracles",
 }
 
 _PRODUCT_CALLS = {"dot", "matmul", "inner", "vdot"}

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -310,3 +311,27 @@ def test_derive_seed_is_stable_and_labelled():
     assert derive_seed(42, 1) == derive_seed(42, 1)
     assert derive_seed(42, 1) != derive_seed(42, 2)
     assert derive_seed(42, 3, 0) != derive_seed(42, 3, 1)
+
+
+@pytest.mark.parametrize("strategy", ["feddca", "direct"])
+def test_peak_memory_grows_about_linearly_in_the_client_count(strategy):
+    # one local record and 10 augmented ones per client: 4x the clients may
+    # take about 4x the memory, but not the n^2 cross-client ICACS products
+    store, _ = planted_cluster_pool(n_clusters=8, per_cluster=30, out_records=60, dim=16,
+                                    seed=4, noise=0.18)
+
+    def config(n_clients):
+        return _config(n_clients=n_clients, per_client_local=1, per_client_aug=10, xi=1,
+                       beta_or_mode="iid", rounds=1, clients_per_round=1, strategy=strategy,
+                       pseudo_label_clusters=8)
+
+    run_experiment(config(2), pool=store)  # one-off allocations stay out of the peaks
+    peaks = {}
+    for n_clients in (50, 200):
+        tracemalloc.start()
+        try:
+            run_experiment(config(n_clients), pool=store)
+            peaks[n_clients] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] <= 6 * peaks[50], peaks

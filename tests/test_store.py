@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -254,10 +255,33 @@ def test_id_lookups_follow_the_given_order_and_name_the_first_unknown_id():
         store.index_of(5), store.index_of(2**53)]
     assert store.vectors_for([]).shape == (0, 2)
     for ids, first in [([5, 2**53 + 2, 9], 2**53 + 2), ([-1, 7], -1), ([big + 1], big + 1),
-                       ([5, 2**64 + 5], 2**64 + 5), (np.array([5, 6, 7]), 6), ([5.0, 3.0], 3.0)]:
+                       ([5, 2**64 + 5], 2**64 + 5), (np.array([5, 6, 7]), 6)]:
         for lookup in (store.positions, store.vectors_for, store.subset_by_ids):
             with pytest.raises(ValidationError, match=f"^unknown record id {first}$"):
                 lookup(ids)
+
+
+def test_id_lookups_take_integers_only():
+    top = 2**64 - 1
+    store = EmbeddingStore(2, [1, 2, 3, top], ["a"] * 4, np.eye(2, dtype=np.float32)[[0, 1, 0, 1]])
+    assert store.index_of(top) == 3
+    assert top in store and 3 in store and np.uint64(2) in store
+    assert store.positions([]).tolist() == store.positions(()).tolist() == []
+    assert store.positions([top, np.int64(1), 2]).tolist() == [3, 0, 1]
+    # beyond uint64, and negative with an id past int64, which numpy reads as floats
+    for ids, first in [([1, 2**64], 2**64), ([top, -1], -1)]:
+        with pytest.raises(ValidationError, match=f"^unknown record id {first}$"):
+            store.positions(ids)
+    for ids, first in [([1.7], "1.7"), ([True], "True"), (["3"], "'3'"), ([2, 3.0], "3.0"),
+                       ([None], "None"), (np.array([2.9]), "2.9"), (np.array([True]), "True"),
+                       (np.array(["3"]), "'3'"), (np.array([[1]]), "[1]")]:
+        for lookup in (store.positions, store.vectors_for, store.subset_by_ids):
+            with pytest.raises(ValidationError, match=f"^record id {re.escape(first)} is not an"):
+                lookup(ids)
+    for bad in (1.5, 2.0, True, "3", None):
+        assert bad not in store
+        with pytest.raises(ValidationError, match="is not an integer$"):
+            store.index_of(bad)
 
 
 def test_ingestion_is_deterministic(tmp_path):
