@@ -87,6 +87,16 @@ def cross_client_coverage(
     return coverage(domain_ref.vectors, universe.vectors[in_domain])
 
 
+def _lexicographic_order(rows: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of the rows' bytes, as ``sorted`` by ``row.tobytes()``.
+
+    ``rows`` is a C-contiguous 2-D array; each row is viewed as one void
+    scalar, which numpy sorts bytewise, so rows that differ only in a zero's
+    sign or a NaN's payload are distinct and equal rows keep their order.
+    """
+    return np.argsort(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(), kind="stable")
+
+
 def icacs(
     per_client_augmented: list[np.ndarray],
     k: int = ICACS_DEFAULT_CENTERS,
@@ -113,7 +123,7 @@ def icacs(
         if rows.ndim != 2 or 0 in rows.shape:
             raise ValidationError(f"client {idx} has no augmented vectors")
         k_eff = min(k, rows.shape[0])
-        canon = rows[np.argsort(rows.view(f"V{4 * rows.shape[1]}").ravel(), kind="stable")]
+        canon = rows[_lexicographic_order(rows)]
         digest = hashlib.sha256(canon).digest()
         content_key = int.from_bytes(digest[:8], "little")
         client_seed = int(np.random.SeedSequence([seed, content_key]).generate_state(1)[0])
