@@ -22,11 +22,12 @@ and float64 GEMVs pick another point only when the draw lands within about
 
 Assignment rule: a point's label is the lowest index of the centers whose
 canonical similarity to it (``fedca.geometry``'s value contract) is
-largest. :func:`_assign` screens every point against every center in the
-points' precision, settles each point whose best screen entry beats every
-other entry by more than a rigorous bound, and computes canonical values
-only for the others (its docstring holds the bound). So labels do not
-depend on the BLAS thread count.
+largest. :func:`_assign` screens every point against every center with
+``geometry``'s one screen set-up (``_screen_operands``, ``_screen_gemm``),
+settles each point whose best screen entry beats every other entry by more
+than the slack, and computes canonical values only for the others (the
+bound on ``geometry._screened_pairs``, k = 1). So labels do not depend on
+the BLAS thread count.
 
 Update rule: the first update re-centers every cluster; each later update
 re-centers only the clusters that a point entered or left since the one
@@ -62,22 +63,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import (
-    _SINGLE_RANGE,
-    _SINGLE_ROUNDOFF,
-    _UNIT_ROUNDOFF,
     _canonical_dots,
-    _row_dots,
+    _own_precision,
     _row_norms,
     _screen_gemm,
-    _screen_slack,
-    _vectors,
+    _screen_operands,
     _wide,
 )
 
 DEFAULT_MAX_ITERS = 100
 _UNIT_TOLERANCE = 1e-3
-# Every row norm of points that pass the unit-norm check lies in this span.
-_UNIT_SPAN = (1.0 - _UNIT_TOLERANCE, 1.0 + _UNIT_TOLERANCE)
 
 
 @dataclass
@@ -99,13 +94,6 @@ class CandidateCenters:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
-
-
-def _own_precision(x, name: str) -> np.ndarray:
-    """``x`` as a C-contiguous vector set: float32 when it is float32, float64
-    otherwise (the dtype rule)."""
-    arr = np.asarray(x)
-    return _vectors(arr, name, dtype=np.float32 if arr.dtype == np.float32 else np.float64)
 
 
 def _points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -145,47 +133,25 @@ def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> list[i
     return chosen
 
 
-def _assign(
-    pts: np.ndarray, norms: np.ndarray, span: tuple[float, float], centers: np.ndarray
-) -> np.ndarray:
+def _assign(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """The label of every row x of ``pts``: the lowest index of the
     ``centers`` whose canonical similarity to x is largest. ``norms`` are the
-    float64 row norms of ``pts`` and ``span`` their least and largest.
+    float64 row norms of ``pts``.
 
-    One ``_screen_gemm`` screens every point against every center. Float32
-    points take an SGEMM against the centers rounded to float32 when every
-    center norm and every product |x| * M, M the largest center norm, lies
-    in ``_SINGLE_RANGE`` (as ``geometry._screen_roundoff`` asks of a float32
-    screen); anything else takes a DGEMM over float64 operands. Let u be the
-    screen's unit roundoff and d the width. A screen value s_j lies within
-    e = (gamma_d(u) * (1 + 2u) + 2u + gamma_d(2**-53)) * |x| * M of the
-    canonical value c_j: the screen's rounding, the rounding of c_j to
-    float32 (at most 2u * |c_j|, subnormal parts included, since |c_j| lies
-    in that range; none for a DGEMM), and the canonical value's own error
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.1).
-    So e <= 2 * gamma_(d+1)(u) * |x| * M, and the slack
-    ``_screen_slack(d + 1, u) * |x| * M`` = 4 * gamma_(d+2)(u) * |x| * M
-    exceeds 2e by 4u * |x| * M, more than the rounding of the floor below. Let b be the row's best
-    screen entry and floor its value less the slack, rounded to the screen's
-    dtype. A column j whose canonical value reaches c_b has s_j >= c_b - e >=
-    s_b - 2e > floor; when b is the only column not below floor, every other
-    c_j < s_b - e <= c_b, and b is the label. The other rows take canonical
-    values for their columns not below floor (``_canonical_dots``) and the
-    lowest column holding their maximum.
+    One ``_screen_gemm``, set up by ``_screen_operands``, screens every point
+    against every center. By the bound on ``geometry._screened_pairs`` (k =
+    1), every column whose canonical value is the row's largest has a screen
+    value not below floor, the row's best screen entry less its slack,
+    rounded to the screen's dtype. A row with one such column takes it; the
+    others take canonical values for their columns not below floor
+    (``_canonical_dots``) and the lowest column holding their maximum.
     """
-    wide_centers = _wide(centers)
-    squares = _row_dots(wide_centers, wide_centers)
-    top = math.sqrt(float(squares.max()))
-    lo, hi = _SINGLE_RANGE
-    if (pts.dtype == np.float32 and lo * lo <= float(squares.min()) and top <= hi
-            and lo <= span[0] * top and span[1] * top <= hi):
-        u, screen = _SINGLE_ROUNDOFF, _screen_gemm(pts, centers.astype(np.float32))
-    else:
-        u, screen = _UNIT_ROUNDOFF, _screen_gemm(_wide(pts), wide_centers)
+    rows, others, slack, _ = _screen_operands(pts, centers, ("points", "centers"),
+                                              row_norms=norms)
+    screen = _screen_gemm(rows, others)
     n, k = screen.shape
     best = screen.argmax(axis=1)
-    floor = screen.ravel()[best + np.arange(0, n * k, k)] - (
-        _screen_slack(pts.shape[1] + 1, u) * top * norms)
+    floor = screen.ravel()[best + np.arange(0, n * k, k)] - slack
     below = screen < floor.astype(screen.dtype)[:, None]
     if np.count_nonzero(below) == n * (k - 1):  # one column per row is not below
         return best
@@ -201,7 +167,7 @@ def _assign(
 def _repair_empty(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
     k = centers.shape[0]
     counts = np.bincount(labels, minlength=k)
-    if not np.any(counts == 0):
+    if counts.all():
         return labels
     labels = labels.copy()
     d2 = np.maximum(0.0, 2.0 - 2.0 * np.einsum("ij,ij->i", pts, centers[labels]))
@@ -264,13 +230,13 @@ def _lloyd(
 
     wide = _wide(pts)
     centers = wide[_plus_plus_init(pts, k, np.random.default_rng(seed))]
-    labels = _repair_empty(wide, centers, _assign(pts, norms, _UNIT_SPAN, centers))
+    labels = _repair_empty(wide, centers, _assign(pts, norms, centers))
     stale = np.arange(k)
     for _ in range(max_iters):
         _update(wide, labels, centers, stale)
-        assigned = _assign(pts, norms, _UNIT_SPAN, centers)
+        assigned = _assign(pts, norms, centers)
         new_labels = _repair_empty(wide, centers, assigned)
-        if np.array_equal(new_labels, labels):
+        if (new_labels == labels).all():
             break
         stale = _touched(labels, assigned, new_labels)
         labels = new_labels
@@ -302,18 +268,16 @@ def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:
     """Label each point by its nearest center (cosine), ties to lowest index:
     the assignment rule, on each input in its own precision (the dtype rule).
 
-    Raises if either input holds a NaN or an infinity.
+    Raises if either input holds a NaN or an infinity, or if points are
+    given and the centers set is empty or of another width; an empty point
+    set gets an empty label array.
     """
     pts = _own_precision(points, "points")
     cmat = _own_precision(
         centers.centers if isinstance(centers, CandidateCenters) else centers, "centers")
-    if pts.shape[1] != cmat.shape[1]:
-        raise ValidationError(
-            f"dimension mismatch: points {pts.shape[1]} vs centers {cmat.shape[1]}"
-        )
     for arr, name in ((pts, "points"), (cmat, "centers")):
         if not np.isfinite(arr).all():
             raise ValidationError(f"{name} have non-finite values")
-    norms = _row_norms(pts)
-    span = (float(norms.min(initial=np.inf)), float(norms.max(initial=0.0)))
-    return _assign(pts, norms, span, cmat)
+    if pts.shape[0] == 0:
+        return np.empty(0, dtype=np.intp)
+    return _assign(pts, _row_norms(pts), cmat)

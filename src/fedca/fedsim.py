@@ -284,6 +284,8 @@ def assemble_metrics(
     Client k holds ``local_ids[k]`` and ``aug_ids[k]``; every id resolves in
     ``universe``. ``seed`` is the run seed (ICACS uses a stream derived from
     it) and ``passes`` the selection's convergence passes (0 without one).
+    ICACS runs over the clients that hold augmented records and is None when
+    fewer than two do; RUAI is None when none does.
     """
     if len(aug_ids) != len(local_ids):
         raise ValidationError(
@@ -291,11 +293,11 @@ def assemble_metrics(
         )
     n_clients = len(local_ids)
     domain_cov = cross_client_coverage(domain_store, list(zip(local_ids, aug_ids)), universe)
+    held = [ids for ids in aug_ids if len(ids)]
     icacs_value = None
-    if n_clients >= 2:
+    if len(held) >= 2:
         icacs_value = icacs(
-            [universe.vectors_for(ids) for ids in aug_ids],
-            seed=derive_seed(seed, _STREAM_ICACS),
+            [universe.vectors_for(ids) for ids in held], seed=derive_seed(seed, _STREAM_ICACS)
         )
     # client k uploads the min(xi, |local_ids[k]|) centers its k-means returns
     _, download = comm_cost(n_clients, xi, universe.dim, aug_ids)
@@ -303,7 +305,7 @@ def assemble_metrics(
     return MetricsReport(
         domain_coverage=domain_cov,
         icacs=icacs_value,
-        ruai=ruai(aug_ids),
+        ruai=ruai(aug_ids) if held else None,
         comm_upload_floats=upload,
         comm_download_records=download,
         convergence_passes=passes,

@@ -57,19 +57,20 @@ query. The selection scorer takes its operands, reference norms and slack
 from the same set-up and rescores through ``_canonical_dots``
 too. Every screen GEMM runs through ``_screen_gemm``, the one seam where a
 test can put screen values anywhere within the bound and check that no
-output moves. ``_screen_operands`` sets every screen up as one of:
+output moves. ``_screen_operands`` sets up every screen, k-means
+assignment's (``clustering._assign``) included, by one rule on the
+operands' dtypes and norms:
 
-* SGEMM, when both operands are float32 (store rows, k-means centers) and
-  every nonzero norm product ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, so
-  no float32 product or partial sum overflows and underflow stays far below
-  the slack; unit roundoff u = 2**-24;
-* DGEMM over operands widened to float64 otherwise: float64 callers, mixed
-  dtypes, and float32 inputs whose norms are out of that range or not
-  finite; u = 2**-53.
+* SGEMM, when the rows are float32, every nonzero norm product
+  ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, and the others are float32
+  (store rows, k-means centers) or float64 with every norm in that range
+  (k-means centers against float32 points), which ``_screen_gemm`` rounds
+  to float32 and canonical rescoring reads unrounded. No float32 value
+  overflows and underflow stays far below the slack; u = 2**-24;
+* DGEMM over operands widened to float64 otherwise; u = 2**-53.
 
-k-means assignment (``clustering._assign``) sets up its own screen by the
-same rule, except that float64 centers against float32 points are rounded
-to float32, and its bound covers that rounding too.
+Every screen's slack is ``_screen_slack(d + 1, u) * |x| * max|y|``; the
+bound on ``_screened_pairs`` is its one proof.
 
 Screen values never leave the kernel, and the self-covered check reads no
 screen and never certifies a row whose maximum is not c(x, x), so each
@@ -188,6 +189,9 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
     """Canonical similarity of every row with itself, widening one block of
     rows at a time."""
     rows = max(1, _NORM_BLOCK_BYTES // (8 * max(1, x.shape[1])))
+    if x.shape[0] <= rows:  # one block, so no result array to copy it into
+        part = _wide(x)
+        return _row_dots(part, part)
     sq = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], rows):
         part = _wide(x[lo : lo + rows])
@@ -206,35 +210,43 @@ def _gamma(n: int, u: float = _UNIT_ROUNDOFF) -> float:
 
 
 def _screen_slack(dim: int, u: float) -> float:
-    """``4 * gamma_(d+1)`` at the screen's unit roundoff ``u``: times
-    ``|x| * max|y|``, the widest gap between a screen value and a canonical
-    value that can outrank it (see ``_screened_pairs``); the extra unit in
-    ``d + 1`` covers the rounding of the norms and of the threshold itself.
-    """
+    """``4 * gamma_(dim+1)`` at the screen's unit roundoff ``u``. Every screen
+    takes it at dim = d + 1, times ``|x| * max|y|``: twice the widest gap
+    between a screen value and its canonical value, and a margin for the
+    roundings of the norms, of the slack and of the floor (see
+    ``_screened_pairs``)."""
     return 4.0 * _gamma(dim + 1, u)
 
 
-def _screen_roundoff(dtype: np.dtype, left_norms: np.ndarray, right_norm: float) -> float:
-    """Unit roundoff of the screen GEMM: float32 when the operands are float32
-    and every nonzero norm product ``|x_i| * right_norm`` lies in
-    ``_SINGLE_RANGE``, float64 otherwise (non-finite norms included)."""
-    if dtype != np.float32:
+def _screen_roundoff(dtypes, row_norms: np.ndarray, others_span: tuple[float, float]) -> float:
+    """Unit roundoff of the screen GEMM of rows against others of ``dtypes``,
+    by the rule of the value contract: 2**-24 for an SGEMM, 2**-53 otherwise
+    (non-finite norms included). ``others_span`` is a lower bound on the
+    others' float64 row norms (their least, or 0.0) and their largest."""
+    if dtypes[0] != np.float32:
         return _UNIT_ROUNDOFF
     lo, hi = _SINGLE_RANGE
-    nonzero = left_norms[left_norms > 0]
-    in_range = float(left_norms.max(initial=0.0)) * right_norm <= hi and (
-        nonzero.size == 0 or float(nonzero.min()) * right_norm >= lo
-    )
+    least_other, top = others_span
+    if dtypes[1] != np.float32 and not (lo <= least_other and top <= hi):
+        return _UNIT_ROUNDOFF
+    least = float(row_norms.min())
+    if least == 0.0:  # a zero row has exact zero products, whatever the screen
+        least = float(row_norms[row_norms > 0].min(initial=np.inf))
+    in_range = float(row_norms.max()) * top <= hi and (least == np.inf or least * top >= lo)
     return _SINGLE_ROUNDOFF if in_range else _UNIT_ROUNDOFF
 
 
-def _operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` and ``others`` as non-empty C-contiguous vector sets of one
-    width: float32 when both are float32, float64 otherwise (widened
-    exactly). Errors name the operands by ``names``."""
-    a, b = np.asarray(rows), np.asarray(others)
-    dtype = np.float32 if a.dtype == b.dtype == np.float32 else np.float64
-    a, b = _vectors(a, names[0], dtype=dtype), _vectors(b, names[1], dtype=dtype)
+def _own_precision(x, name: str) -> np.ndarray:
+    """``x`` as a C-contiguous vector set: float32 when it is float32, float64
+    otherwise. Errors name it by ``name``."""
+    arr = np.asarray(x)
+    return _vectors(arr, name, dtype=np.float32 if arr.dtype == np.float32 else np.float64)
+
+
+def _own_operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and ``others`` as non-empty vector sets of one width, each in
+    its ``_own_precision``. Errors name the operands by ``names``."""
+    a, b = _own_precision(rows, names[0]), _own_precision(others, names[1])
     for arr, name in zip((a, b), names):
         if arr.shape[0] == 0:
             raise ValidationError(f"{name} set is empty")
@@ -245,35 +257,45 @@ def _operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndar
     return a, b
 
 
+def _operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """``_own_operands`` in one dtype: float32 when both are float32, float64
+    otherwise (widened exactly)."""
+    a, b = _own_operands(rows, others, names)
+    return (a, b) if a.dtype == b.dtype else (_wide(a), _wide(b))
+
+
 def _screen_operands(
     rows, others, names: tuple[str, str], others_norm: float | None = None, row_norms=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The set-up of a screen of every row of ``rows`` against ``others``:
-    both as ``_operands`` gives them, each row's slack, and the float64 row
-    norms of ``rows``.
+    the two operands ``_screen_gemm`` takes, each row's slack, and the
+    float64 row norms of ``rows``.
 
-    Both stay float32 when both are float32 and ``_screen_roundoff`` allows
-    an SGEMM screen; both are widened to float64 otherwise (exactly).
-    ``slack[i]`` is ``_screen_slack(d, u) * max_j |others_j| * |rows_i|`` at
-    the screen's unit roundoff u. ``others_norm``, when given, is the largest
-    float64 row norm of ``others``, and ``row_norms`` the ``_row_norms`` of
-    ``rows``; each spares a pass.
+    Both are checked by ``_own_operands``, and both are widened to float64
+    (exactly) unless ``_screen_roundoff`` allows an SGEMM. ``slack[i]`` is
+    ``_screen_slack(d + 1, u) * max_j |others_j| * |rows_i|`` at the screen's
+    unit roundoff u. ``others_norm``, when given, is the largest float64 row
+    norm of ``others``, and ``row_norms`` the ``_row_norms`` of ``rows``;
+    each spares a pass (float64 others of float32 rows take every norm).
     """
-    a, b = _operands(rows, others, names)
+    a, b = _own_operands(rows, others, names)
     if row_norms is None:
         row_norms = _row_norms(a)
-    if others_norm is None:
-        others_norm = float(_row_norms(b).max())
-    u = _screen_roundoff(a.dtype, row_norms, others_norm)
+    span = (0.0, others_norm)
+    if others_norm is None or (a.dtype == np.float32 and b.dtype == np.float64):
+        norms = _row_norms(b)
+        span = (float(norms.min()), float(norms.max()))
+    u = _screen_roundoff((a.dtype, b.dtype), row_norms, span)
     if u == _UNIT_ROUNDOFF:
         a, b = _wide(a), _wide(b)
-    return a, b, _screen_slack(a.shape[1], u) * others_norm * row_norms, row_norms
+    return a, b, _screen_slack(a.shape[1] + 1, u) * span[1] * row_norms, row_norms
 
 
 def _screen_gemm(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """The screen of every row of ``rows`` against every row of ``others``,
-    as set up by ``_screen_operands``: the one place a screen GEMM runs."""
-    return rows @ others.T
+    """The screen of every row of ``rows`` against every row of ``others``
+    (rounded to the dtype of ``rows``), as set up by ``_screen_operands``:
+    the one place a screen GEMM runs."""
+    return rows @ others.astype(rows.dtype, copy=False).T
 
 
 def _canonical_dots(
@@ -310,23 +332,31 @@ def _screened_pairs(
     Each block is screened against all of ``others`` with one
     ``_screen_gemm`` set up by ``_screen_operands`` (given ``others_norm``
     and ``row_norms``), so the screen holds
-    ``_QUERY_BLOCK * len(others)`` values at most. Let g_k be the k-th
-    largest screen value of row i, u the screen's unit roundoff and e =
-    ``gamma_d(u) * |x_i| * max_j |y_j|``. A screen value lies within e of
-    the exact dot product, and so does a canonical value, whose roundoff
-    2**-53 is at most u (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, sec. 3.1); the argument uses only that the two lie within
-    2e of each other. The k columns with the largest screen values have
-    canonical values of at least g_k - 2e, so the k-th largest canonical
-    value c_k is at least that too, and any column whose canonical value
-    reaches c_k has a screen value of at least c_k - 2e >= g_k - 4e. A row
-    therefore keeps every column whose screen value is not below ``g_k -
-    _screen_slack(d, u) * |x_i| * max_j |y_j|`` (g_1 is the row maximum; a
-    row with k >= len(others) keeps them all). A NaN screen value or bound
-    keeps its pairs, so NaN input gives NaN values. Screen values are never
-    returned, so ranking a row's pairs by value equals ranking all of
-    ``others`` by canonical value, under any blocking, for float32 input and
-    the same input widened to float64, and at any BLAS thread count.
+    ``_QUERY_BLOCK * len(others)`` values at most. This is the one proof of
+    the screen bound. Let u be the screen's unit roundoff, d the width, M =
+    max_j |y_j| and E = 2 * gamma_(d+1)(u) * |x_i| * M. A screen value s_j
+    lies within E of the canonical value c_j. It lies within gamma_d(u) *
+    (1 + 2u) * |x_i| * M of x_i . y'_j, the exact product with the row y'_j
+    the GEMM reads: y_j itself or, for float64 others of an SGEMM, y_j
+    rounded to float32, within 2u * |y_j| of y_j (subnormal parts included,
+    since |y_j| then lies in ``_SINGLE_RANGE``), so x_i . y'_j lies within
+    2u * |x_i| * M of x_i . y_j. And c_j lies within gamma_d(2**-53) * |x_i|
+    * M of x_i . y_j (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sec. 3.1). The three sum to at most E.
+    Let g_k be the k-th largest screen value of row i. The k columns with
+    the largest screen values have canonical values of at least g_k - E, so
+    the k-th largest canonical value c_k is at least that too, and any
+    column whose canonical value reaches c_k has a screen value of at least
+    c_k - E >= g_k - 2E. The slack ``_screen_slack(d + 1, u) * |x_i| * M``
+    = 4 * gamma_(d+2)(u) * |x_i| * M exceeds 2E by at least 4u * |x_i| * M,
+    more than the roundings of the norms, of the slack and of the floor. A
+    row therefore keeps every column whose screen value is not below its
+    floor, g_k less the slack (g_1 is the row maximum; a row with k >=
+    len(others) keeps them all). A NaN screen value or bound keeps its
+    pairs, so NaN input gives NaN values. Screen values are never returned,
+    so ranking a row's pairs by value equals ranking all of ``others`` by
+    canonical value, under any blocking, for float32 input and the same
+    input widened to float64, and at any BLAS thread count.
     """
     a, b, slack, _ = _screen_operands(rows, others, names, others_norm, row_norms)
     n = b.shape[0]

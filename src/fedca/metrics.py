@@ -35,7 +35,7 @@ ICACS_DEFAULT_CENTERS = 10
 class MetricsReport:
     domain_coverage: CoverageValue
     icacs: float | None
-    ruai: float
+    ruai: float | None
     comm_upload_floats: int
     comm_download_records: int
     convergence_passes: int

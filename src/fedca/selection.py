@@ -251,8 +251,8 @@ class _CoverageScorer:
     of its entries in any order of its additions (Higham, *Accuracy and
     Stability of Numerical Algorithms*, sec. 4.2). Each entry lies within
     ``near[r] / 2`` of its canonical maximum, so the entries lie within
-    ``spread``, half the ``fsum`` of ``near``, in total (the unit beyond d
-    in ``near``'s ``gamma_(d+1)`` outweighs the roundings of ``near`` and of
+    ``spread``, half the ``fsum`` of ``near``, in total (the units beyond d
+    in ``near``'s ``gamma_(d+2)`` outweigh the roundings of ``near`` and of
     the ``fsum``). ``slack`` adds ``18u`` to the first factor, covering the
     roundings of the exact sum, of the division by m, of the affine map and
     of the interval ends, so a row whose interval lies wholly below

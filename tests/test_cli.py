@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,6 +549,36 @@ def test_compare_and_sweep_emit_csv(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "sweep.csv")]) == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 7  # header + 2 betas x 3 strategies
+
+
+@pytest.mark.parametrize("alpha, held", [(-0.65, [0, 1, 0]), (-0.9, [0, 0, 0])])
+def test_augmented_sets_left_empty_by_the_threshold_still_run(tmp_path, capsys, alpha, held):
+    # CI's planted pool and config; at these alphas the feddca threshold keeps
+    # at most one augmented record, so ICACS has fewer than two clients to
+    # compare and, with no record at all, RUAI has nothing to count.
+    pool, _ = planted_cluster_pool(n_clusters=6, per_cluster=30, out_records=120, dim=16,
+                                   seed=3, noise=0.18)
+    write_binary(pool, tmp_path / "pool.fdca")
+    cfg = {
+        "version": 1, "pool_path": str(tmp_path / "pool.fdca"), "domain_label": "dom",
+        "n_clients": 3, "per_client_local": 12, "per_client_aug": 15, "xi": 3,
+        "alpha": alpha, "beta_or_mode": 0.1, "rounds": 2, "clients_per_round": 1,
+        "seed": 1, "strategy": "feddca", "pseudo_label_clusters": 6,
+    }
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(tmp_path / "exp.json"),
+                 "--out", str(tmp_path / "runs")]) == 0
+    run_dir = Path(json.loads(capsys.readouterr().out)["run_dir"])
+    augsets = json.loads((run_dir / "augsets.json").read_text())
+    assert [len(entry["ids"]) for entry in augsets] == held
+    metrics = json.loads((run_dir / "log.jsonl").read_text().splitlines()[-1])
+    assert metrics["record"] == "metrics"
+    assert metrics["icacs"] is None
+    assert metrics["ruai"] == (1.0 if any(held) else None)
+    assert main(["compare", "--config", str(tmp_path / "exp.json"),
+                 "--strategies", "feddca,direct,random", "--out", str(tmp_path / "cmp.csv")]) == 0
+    lines = (tmp_path / "cmp.csv").read_text().strip().splitlines()
+    assert len(lines) == 4 and lines[1].startswith("feddca,")
 
 
 @pytest.mark.parametrize("field, value", [

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from oracles import best_two_partition_cost, literal_kmeans, per_pair_labels
 from probes import probe_digests
+from test_geometry import _screens_used
 
-from fedca import clustering
+from fedca import clustering, geometry
 from fedca.clustering import (
     DEFAULT_MAX_ITERS,
     CandidateCenters,
@@ -179,6 +180,12 @@ def test_assign_labels_equals_per_pair_oracle_on_near_ties(dim, dtype, monkeypat
     # labels are row-local
     perm = np.random.default_rng(dim).permutation(len(pts))
     assert np.array_equal(assign_labels(pts[perm], centers), want[perm])
+    # a center of zero norm or of norm 2**-70 sends float32 points to a float64 screen
+    used = _screens_used(monkeypatch)
+    for scale in (0.0, 2.0**-70):
+        odd = np.concatenate([centers, scale * centers[:1]])
+        assert np.array_equal(assign_labels(pts, odd), per_pair_labels(pts, odd))
+    assert used == [geometry._UNIT_ROUNDOFF] * 2
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -12,9 +12,10 @@ picks. At amplitude 1.8 the 0.2e left over covers the float32 rounding of
 the returned values at d >= 3, so every output must equal the real
 screen's; a halved slack or a larger amplitude must show up somewhere, or
 the near-tie instances would prove nothing. k-means assignment
-(``clustering._assign``) screens float32 points against float64 centers
-rounded to float32, so its fakes move the canonical values of the rounded
-centers, and its own bound covers that rounding on top.
+(``clustering._assign``) screens float32 points against float64 centers,
+which the real ``_screen_gemm`` rounds to float32; its fakes move the
+canonical values of the unrounded centers, and the same bound covers that
+rounding on top.
 """
 
 import json
