@@ -23,9 +23,9 @@ and float64 GEMVs pick another point only when the draw lands within about
 Assignment rule: a point's label is the lowest index of the centers whose
 canonical similarity to it (``fedca.geometry``'s value contract) is
 largest. :func:`_assign` screens every point against every center with
-``geometry``'s one screen set-up (``_screen_operands``, ``_screen_gemm``),
-settles each point whose best screen entry beats every other entry by more
-than the slack, and computes canonical values only for the others (the
+``geometry``'s one screen set-up, whose points' half :func:`_lloyd` makes
+once, settles each point whose best screen entry beats every other entry by
+more than the slack, and computes canonical values only for the others (the
 bound on ``geometry._screened_pairs``, k = 1). So labels do not depend on
 the BLAS thread count.
 
@@ -65,9 +65,10 @@ from .errors import ValidationError
 from .geometry import (
     _canonical_dots,
     _own_precision,
-    _row_norms,
     _screen_gemm,
     _screen_operands,
+    _screen_rows,
+    _ScreenRows,
     _wide,
 )
 
@@ -96,17 +97,16 @@ class CandidateCenters:
         return self.centers.shape[1]
 
 
-def _points(points) -> tuple[np.ndarray, np.ndarray]:
-    """The points in their own precision and their float64 row norms."""
-    pts = _own_precision(points, "points")
-    if pts.shape[0] == 0:
+def _points(points) -> _ScreenRows:
+    """The points' half of every assignment screen (``geometry._screen_rows``)."""
+    rows = _screen_rows(points, "points")
+    if rows.vectors.shape[0] == 0:
         raise ValidationError("cannot cluster an empty point set")
-    norms = _row_norms(pts)
-    if not np.isfinite(norms).all():
+    if not np.isfinite(rows.norms).all():
         raise ValidationError("points have non-finite values")
-    if np.any(np.abs(norms - 1.0) > _UNIT_TOLERANCE):
+    if np.any(np.abs(rows.norms - 1.0) > _UNIT_TOLERANCE):
         raise ValidationError("points must be unit-norm")
-    return pts, norms
+    return rows
 
 
 def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
@@ -133,22 +133,20 @@ def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> list[i
     return chosen
 
 
-def _assign(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The label of every row x of ``pts``: the lowest index of the
-    ``centers`` whose canonical similarity to x is largest. ``norms`` are the
-    float64 row norms of ``pts``.
+def _assign(pts: _ScreenRows, centers: np.ndarray) -> np.ndarray:
+    """The label of every row x of ``pts.vectors``: the lowest index of the
+    ``centers`` whose canonical similarity to x is largest.
 
-    One ``_screen_gemm``, set up by ``_screen_operands``, screens every point
-    against every center. By the bound on ``geometry._screened_pairs`` (k =
-    1), every column whose canonical value is the row's largest has a screen
-    value not below floor, the row's best screen entry less its slack,
-    rounded to the screen's dtype. A row with one such column takes it; the
-    others take canonical values for their columns not below floor
-    (``_canonical_dots``) and the lowest column holding their maximum.
+    One ``_screen_gemm``, set up from the points' half ``pts``, screens
+    every point against every center. By the bound on
+    ``geometry._screened_pairs`` (k = 1), a column holding the row's largest
+    canonical value has a screen value not below floor, the row's best screen
+    entry less its slack, in the screen's dtype. A row with one such column
+    takes it; the others take the lowest of those columns that holds the
+    largest of their canonical values (``_canonical_dots``).
     """
-    rows, others, slack, _ = _screen_operands(pts, centers, ("points", "centers"),
-                                              row_norms=norms)
-    screen = _screen_gemm(rows, others)
+    a, b, slack = _screen_operands(pts, centers, ("points", "centers"))
+    screen = _screen_gemm(a, b)
     n, k = screen.shape
     best = screen.argmax(axis=1)
     floor = screen.ravel()[best + np.arange(0, n * k, k)] - slack
@@ -158,7 +156,7 @@ def _assign(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarr
     at, cols = np.divmod(np.flatnonzero(~below), k)
     open_ = np.bincount(at, minlength=n)[at] > 1
     at, cols = at[open_], cols[open_]
-    order = np.lexsort((cols, -_canonical_dots(pts, at, centers, cols), at))
+    order = np.lexsort((cols, -_canonical_dots(pts.vectors, at, centers, cols), at))
     first = order[np.append(True, np.diff(at[order]) != 0)]
     best[at[first]] = cols[first]
     return best
@@ -187,7 +185,7 @@ def _touched(labels: np.ndarray, assigned: np.ndarray, repaired: np.ndarray) -> 
     assignment moves out and repair moves back still counts: the repair
     moved that cluster's center onto it."""
     moved = (labels != assigned) | (assigned != repaired)
-    return np.unique(np.concatenate((labels[moved], repaired[moved])))
+    return np.flatnonzero(np.bincount(np.concatenate((labels[moved], repaired[moved]))))
 
 
 def _update(
@@ -221,7 +219,8 @@ def _lloyd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points widened to float64, the float64 centers and the final
     labels of :func:`kmeans`; ``fedca cluster`` takes its inertia over them."""
-    pts, norms = _points(points)
+    rows = _points(points)
+    pts = rows.vectors
     n = pts.shape[0]
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -230,11 +229,11 @@ def _lloyd(
 
     wide = _wide(pts)
     centers = wide[_plus_plus_init(pts, k, np.random.default_rng(seed))]
-    labels = _repair_empty(wide, centers, _assign(pts, norms, centers))
+    labels = _repair_empty(wide, centers, _assign(rows, centers))
     stale = np.arange(k)
     for _ in range(max_iters):
         _update(wide, labels, centers, stale)
-        assigned = _assign(pts, norms, centers)
+        assigned = _assign(rows, centers)
         new_labels = _repair_empty(wide, centers, assigned)
         if (new_labels == labels).all():
             break
@@ -268,16 +267,13 @@ def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:
     """Label each point by its nearest center (cosine), ties to lowest index:
     the assignment rule, on each input in its own precision (the dtype rule).
 
-    Raises if either input holds a NaN or an infinity, or if points are
-    given and the centers set is empty or of another width; an empty point
-    set gets an empty label array.
+    Raises if either input holds a NaN or an infinity, or if the centers set
+    is empty or of another width; an empty point set gets no labels.
     """
-    pts = _own_precision(points, "points")
+    rows = _screen_rows(points, "points")
     cmat = _own_precision(
         centers.centers if isinstance(centers, CandidateCenters) else centers, "centers")
-    for arr, name in ((pts, "points"), (cmat, "centers")):
+    for arr, name in ((rows.vectors, "points"), (cmat, "centers")):
         if not np.isfinite(arr).all():
             raise ValidationError(f"{name} have non-finite values")
-    if pts.shape[0] == 0:
-        return np.empty(0, dtype=np.intp)
-    return _assign(pts, _row_norms(pts), cmat)
+    return _assign(rows, cmat)

@@ -58,8 +58,10 @@ from the same set-up and rescores through ``_canonical_dots``
 too. Every screen GEMM runs through ``_screen_gemm``, the one seam where a
 test can put screen values anywhere within the bound and check that no
 output moves. ``_screen_operands`` sets up every screen, k-means
-assignment's (``clustering._assign``) included, by one rule on the
-operands' dtypes and norms:
+assignment's (``clustering._assign``) included, from the rows' half that
+``_screen_rows`` makes once per row set, with one slack,
+``_screen_slack(d + 1, u) * |x| * max|y|`` (proved once, on
+``_screened_pairs``), and by one rule on the operands' dtypes and norms:
 
 * SGEMM, when the rows are float32, every nonzero norm product
   ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, and the others are float32
@@ -68,9 +70,6 @@ operands' dtypes and norms:
   to float32 and canonical rescoring reads unrounded. No float32 value
   overflows and underflow stays far below the slack; u = 2**-24;
 * DGEMM over operands widened to float64 otherwise; u = 2**-53.
-
-Every screen's slack is ``_screen_slack(d + 1, u) * |x| * max|y|``; the
-bound on ``_screened_pairs`` is its one proof.
 
 Screen values never leave the kernel, and the self-covered check reads no
 screen and never certifies a row whose maximum is not c(x, x), so each
@@ -88,7 +87,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import fsum
+from math import fsum, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,9 +189,6 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
     """Canonical similarity of every row with itself, widening one block of
     rows at a time."""
     rows = max(1, _NORM_BLOCK_BYTES // (8 * max(1, x.shape[1])))
-    if x.shape[0] <= rows:  # one block, so no result array to copy it into
-        part = _wide(x)
-        return _row_dots(part, part)
     sq = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], rows):
         part = _wide(x[lo : lo + rows])
@@ -210,30 +207,23 @@ def _gamma(n: int, u: float = _UNIT_ROUNDOFF) -> float:
 
 
 def _screen_slack(dim: int, u: float) -> float:
-    """``4 * gamma_(dim+1)`` at the screen's unit roundoff ``u``. Every screen
-    takes it at dim = d + 1, times ``|x| * max|y|``: twice the widest gap
-    between a screen value and its canonical value, and a margin for the
-    roundings of the norms, of the slack and of the floor (see
-    ``_screened_pairs``)."""
+    """``4 * gamma_(dim+1)`` at the screen's unit roundoff ``u``; every screen
+    takes it at dim = d + 1, times ``|x| * max|y|`` (see ``_screened_pairs``)."""
     return 4.0 * _gamma(dim + 1, u)
 
 
-def _screen_roundoff(dtypes, row_norms: np.ndarray, others_span: tuple[float, float]) -> float:
-    """Unit roundoff of the screen GEMM of rows against others of ``dtypes``,
-    by the rule of the value contract: 2**-24 for an SGEMM, 2**-53 otherwise
-    (non-finite norms included). ``others_span`` is a lower bound on the
-    others' float64 row norms (their least, or 0.0) and their largest."""
-    if dtypes[0] != np.float32:
-        return _UNIT_ROUNDOFF
+def _screen_roundoff(dtypes, row_span, others_span) -> float:
+    """Unit roundoff of the screen of rows against others of ``dtypes`` by the
+    value contract's rule: 2**-24 for an SGEMM, else 2**-53. ``row_span`` is
+    the rows' least nonzero float64 norm (inf for none) and largest one;
+    ``others_span`` a lower bound on the others' norms (0.0 or their least)
+    and their largest."""
     lo, hi = _SINGLE_RANGE
-    least_other, top = others_span
-    if dtypes[1] != np.float32 and not (lo <= least_other and top <= hi):
-        return _UNIT_ROUNDOFF
-    least = float(row_norms.min())
-    if least == 0.0:  # a zero row has exact zero products, whatever the screen
-        least = float(row_norms[row_norms > 0].min(initial=np.inf))
-    in_range = float(row_norms.max()) * top <= hi and (least == np.inf or least * top >= lo)
-    return _SINGLE_ROUNDOFF if in_range else _UNIT_ROUNDOFF
+    (least, largest), (least_other, top) = row_span, others_span
+    others_fit = dtypes[1] == np.float32 or (lo <= least_other and top <= hi)
+    in_range = largest * top <= hi and (least == np.inf or least * top >= lo)
+    single = dtypes[0] == np.float32 and others_fit and in_range
+    return _SINGLE_ROUNDOFF if single else _UNIT_ROUNDOFF
 
 
 def _own_precision(x, name: str) -> np.ndarray:
@@ -243,52 +233,69 @@ def _own_precision(x, name: str) -> np.ndarray:
     return _vectors(arr, name, dtype=np.float32 if arr.dtype == np.float32 else np.float64)
 
 
-def _own_operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` and ``others`` as non-empty vector sets of one width, each in
-    its ``_own_precision``. Errors name the operands by ``names``."""
-    a, b = _own_precision(rows, names[0]), _own_precision(others, names[1])
-    for arr, name in zip((a, b), names):
-        if arr.shape[0] == 0:
-            raise ValidationError(f"{name} set is empty")
-    if a.shape[1] != b.shape[1]:
+def _own_others(rows: np.ndarray, others, names: tuple[str, str]) -> np.ndarray:
+    """``others`` in their ``_own_precision``, non-empty and of the width of
+    the vector set ``rows``. Errors name the two by ``names``."""
+    b = _own_precision(others, names[1])
+    if b.shape[0] == 0:
+        raise ValidationError(f"{names[1]} set is empty")
+    if rows.shape[1] != b.shape[1]:
         raise ValidationError(
-            f"dimension mismatch: {names[0]} {a.shape[1]} vs {names[1]} {b.shape[1]}"
+            f"dimension mismatch: {names[0]} {rows.shape[1]} vs {names[1]} {b.shape[1]}"
         )
-    return a, b
+    return b
 
 
 def _operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """``_own_operands`` in one dtype: float32 when both are float32, float64
-    otherwise (widened exactly)."""
-    a, b = _own_operands(rows, others, names)
+    """Non-empty ``rows`` and ``others`` as ``_own_others`` gives them, in one
+    dtype: float32 when both are float32, float64 otherwise (widened exactly)."""
+    a = _own_precision(rows, names[0])
+    if a.shape[0] == 0:
+        raise ValidationError(f"{names[0]} set is empty")
+    b = _own_others(a, others, names)
     return (a, b) if a.dtype == b.dtype else (_wide(a), _wide(b))
 
 
-def _screen_operands(
-    rows, others, names: tuple[str, str], others_norm: float | None = None, row_norms=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The set-up of a screen of every row of ``rows`` against ``others``:
-    the two operands ``_screen_gemm`` takes, each row's slack, and the
-    float64 row norms of ``rows``.
+class _ScreenRows(NamedTuple):
+    """The rows' half of a screen's set-up, as ``_screen_rows`` makes it."""
 
-    Both are checked by ``_own_operands``, and both are widened to float64
-    (exactly) unless ``_screen_roundoff`` allows an SGEMM. ``slack[i]`` is
-    ``_screen_slack(d + 1, u) * max_j |others_j| * |rows_i|`` at the screen's
-    unit roundoff u. ``others_norm``, when given, is the largest float64 row
-    norm of ``others``, and ``row_norms`` the ``_row_norms`` of ``rows``;
-    each spares a pass (float64 others of float32 rows take every norm).
-    """
-    a, b = _own_operands(rows, others, names)
-    if row_norms is None:
-        row_norms = _row_norms(a)
+    vectors: np.ndarray
+    norms: np.ndarray
+    span: tuple[float, float]
+
+
+def _screen_rows(rows, name: str, norms=None) -> _ScreenRows:
+    """The rows' half of every screen of ``rows``, made once for any others:
+    the rows in their ``_own_precision`` (none give empty screens), their
+    float64 norms (``norms`` spares the pass) and ``_screen_roundoff``'s span."""
+    a = _own_precision(rows, name)
+    if norms is None:
+        norms = _row_norms(a)
+    least = float(norms.min(initial=np.inf))
+    if least == 0.0:  # a zero row has exact zero products, whatever the screen
+        least = float(norms[norms > 0].min(initial=np.inf))
+    return _ScreenRows(a, norms, (least, float(norms.max(initial=0.0))))
+
+
+def _screen_operands(
+    rows: _ScreenRows, others, names: tuple[str, str], others_norm: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operands ``_screen_gemm`` takes for a screen of ``rows`` (a
+    ``_screen_rows``) against ``others`` (checked by ``_own_others``), both
+    widened to float64 unless ``_screen_roundoff`` allows an SGEMM, and each
+    row's slack ``_screen_slack(d + 1, u) * max_j |others_j| * |rows_i|``.
+    ``others_norm``, when given, is the largest float64 row norm of
+    ``others`` and spares a pass (float64 others of float32 rows take every
+    norm)."""
+    a, b = rows.vectors, _own_others(rows.vectors, others, names)
     span = (0.0, others_norm)
     if others_norm is None or (a.dtype == np.float32 and b.dtype == np.float64):
-        norms = _row_norms(b)
-        span = (float(norms.min()), float(norms.max()))
-    u = _screen_roundoff((a.dtype, b.dtype), row_norms, span)
+        squares = _squared_norms(b)
+        span = (sqrt(squares.min()), sqrt(squares.max()))
+    u = _screen_roundoff((a.dtype, b.dtype), rows.span, span)
     if u == _UNIT_ROUNDOFF:
         a, b = _wide(a), _wide(b)
-    return a, b, _screen_slack(a.shape[1] + 1, u) * span[1] * row_norms, row_norms
+    return a, b, _screen_slack(a.shape[1] + 1, u) * span[1] * rows.norms
 
 
 def _screen_gemm(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -318,34 +325,33 @@ def _canonical_dots(
 
 
 def _screened_pairs(
-    rows, others, names: tuple[str, str], budgets=None, others_norm=None, subset=None,
-    row_norms=None,
+    rows: _ScreenRows, others, names: tuple[str, str], budgets=None, others_norm=None,
+    subset=None,
 ):
     """Yield ``(starts, cols, values)`` per block of ``_QUERY_BLOCK`` rows of
-    ``rows`` (of ``rows[subset]``, gathered one block at a time, when
-    ``subset`` is given): row-major, the pairs (row, column of ``others``)
-    that may rank among the row's top k = ``budgets[i]`` (1 for every row
-    when None) by canonical value. ``starts[r]`` is the position of block
-    row r's first pair, ``cols`` the pairs' columns and ``values`` their
-    canonical values; every row has at least one pair.
+    the ``_screen_rows`` ``rows`` (of its rows at ``subset``, gathered one
+    block at a time, when ``subset`` is given): row-major, the pairs (row,
+    column of ``others``) that may rank among the row's top k =
+    ``budgets[i]`` (1 for every row when None) by canonical value.
+    ``starts[r]`` is the position of block row r's first pair, ``cols`` the
+    pairs' columns and ``values`` their canonical values; every row has at
+    least one pair.
 
     Each block is screened against all of ``others`` with one
-    ``_screen_gemm`` set up by ``_screen_operands`` (given ``others_norm``
-    and ``row_norms``), so the screen holds
-    ``_QUERY_BLOCK * len(others)`` values at most. This is the one proof of
-    the screen bound. Let u be the screen's unit roundoff, d the width, M =
-    max_j |y_j| and E = 2 * gamma_(d+1)(u) * |x_i| * M. A screen value s_j
-    lies within E of the canonical value c_j. It lies within gamma_d(u) *
-    (1 + 2u) * |x_i| * M of x_i . y'_j, the exact product with the row y'_j
-    the GEMM reads: y_j itself or, for float64 others of an SGEMM, y_j
-    rounded to float32, within 2u * |y_j| of y_j (subnormal parts included,
-    since |y_j| then lies in ``_SINGLE_RANGE``), so x_i . y'_j lies within
-    2u * |x_i| * M of x_i . y_j. And c_j lies within gamma_d(2**-53) * |x_i|
-    * M of x_i . y_j (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, sec. 3.1). The three sum to at most E.
-    Let g_k be the k-th largest screen value of row i. The k columns with
-    the largest screen values have canonical values of at least g_k - E, so
-    the k-th largest canonical value c_k is at least that too, and any
+    ``_screen_gemm`` set up by ``_screen_operands`` (given ``others_norm``),
+    so the screen holds ``_QUERY_BLOCK * len(others)`` values at most. This
+    is the one proof of the screen bound. Let u be the screen's unit
+    roundoff, d the width, M = max_j |y_j| and E = 2 * gamma_(d+1)(u) *
+    |x_i| * M. A screen value s_j lies within gamma_d(u) * (1 + 2u) * |x_i|
+    * M of x_i . y'_j, the exact product with the row y'_j the GEMM reads:
+    y_j or, for float64 others of an SGEMM, y_j rounded to float32, which
+    lies within 2u * |y_j| of y_j (subnormal parts included, since |y_j|
+    then lies in ``_SINGLE_RANGE``). The canonical value c_j lies within
+    gamma_d(2**-53) * |x_i| * M of x_i . y_j (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 3.1). So s_j lies within E of
+    c_j. Let g_k be the k-th largest screen value of row i. The k columns
+    with the largest screen values have canonical values of at least g_k -
+    E, so the k-th largest canonical value c_k is at least that too, and any
     column whose canonical value reaches c_k has a screen value of at least
     c_k - E >= g_k - 2E. The slack ``_screen_slack(d + 1, u) * |x_i| * M``
     = 4 * gamma_(d+2)(u) * |x_i| * M exceeds 2E by at least 4u * |x_i| * M,
@@ -358,7 +364,7 @@ def _screened_pairs(
     canonical value, under any blocking, for float32 input and the same
     input widened to float64, and at any BLAS thread count.
     """
-    a, b, slack, _ = _screen_operands(rows, others, names, others_norm, row_norms)
+    a, b, slack = _screen_operands(rows, others, names, others_norm)
     n = b.shape[0]
     for lo in range(0, a.shape[0] if subset is None else len(subset), _QUERY_BLOCK):
         part = slice(lo, lo + _QUERY_BLOCK)
@@ -485,8 +491,8 @@ def best_similarity(reference, covering) -> np.ndarray:
         best[rest] = np.concatenate([
             np.maximum.reduceat(values, starts)
             for starts, _, values in _screened_pairs(
-                a, b, names, others_norm=float(np.sqrt(b_squares.max())), subset=rest,
-                row_norms=np.sqrt(a_squares))
+                _screen_rows(a, names[0], np.sqrt(a_squares)), b, names,
+                others_norm=float(np.sqrt(b_squares.max())), subset=rest)
         ])
     return best
 
@@ -502,7 +508,7 @@ def _top_candidates(
     """
     found = []
     for starts, cols, values in _screened_pairs(
-        queries, pool, ("queries", "pool"), budgets, pool_norm
+        _screen_rows(queries, "queries"), pool, ("queries", "pool"), budgets, pool_norm
     ):
         found += zip(np.split(cols, starts[1:]), np.split(values, starts[1:]))
     return found

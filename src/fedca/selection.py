@@ -54,6 +54,7 @@ from .geometry import (
     _gamma,
     _screen_gemm,
     _screen_operands,
+    _screen_rows,
 )
 
 IMPROVEMENT_EPS = 1e-12
@@ -232,8 +233,8 @@ class _CoverageScorer:
     ``columns`` holds one raw similarity row per candidate (P x m for P
     candidates and m reference rows): one ``geometry._screen_gemm`` of the
     candidates, widened to float64, against the reference, set up by
-    ``geometry._screen_operands`` with the reference as the screened rows.
-    Its one norm pass over the reference gives ``near[r]``, the slack of
+    ``geometry._screen_operands`` with the reference as the screened rows;
+    their one norm pass (``_screen_rows``) gives ``near[r]``, the slack of
     reference row r, and rejects a non-finite reference. By the bound on
     ``geometry._screened_pairs`` (k = 1, read per reference row), the
     canonical maximum of a row over a subset is among the members whose
@@ -264,10 +265,10 @@ class _CoverageScorer:
     """
 
     def __init__(self, problem: SelectionProblem):
-        ref, self.vectors, self.near, norms = _screen_operands(
-            problem.reference_matrix(), np.stack([c.vector for c in problem.pool()]),
-            ("reference", "candidates"))
-        if not np.isfinite(norms).all():
+        rows = _screen_rows(problem.reference_matrix(), "reference")
+        ref, self.vectors, self.near = _screen_operands(
+            rows, np.stack([c.vector for c in problem.pool()]), ("reference", "candidates"))
+        if not np.isfinite(rows.norms).all():
             raise ValidationError("reference has non-finite vectors" if not np.isfinite(
                 ref).all() else "reference has a row whose norm overflows float64")
         self.m = ref.shape[0]

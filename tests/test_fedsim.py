@@ -10,6 +10,7 @@ import pytest
 from fedca import cli, fedsim
 from fedca.augment import feddca_augment, retrieve_topk
 from fedca.errors import ValidationError
+from fedca.metrics import icacs, ruai
 from fedca.fedsim import (
     MAX_ROUNDS,
     STRATEGIES,
@@ -305,6 +306,20 @@ def test_client_picks_are_bounded():
         _config(rounds=100_000, n_clients=1_000, clients_per_round=1_000)
     with pytest.raises(ValidationError, match="'clients_per_round'"):
         _config(rounds=201, n_clients=1_000, clients_per_round=1_000)
+
+
+def test_metrics_take_icacs_over_the_clients_holding_records(pool):
+    ids = pool.ids.tolist()
+    local, held = [ids[:5], ids[5:10], ids[10:15]], [ids[20:32], ids[40:52]]
+    aug = [held[0], [], held[1]]
+    report = fedsim.assemble_metrics(pool, pool, local, aug, xi=4, seed=42, passes=0)
+    seed = derive_seed(42, fedsim._STREAM_ICACS)
+    assert report.icacs == icacs([pool.vectors_for(h) for h in held], seed=seed)
+    assert report.ruai == ruai(aug) == ruai(held)
+    report = fedsim.assemble_metrics(pool, pool, local, [[], held[0], []], 4, 42, 0)
+    assert (report.icacs, report.ruai) == (None, 1.0)
+    report = fedsim.assemble_metrics(pool, pool, local, [[], [], []], 4, 42, 0)
+    assert (report.icacs, report.ruai) == (None, None)
 
 
 def test_derive_seed_is_stable_and_labelled():

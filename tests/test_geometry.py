@@ -97,10 +97,13 @@ _FLAT = np.array([1.0, 0.0, 0.0, 0.0])
     (lambda: assign_labels(E1[None], _FLAT), "centers must be a 2-d vector"),
     (lambda: assign_labels(E1[None], E1[None][:0]), "centers set is empty"),
     (lambda: assign_labels(E1[None][:0], E1[None]), None),  # no points: no labels
+    (lambda: assign_labels(E1[None][:0], E1[None][:, :3]), "dimension mismatch"),
+    (lambda: assign_labels(E1[None][:0], E1[None][:0]), "centers set is empty"),
 ], ids=["cosine-a", "cosine-b", "best_similarity-reference", "best_similarity-covering",
         "marginal_gain-reference", "marginal_gain-candidate", "kmeans-points",
         "assign_labels-points", "assign_labels-centers", "assign_labels-no-centers",
-        "assign_labels-no-points"])
+        "assign_labels-no-points", "assign_labels-no-points-wrong-width",
+        "assign_labels-no-points-no-centers"])
 def test_bad_input_is_rejected_naming_the_argument(call, error):
     if error is None:
         assert call().tolist() == []
@@ -534,25 +537,32 @@ def test_float32_norms_out_of_range_take_the_float64_screen(scale, monkeypatch):
 
 def test_float32_screen_applies_only_within_the_norm_range():
     single, double, unit = np.dtype(np.float32), np.dtype(np.float64), np.ones(4)
-    assert geometry._screen_roundoff((single, single), unit, (0.0, 1.0)) == 2.0**-24
-    assert geometry._screen_roundoff((double, double), unit, (1.0, 1.0)) == 2.0**-53
+
+    def roundoff(dtypes, norms, others_span):
+        rows = geometry._screen_rows(np.ones((len(norms), 1)), "rows", norms)
+        return geometry._screen_roundoff(dtypes, rows.span, others_span)
+
+    assert roundoff((single, single), unit, (0.0, 1.0)) == 2.0**-24
+    assert roundoff((double, double), unit, (1.0, 1.0)) == 2.0**-53
     for norms, bound in [(unit, 2.0**61), (unit, 2.0**-61), (unit * np.nan, 1.0),
                          (unit, np.inf), (np.array([1.0, 2.0**-70]), 1.0)]:
-        assert geometry._screen_roundoff((single, single), norms, (0.0, bound)) == 2.0**-53
+        assert roundoff((single, single), norms, (0.0, bound)) == 2.0**-53
     # a zero row has exact zero products, whatever the screen
-    assert geometry._screen_roundoff((single, single), np.array([0.0, 1.0]), (0.0, 1.0)) == 2.0**-24
+    for norms in [np.array([0.0, 1.0]), np.zeros(2)]:
+        assert roundoff((single, single), norms, (0.0, 1.0)) == 2.0**-24
     # float64 others of float32 rows are rounded to float32 only when every
     # norm of theirs lies in the range too
-    assert geometry._screen_roundoff((single, double), unit, (2.0**-50, 1.0)) == 2.0**-24
+    assert roundoff((single, double), unit, (2.0**-50, 1.0)) == 2.0**-24
     for norms, span in [(unit, (0.0, 1.0)), (unit, (2.0**-70, 1.0)),
                         (unit * 2.0**-40, (1.0, 2.0**61)), (unit, (np.nan, 1.0))]:
-        assert geometry._screen_roundoff((single, double), norms, span) == 2.0**-53
+        assert roundoff((single, double), norms, span) == 2.0**-53
     rng = np.random.default_rng(32)
     rows, others = random_unit_vectors(5, 8, rng), random_unit_vectors(3, 8, rng)
     for tiny, dtypes in [(1.0, (single, double)), (0.0, (double, double)),
                          (2.0**-70, (double, double))]:
         wide = others.astype(np.float64) * np.array([[1.0], [1.0], [tiny]])
-        a, b, _, _ = geometry._screen_operands(rows, wide, ("rows", "others"))
+        a, b, _ = geometry._screen_operands(
+            geometry._screen_rows(rows, "rows"), wide, ("rows", "others"))
         assert (a.dtype, b.dtype) == dtypes
         assert np.array_equal(b, wide)  # rescoring reads the others unrounded
         assert np.array_equal(geometry._screen_gemm(a, b), a @ wide.astype(a.dtype).T)
