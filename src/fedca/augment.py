@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import ValidationError, check_json, check_number, json_field
-from .geometry import _QUERY_BLOCK, _canonical_dots, _gemv_rows, _top_candidates
+from .geometry import _QUERY_BLOCK, _canonical_dots, _gemv_rows, _screen_rows, _top_candidates
 from .selection import CenterSelection
 from .store import EmbeddingStore
 
@@ -156,12 +156,13 @@ def direct_retrieval_augment(
 
     Similarities are canonical values from ``geometry._top_candidates``,
     which screens the store's float32 rows once per block of up to 256
-    centroids, bounded by ``pool.max_norm``; hits equal a full-pool scan
-    ranked by canonical value. The SGEMM screen holds one float32 per pool
-    row for each centroid of one block, so its memory is bounded by 256
-    times the pool size (24 MB for the paper's 100 centroids over 60,000
-    rows, at most 61 MB for any number of centroids over that pool; twice
-    that for a DGEMM screen).
+    centroids, with the pool's half of the set-up made from ``pool.norms``
+    (no norm pass over the pool); hits equal a full-pool scan ranked by
+    canonical value. The SGEMM screen holds one float32 per pool row for
+    each centroid of one block, so its memory is bounded by 256 times the
+    pool size (24 MB for the paper's 100 centroids over 60,000 rows, at most
+    61 MB for any number of centroids over that pool; twice that for a DGEMM
+    screen).
     """
     if per_client < 1:
         raise ValidationError(f"per_client must be >= 1, got {per_client}")
@@ -189,10 +190,9 @@ def direct_retrieval_augment(
             plan.append((idx, quota, quota + earlier))
             earlier += quota
     found = _top_candidates(
-        pool.vectors,
+        _screen_rows(pool.vectors, "pool", pool.norms),
         np.array(queries).reshape(-1, pool.dim),
         [budget for _, _, budget in plan],
-        pool_norm=pool.max_norm,
     )
     seen: list[set[int]] = [set() for _ in client_centers]
     picks: list[list[tuple[int, float]]] = [[] for _ in client_centers]

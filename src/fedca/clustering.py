@@ -21,13 +21,15 @@ and float64 GEMVs pick another point only when the draw lands within about
 1e-7 of a cumulative-D^2 boundary.)
 
 Assignment rule: a point's label is the lowest index of the centers whose
-canonical similarity to it (``fedca.geometry``'s value contract) is
-largest. :func:`_assign` screens every point against every center with
-``geometry``'s one screen set-up, whose points' half :func:`_lloyd` makes
-once, settles each point whose best screen entry beats every other entry by
-more than the slack, and computes canonical values only for the others (the
-bound on ``geometry._screened_pairs``, k = 1). So labels do not depend on
-the BLAS thread count.
+canonical similarity to it (``fedca.geometry``'s value contract) is largest.
+:func:`_assign` screens every point against every center with ``geometry``'s
+one screen set-up, from the points' half, which :func:`_lloyd` makes once,
+and the centers' half, made once per assignment (a zero center rounds to
+float32 exactly, so float32 points keep their SGEMM); it settles each point
+whose best screen entry beats every other entry by more than the slack, and
+computes canonical values only for the others (the bound on
+``geometry._screened_pairs``, k = 1). So labels do not depend on the BLAS
+thread count.
 
 Update rule: the first update re-centers every cluster; each later update
 re-centers only the clusters that a point entered or left since the one
@@ -137,15 +139,16 @@ def _assign(pts: _ScreenRows, centers: np.ndarray) -> np.ndarray:
     """The label of every row x of ``pts.vectors``: the lowest index of the
     ``centers`` whose canonical similarity to x is largest.
 
-    One ``_screen_gemm``, set up from the points' half ``pts``, screens
-    every point against every center. By the bound on
+    One ``_screen_gemm``, set up from the points' half ``pts`` and the
+    centers' half that ``geometry._screen_rows`` makes here, screens every
+    point against every center. By the bound on
     ``geometry._screened_pairs`` (k = 1), a column holding the row's largest
     canonical value has a screen value not below floor, the row's best screen
     entry less its slack, in the screen's dtype. A row with one such column
     takes it; the others take the lowest of those columns that holds the
     largest of their canonical values (``_canonical_dots``).
     """
-    a, b, slack = _screen_operands(pts, centers, ("points", "centers"))
+    a, b, slack = _screen_operands(pts, _screen_rows(centers, "centers"))
     screen = _screen_gemm(a, b)
     n, k = screen.shape
     best = screen.argmax(axis=1)

@@ -50,44 +50,45 @@ value (its docstring holds the bound), and rescores only those, through
 each row's kept pairs, for every reference row that is not self-covered. A
 reference row x is self-covered when a bound on squared distances
 (``_self_covered``) rules out every covering row but one from scoring above
-c(x, x), and that one is bit-equal to x; its maximum is then c(x, x), its
+c(x, x), and that one equals x by value; its maximum is then c(x, x), its
 own squared norm, computed as every canonical value is, and it is not
 screened. ``_top_candidates`` (direct retrieval) splits the pairs per
 query. The selection scorer takes its operands, reference norms and slack
-from the same set-up and rescores through ``_canonical_dots``
-too. Every screen GEMM runs through ``_screen_gemm``, the one seam where a
-test can put screen values anywhere within the bound and check that no
-output moves. ``_screen_operands`` sets up every screen, k-means
-assignment's (``clustering._assign``) included, from the rows' half that
-``_screen_rows`` makes once per row set, with one slack,
-``_screen_slack(d + 1, u) * |x| * max|y|`` (proved once, on
-``_screened_pairs``), and by one rule on the operands' dtypes and norms:
+from the same set-up and rescores through ``_canonical_dots`` too. Every
+screen GEMM runs through ``_screen_gemm``, the one seam where a test can put
+screen values anywhere within the bound and check that no output moves.
+``_screen_operands`` sets up every screen, k-means assignment's
+(``clustering._assign``) included, from two halves, the rows and the
+others, that ``_screen_rows`` makes the same way for either side, with one
+slack, ``_screen_slack(d + 1, u) * |x| * max|y|`` (proved once, on
+``_screened_pairs``), and by one rule over the two halves' dtypes and norms:
 
 * SGEMM, when the rows are float32, every nonzero norm product
   ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, and the others are float32
-  (store rows, k-means centers) or float64 with every norm in that range
-  (k-means centers against float32 points), which ``_screen_gemm`` rounds
-  to float32 and canonical rescoring reads unrounded. No float32 value
-  overflows and underflow stays far below the slack; u = 2**-24;
+  (store rows, k-means centers) or float64 with every nonzero norm in that
+  range (k-means centers against float32 points, a float64 covering set of
+  a float32 reference), which ``_screen_gemm`` rounds to float32 and
+  canonical rescoring reads unrounded. No float32 value overflows and
+  underflow stays far below the slack; u = 2**-24;
 * DGEMM over operands widened to float64 otherwise; u = 2**-53.
 
 Screen values never leave the kernel, and the self-covered check reads no
 screen and never certifies a row whose maximum is not c(x, x), so each
 per-reference maximum is the exact maximum of canonical values over the
-whole covering set: bit-identical
-under any chunking or ordering of either set, for either screen, and at any
-BLAS thread count. Widening float32 to float64 is exact, so float32 input
-and the same input widened to float64 give the same bits. Sums over the
-reference set use ``math.fsum`` (exact compensated summation, whose result
-is independent of summation order), so reference-set sizes up to ~1e5 stay
-accurate to the last unit in the last place.
+whole covering set: bit-identical under any chunking or ordering of either
+set, for either screen, and at any BLAS thread count. Widening float32 to
+float64 is exact, so float32 input and the same input widened to float64
+give the same bits. Sums over the reference set use ``math.fsum`` (exact
+compensated summation, whose result is independent of summation order), so
+reference-set sizes up to ~1e5 stay accurate to the last unit in the last
+place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import fsum, sqrt
+from math import fsum
 from typing import NamedTuple
 
 import numpy as np
@@ -192,7 +193,7 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
     sq = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], rows):
         part = _wide(x[lo : lo + rows])
-        sq[lo : lo + rows] = _row_dots(part, part)
+        np.einsum("ij,ij->i", part, part, out=sq[lo : lo + rows])
     return sq
 
 
@@ -212,20 +213,6 @@ def _screen_slack(dim: int, u: float) -> float:
     return 4.0 * _gamma(dim + 1, u)
 
 
-def _screen_roundoff(dtypes, row_span, others_span) -> float:
-    """Unit roundoff of the screen of rows against others of ``dtypes`` by the
-    value contract's rule: 2**-24 for an SGEMM, else 2**-53. ``row_span`` is
-    the rows' least nonzero float64 norm (inf for none) and largest one;
-    ``others_span`` a lower bound on the others' norms (0.0 or their least)
-    and their largest."""
-    lo, hi = _SINGLE_RANGE
-    (least, largest), (least_other, top) = row_span, others_span
-    others_fit = dtypes[1] == np.float32 or (lo <= least_other and top <= hi)
-    in_range = largest * top <= hi and (least == np.inf or least * top >= lo)
-    single = dtypes[0] == np.float32 and others_fit and in_range
-    return _SINGLE_ROUNDOFF if single else _UNIT_ROUNDOFF
-
-
 def _own_precision(x, name: str) -> np.ndarray:
     """``x`` as a C-contiguous vector set: float32 when it is float32, float64
     otherwise. Errors name it by ``name``."""
@@ -233,69 +220,64 @@ def _own_precision(x, name: str) -> np.ndarray:
     return _vectors(arr, name, dtype=np.float32 if arr.dtype == np.float32 else np.float64)
 
 
-def _own_others(rows: np.ndarray, others, names: tuple[str, str]) -> np.ndarray:
-    """``others`` in their ``_own_precision``, non-empty and of the width of
-    the vector set ``rows``. Errors name the two by ``names``."""
-    b = _own_precision(others, names[1])
-    if b.shape[0] == 0:
-        raise ValidationError(f"{names[1]} set is empty")
-    if rows.shape[1] != b.shape[1]:
-        raise ValidationError(
-            f"dimension mismatch: {names[0]} {rows.shape[1]} vs {names[1]} {b.shape[1]}"
-        )
-    return b
-
-
-def _operands(rows, others, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """Non-empty ``rows`` and ``others`` as ``_own_others`` gives them, in one
-    dtype: float32 when both are float32, float64 otherwise (widened exactly)."""
-    a = _own_precision(rows, names[0])
-    if a.shape[0] == 0:
-        raise ValidationError(f"{names[0]} set is empty")
-    b = _own_others(a, others, names)
-    return (a, b) if a.dtype == b.dtype else (_wide(a), _wide(b))
-
-
 class _ScreenRows(NamedTuple):
-    """The rows' half of a screen's set-up, as ``_screen_rows`` makes it."""
+    """Either half of a screen's set-up, as ``_screen_rows`` makes it."""
 
     vectors: np.ndarray
     norms: np.ndarray
     span: tuple[float, float]
+    name: str
 
 
 def _screen_rows(rows, name: str, norms=None) -> _ScreenRows:
-    """The rows' half of every screen of ``rows``, made once for any others:
-    the rows in their ``_own_precision`` (none give empty screens), their
-    float64 norms (``norms`` spares the pass) and ``_screen_roundoff``'s span."""
+    """Either half of every screen of ``rows``, made once for any other
+    half: the rows in their ``_own_precision`` (none give empty screens),
+    their float64 norms (``norms`` spares the pass), ``_screen_roundoff``'s
+    span, the least nonzero norm (inf for none) and the largest (0.0 for
+    none), and the ``name`` errors call them by."""
     a = _own_precision(rows, name)
     if norms is None:
         norms = _row_norms(a)
     least = float(norms.min(initial=np.inf))
     if least == 0.0:  # a zero row has exact zero products, whatever the screen
         least = float(norms[norms > 0].min(initial=np.inf))
-    return _ScreenRows(a, norms, (least, float(norms.max(initial=0.0))))
+    return _ScreenRows(a, norms, (least, float(norms.max(initial=0.0))), name)
+
+
+def _paired(rows: _ScreenRows, others: _ScreenRows) -> None:
+    """Raise unless ``others`` is non-empty and of the width of ``rows``."""
+    if others.vectors.shape[0] == 0:
+        raise ValidationError(f"{others.name} set is empty")
+    if rows.vectors.shape[1] != others.vectors.shape[1]:
+        raise ValidationError(f"dimension mismatch: {rows.name} {rows.vectors.shape[1]} "
+                              f"vs {others.name} {others.vectors.shape[1]}")
+
+
+def _screen_roundoff(rows: _ScreenRows, others: _ScreenRows) -> float:
+    """Unit roundoff of the screen of ``rows`` against ``others`` by the value
+    contract's rule, read off each half's span: 2**-24 for an SGEMM, else
+    2**-53."""
+    lo, hi = _SINGLE_RANGE
+    (least, largest), (least_other, top) = rows.span, others.span
+    others_fit = others.vectors.dtype == np.float32 or (lo <= least_other and top <= hi)
+    in_range = largest * top <= hi and (least == np.inf or least * top >= lo)
+    single = rows.vectors.dtype == np.float32 and others_fit and in_range
+    return _SINGLE_ROUNDOFF if single else _UNIT_ROUNDOFF
 
 
 def _screen_operands(
-    rows: _ScreenRows, others, names: tuple[str, str], others_norm: float | None = None
+    rows: _ScreenRows, others: _ScreenRows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The operands ``_screen_gemm`` takes for a screen of ``rows`` (a
-    ``_screen_rows``) against ``others`` (checked by ``_own_others``), both
-    widened to float64 unless ``_screen_roundoff`` allows an SGEMM, and each
-    row's slack ``_screen_slack(d + 1, u) * max_j |others_j| * |rows_i|``.
-    ``others_norm``, when given, is the largest float64 row norm of
-    ``others`` and spares a pass (float64 others of float32 rows take every
-    norm)."""
-    a, b = rows.vectors, _own_others(rows.vectors, others, names)
-    span = (0.0, others_norm)
-    if others_norm is None or (a.dtype == np.float32 and b.dtype == np.float64):
-        squares = _squared_norms(b)
-        span = (sqrt(squares.min()), sqrt(squares.max()))
-    u = _screen_roundoff((a.dtype, b.dtype), rows.span, span)
+    """The operands ``_screen_gemm`` takes for a screen of ``rows`` against
+    ``others`` (two ``_paired`` halves), both widened to float64 unless
+    ``_screen_roundoff`` allows an SGEMM, and each row's slack
+    ``_screen_slack(d + 1, u) * max_j |others_j| * |rows_i|``."""
+    _paired(rows, others)
+    a, b = rows.vectors, others.vectors
+    u = _screen_roundoff(rows, others)
     if u == _UNIT_ROUNDOFF:
         a, b = _wide(a), _wide(b)
-    return a, b, _screen_slack(a.shape[1] + 1, u) * span[1] * rows.norms
+    return a, b, _screen_slack(a.shape[1] + 1, u) * others.span[1] * rows.norms
 
 
 def _screen_gemm(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -324,47 +306,49 @@ def _canonical_dots(
     return out
 
 
-def _screened_pairs(
-    rows: _ScreenRows, others, names: tuple[str, str], budgets=None, others_norm=None,
-    subset=None,
-):
+def _screened_pairs(rows: _ScreenRows, others: _ScreenRows, budgets=None, subset=None):
     """Yield ``(starts, cols, values)`` per block of ``_QUERY_BLOCK`` rows of
-    the ``_screen_rows`` ``rows`` (of its rows at ``subset``, gathered one
-    block at a time, when ``subset`` is given): row-major, the pairs (row,
-    column of ``others``) that may rank among the row's top k =
+    the ``_screen_rows`` half ``rows`` (of its rows at ``subset``, gathered
+    one block at a time, when ``subset`` is given): row-major, the pairs
+    (row, column of the half ``others``) that may rank among the row's top k =
     ``budgets[i]`` (1 for every row when None) by canonical value.
     ``starts[r]`` is the position of block row r's first pair, ``cols`` the
     pairs' columns and ``values`` their canonical values; every row has at
     least one pair.
 
     Each block is screened against all of ``others`` with one
-    ``_screen_gemm`` set up by ``_screen_operands`` (given ``others_norm``),
-    so the screen holds ``_QUERY_BLOCK * len(others)`` values at most. This
-    is the one proof of the screen bound. Let u be the screen's unit
-    roundoff, d the width, M = max_j |y_j| and E = 2 * gamma_(d+1)(u) *
-    |x_i| * M. A screen value s_j lies within gamma_d(u) * (1 + 2u) * |x_i|
-    * M of x_i . y'_j, the exact product with the row y'_j the GEMM reads:
-    y_j or, for float64 others of an SGEMM, y_j rounded to float32, which
-    lies within 2u * |y_j| of y_j (subnormal parts included, since |y_j|
-    then lies in ``_SINGLE_RANGE``). The canonical value c_j lies within
-    gamma_d(2**-53) * |x_i| * M of x_i . y_j (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, sec. 3.1). So s_j lies within E of
-    c_j. Let g_k be the k-th largest screen value of row i. The k columns
-    with the largest screen values have canonical values of at least g_k -
-    E, so the k-th largest canonical value c_k is at least that too, and any
-    column whose canonical value reaches c_k has a screen value of at least
-    c_k - E >= g_k - 2E. The slack ``_screen_slack(d + 1, u) * |x_i| * M``
-    = 4 * gamma_(d+2)(u) * |x_i| * M exceeds 2E by at least 4u * |x_i| * M,
-    more than the roundings of the norms, of the slack and of the floor. A
-    row therefore keeps every column whose screen value is not below its
-    floor, g_k less the slack (g_1 is the row maximum; a row with k >=
-    len(others) keeps them all). A NaN screen value or bound keeps its
-    pairs, so NaN input gives NaN values. Screen values are never returned,
-    so ranking a row's pairs by value equals ranking all of ``others`` by
-    canonical value, under any blocking, for float32 input and the same
-    input widened to float64, and at any BLAS thread count.
+    ``_screen_gemm`` set up by ``_screen_operands``, so the screen holds
+    ``_QUERY_BLOCK * len(others)`` values at most. This is the one proof of
+    the screen bound. Let u be the screen's unit roundoff, d the width, M =
+    max_j |y_j| and E = 2 * gamma_(d+1)(u) * |x_i| * M. A screen value s_j
+    lies within gamma_d(u) * (1 + 2u) * |x_i| * M of x_i . y'_j, the exact
+    product with the row y'_j the GEMM reads: y_j or, for float64 others of
+    an SGEMM, y_j rounded to float32, which lies within 2u * |y_j| of y_j
+    (subnormal parts included, since a nonzero |y_j| then lies in
+    ``_SINGLE_RANGE``). A row of zero float64 norm has every coordinate
+    below 2**-537 in magnitude, since each square rounds to zero, so
+    rounding it to zero moves x_i . y_j by less than sqrt(d) * 2**-537 *
+    |x_i|, far inside the slack's margin of 4u * |x_i| * M (M >= 2**-60
+    unless every row x_i is zero, and zero float32 rows are exact). The
+    canonical value c_j lies within gamma_d(2**-53) * |x_i| * M of x_i . y_j
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.1). So
+    s_j lies within E of c_j. Let g_k be the k-th largest screen value of
+    row i. The k columns with the largest screen values have canonical
+    values of at least g_k - E, so the k-th largest canonical value c_k is
+    at least that too, and any column whose canonical value reaches c_k has
+    a screen value of at least c_k - E >= g_k - 2E. The slack
+    ``_screen_slack(d + 1, u) * |x_i| * M`` = 4 * gamma_(d+2)(u) * |x_i| * M
+    exceeds 2E by at least 4u * |x_i| * M, more than the roundings of the
+    norms, of the slack and of the floor. A row therefore keeps every column
+    whose screen value is not below its floor, g_k less the slack (g_1 is
+    the row maximum; a row with k >= len(others) keeps them all). A NaN
+    screen value or bound keeps its pairs, so NaN input gives NaN values.
+    Screen values are never returned, so ranking a row's pairs by value
+    equals ranking all of ``others`` by canonical value, under any blocking,
+    for float32 input and the same input widened to float64, and at any BLAS
+    thread count.
     """
-    a, b, slack = _screen_operands(rows, others, names, others_norm)
+    a, b, slack = _screen_operands(rows, others)
     n = b.shape[0]
     for lo in range(0, a.shape[0] if subset is None else len(subset), _QUERY_BLOCK):
         part = slice(lo, lo + _QUERY_BLOCK)
@@ -401,28 +385,31 @@ def _spread_coords(b: np.ndarray) -> np.ndarray:
 
 def _self_covered(a: np.ndarray, b: np.ndarray, a_squares, b_squares):
     """The rows of ``a`` certified self-covered by ``b``, ascending, and
-    their values: each such row x is bit-equal to a row of ``b``, and its
+    their values: each such row x equals a row of ``b`` by value, and its
     canonical maximum over ``b`` is c(x, x), its own squared float64 norm,
     which ``a_squares`` (``_squared_norms(a)``) holds; ``b_squares`` is
-    ``_squared_norms(b)``.
+    ``_squared_norms(b)``. Each operand keeps its own precision.
 
-    Let M be the largest row norm of ``b`` and d the width. For any y,
-    x.y = (|x|**2 + |y|**2 - |x - y|**2) / 2, and a canonical value lies
-    within gamma_d * |x| * |y| of the exact product (Higham, *Accuracy and
+    Let M be the largest row norm of ``b`` and d the width. For any y, x.y =
+    (|x|**2 + |y|**2 - |x - y|**2) / 2, and a canonical value lies within
+    gamma_d * |x| * |y| of the exact product (Higham, *Accuracy and
     Stability of Numerical Algorithms*, sec. 3.1), so c(x, y) <= c(x, x)
     whenever |x - y|**2 > T(x) = M**2 - |x|**2 + 2 * gamma_d * (|x| * M +
     |x|**2). ``reach`` is T padded by ``16 * gamma_(d+2) * (M**2 + |x|**2)``
     for the roundings of the norms, of T itself and of the distances below;
-    a larger T only certifies fewer rows. The rows of ``b`` are sorted on the
-    first coordinate of ``_spread_coords``: only those within sqrt(reach) of
-    x on it can lie within reach of x, and the squared distance over the
-    chosen coordinates bounds |x - y|**2 from below (partial-distance
-    elimination; Bei and Gray, IEEE Trans. Commun., 1985). x is certified
-    when exactly one row of ``b`` lies within that bound of it and that row
-    is bit-equal to x over the whole row: every other row of ``b`` is ruled
-    out, and its copy gives c(x, x). A second copy, a near neighbour or a
-    poor choice of coordinates leaves x to the screen, which changes speed,
-    never a value.
+    a larger T only certifies fewer rows. The rows of ``b`` are sorted on
+    the first coordinate of ``_spread_coords``: only those within
+    sqrt(reach) of x on it can lie within reach of x, and the squared
+    distance over the chosen coordinates bounds |x - y|**2 from below
+    (partial-distance elimination; Bei and Gray, IEEE Trans. Commun., 1985).
+    x is certified when exactly one row of ``b`` lies within that bound of
+    it and that row equals x (``==``) in every coordinate: every other row
+    of ``b`` is ruled out, and its copy gives c(x, x) bit for bit. Its
+    products with x are those of x with itself but for the sign of a zero
+    term, which moves no rounded partial sum but a zero one, and c(x, x) is
+    at least ``_CHECK_RANGE[0] ** 2``, so not zero. A second copy, a near
+    neighbour or a poor choice of coordinates leaves x to the screen, which
+    changes speed, never a value.
 
     The check runs only when every norm of ``b`` is finite and at most
     ``_CHECK_RANGE[1]``, and reads only rows of ``a`` whose squared norm is
@@ -443,7 +430,6 @@ def _self_covered(a: np.ndarray, b: np.ndarray, a_squares, b_squares):
     keys = _wide(b[:, coords])
     order = np.argsort(keys[:, 0], kind="stable")
     sorted_t = np.ascontiguousarray(keys[order].T)
-    bits = f"u{a.itemsize}"
     pad = 16.0 * _gamma(a.shape[1] + 2)
     cap = max(16, b.shape[0] // 16)
     found, values = [none[0]], [none[1]]
@@ -466,7 +452,7 @@ def _self_covered(a: np.ndarray, b: np.ndarray, a_squares, b_squares):
         lone = np.flatnonzero(np.bincount(owner[inside], minlength=sizes.size) == 1)
         twin = np.empty(sizes.size, np.intp)
         twin[owner[inside]] = order[col[inside]]
-        same = np.all(a[at[lone]].view(bits) == b[twin[lone]].view(bits), axis=1)
+        same = np.all(a[at[lone]] == b[twin[lone]], axis=1)
         found.append(at[lone[same]])
         values.append(sq[lone[same]])
     return np.concatenate(found), np.concatenate(values)
@@ -478,11 +464,17 @@ def best_similarity(reference, covering) -> np.ndarray:
     Rows that ``_self_covered`` certifies take their own squared norm; every
     other row takes the maximum of its ``_screened_pairs``, its block of the
     reference gathered where it lies rather than copied out first. Each
-    operand's ``_squared_norms`` is taken once and serves both.
+    operand stays in its own precision, and its ``_squared_norms`` is taken
+    once and serves both.
     """
-    names = ("reference", "covering")
-    a, b = _operands(reference, covering, names)
+    a = _own_precision(reference, "reference")
+    if a.shape[0] == 0:
+        raise ValidationError("reference set is empty")
+    b = _own_precision(covering, "covering")
     a_squares, b_squares = _squared_norms(a), _squared_norms(b)
+    rows = _screen_rows(a, "reference", np.sqrt(a_squares))
+    others = _screen_rows(b, "covering", np.sqrt(b_squares))
+    _paired(rows, others)
     covered, own = _self_covered(a, b, a_squares, b_squares)
     best = np.empty(a.shape[0])
     best[covered] = own
@@ -490,26 +482,20 @@ def best_similarity(reference, covering) -> np.ndarray:
     if rest.size:
         best[rest] = np.concatenate([
             np.maximum.reduceat(values, starts)
-            for starts, _, values in _screened_pairs(
-                _screen_rows(a, names[0], np.sqrt(a_squares)), b, names,
-                others_norm=float(np.sqrt(b_squares.max())), subset=rest)
+            for starts, _, values in _screened_pairs(rows, others, subset=rest)
         ])
     return best
 
 
 def _top_candidates(
-    pool, queries, budgets, pool_norm: float | None = None
+    pool: _ScreenRows, queries, budgets
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per query j: the pool rows that may rank among its top ``budgets[j]``
-    by canonical similarity, ascending, and their canonical similarities.
-    ``pool_norm``, when given, is the pool's largest float64 row norm
-    (``EmbeddingStore.max_norm``) and spares a pass over the pool. The caller
-    passes budgets >= 1.
+    """Per query j: the rows of the ``_screen_rows`` half ``pool`` that may
+    rank among its top ``budgets[j]`` by canonical similarity, ascending, and
+    their canonical similarities. The caller passes budgets >= 1.
     """
     found = []
-    for starts, cols, values in _screened_pairs(
-        _screen_rows(queries, "queries"), pool, ("queries", "pool"), budgets, pool_norm
-    ):
+    for starts, cols, values in _screened_pairs(_screen_rows(queries, "queries"), pool, budgets):
         found += zip(np.split(cols, starts[1:]), np.split(values, starts[1:]))
     return found
 

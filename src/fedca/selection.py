@@ -233,8 +233,9 @@ class _CoverageScorer:
     ``columns`` holds one raw similarity row per candidate (P x m for P
     candidates and m reference rows): one ``geometry._screen_gemm`` of the
     candidates, widened to float64, against the reference, set up by
-    ``geometry._screen_operands`` with the reference as the screened rows;
-    their one norm pass (``_screen_rows``) gives ``near[r]``, the slack of
+    ``geometry._screen_operands`` with the reference as the screened rows
+    and the candidates as the others, each half made by ``_screen_rows``;
+    the reference's one norm pass gives ``near[r]``, the slack of
     reference row r, and rejects a non-finite reference. By the bound on
     ``geometry._screened_pairs`` (k = 1, read per reference row), the
     canonical maximum of a row over a subset is among the members whose
@@ -267,7 +268,7 @@ class _CoverageScorer:
     def __init__(self, problem: SelectionProblem):
         rows = _screen_rows(problem.reference_matrix(), "reference")
         ref, self.vectors, self.near = _screen_operands(
-            rows, np.stack([c.vector for c in problem.pool()]), ("reference", "candidates"))
+            rows, _screen_rows(np.stack([c.vector for c in problem.pool()]), "candidates"))
         if not np.isfinite(rows.norms).all():
             raise ValidationError("reference has non-finite vectors" if not np.isfinite(
                 ref).all() else "reference has a row whose norm overflows float64")

@@ -54,9 +54,9 @@ class InstructionRecord:
     text: str | None = None
 
 
-def _check_unit_rows(vec: np.ndarray, ids: np.ndarray) -> float:
+def _check_unit_rows(vec: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Every row finite with float64 L2 norm within NORM_TOLERANCE of 1;
-    returns the largest norm (0.0 for no rows).
+    returns the norms, read-only.
 
     Norms come from ``geometry._row_norms``, which widens one row block at a
     time, so the check never holds a float64 copy of the matrix.
@@ -72,7 +72,8 @@ def _check_unit_rows(vec: np.ndarray, ids: np.ndarray) -> float:
             f"record id {int(ids[bad])} is not unit-norm "
             f"(norm {norms[bad]:.8f}); ingest paths normalize, constructors expect unit vectors"
         )
-    return float(norms.max(initial=0.0))
+    norms.flags.writeable = False
+    return norms
 
 
 class EmbeddingStore:
@@ -80,11 +81,12 @@ class EmbeddingStore:
 
     Records are kept sorted by id ascending. Vectors are stored as one
     float32 matrix, which every similarity kernel reads as it is, widening
-    rows as it goes (the value contract in the ``geometry`` module
-    docstring says which values each kernel computes); ``max_norm`` bounds
-    the screens. The public constructor copies ``vectors``, so it allocates
-    that float32 matrix plus one row block of checks; the package's own
-    readers and subsets hand over the arrays they have just built through
+    rows as it goes (the value contract in the ``geometry`` module docstring
+    says which values each kernel computes); ``norms``, the float64 row
+    norms that its unit-norm check takes, spares the screens a norm pass.
+    The public constructor copies ``vectors``, so it allocates that float32
+    matrix, its norms and one row block of checks; the package's own readers
+    and subsets hand over the arrays they have just built through
     ``_adopt``, which runs the same checks without the copy.
     """
 
@@ -139,7 +141,7 @@ class EmbeddingStore:
             vec = vec[order]
         elif not owned:
             vec = vec.copy()
-        self._max_norm = _check_unit_rows(vec, ids_arr)
+        self._norms = _check_unit_rows(vec, ids_arr)
 
         self._dim = dim
         self._ids = ids_arr
@@ -183,9 +185,9 @@ class EmbeddingStore:
         return self._vectors
 
     @property
-    def max_norm(self) -> float:
-        """Largest float64 row norm, taken by the unit-norm check (0.0 when empty)."""
-        return self._max_norm
+    def norms(self) -> np.ndarray:
+        """(n,) float64 row norms, taken by the unit-norm check. Read-only."""
+        return self._norms
 
     @property
     def domain_index(self) -> dict[str, np.ndarray]:

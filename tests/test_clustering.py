@@ -180,12 +180,14 @@ def test_assign_labels_equals_per_pair_oracle_on_near_ties(dim, dtype, monkeypat
     # labels are row-local
     perm = np.random.default_rng(dim).permutation(len(pts))
     assert np.array_equal(assign_labels(pts[perm], centers), want[perm])
-    # a center of zero norm or of norm 2**-70 sends float32 points to a float64 screen
+    # a center of norm 2**-70 sends float32 points to a float64 screen; a
+    # center of zero norm rounds to float32 exactly and keeps their SGEMM
     used = _screens_used(monkeypatch)
     for scale in (0.0, 2.0**-70):
         odd = np.concatenate([centers, scale * centers[:1]])
         assert np.array_equal(assign_labels(pts, odd), per_pair_labels(pts, odd))
-    assert used == [geometry._UNIT_ROUNDOFF] * 2
+    first = geometry._SINGLE_ROUNDOFF if dtype == np.float32 else geometry._UNIT_ROUNDOFF
+    assert used == [first, geometry._UNIT_ROUNDOFF]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

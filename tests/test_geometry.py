@@ -304,6 +304,28 @@ def test_best_similarity_screens_only_rows_without_a_copy(monkeypatch):
     assert np.array_equal(got[::7], per_pair_best_similarity(ref[::7], cov))
 
 
+def test_float32_reference_against_float64_copies_is_certified_by_value(monkeypatch):
+    # A float32 reference against a float64 covering set: rows 0 to 9 have
+    # copies of equal value, row 3's differing only in the sign of a zero.
+    # Equal values give equal canonical products, so all ten are certified,
+    # and the other rows screen in float32 without a cast of either operand.
+    rng = np.random.default_rng(47)
+    ref = random_unit_vectors(40, 64, rng)
+    ref[3, 5] = 0.0
+    copies = ref[:10].astype(np.float64)
+    copies[3, 5] = -0.0
+    cov = np.concatenate([copies, random_unit_vectors(30, 64, rng).astype(np.float64)])
+    cov = cov[rng.permutation(len(cov))]
+    screened = _screened_rows(monkeypatch)
+    used = _screens_used(monkeypatch)
+    got = best_similarity(ref, cov)
+    assert np.array_equal(got, per_pair_best_similarity(ref, cov))
+    assert np.array_equal(np.concatenate(screened), ref[10:].astype(np.float64))
+    assert used == [geometry._SINGLE_ROUNDOFF]
+    own = ref[:10].astype(np.float64)
+    assert np.array_equal(got[:10], np.einsum("ij,ij->i", own, own))
+
+
 def _self_covered_cases(dim: int, rng: np.random.Generator) -> dict:
     """(reference, covering, reference rows the screen must see) per case.
     The covering set holds rows 0 to 29 of a float32 reference once each,
@@ -475,6 +497,11 @@ def _screens_used(monkeypatch) -> list[float]:
     return used
 
 
+def _pool(rows: np.ndarray) -> geometry._ScreenRows:
+    """The pool's half of ``_top_candidates``' screens."""
+    return geometry._screen_rows(rows, "pool")
+
+
 def _orbit_covering(ref: np.ndarray, rng: np.random.Generator, per_row: int) -> np.ndarray:
     """float32 rows on a circle around each reference row: c * x + s * w with
     w a random unit vector orthogonal to x, so every row of x's orbit has the
@@ -506,8 +533,8 @@ def test_float32_input_equals_its_float64_widening(dim, monkeypatch):
         assert np.array_equal(best_similarity(ref64, cov64), want)
         assert np.array_equal(best_similarity(ref32, cov32), want)
         budgets = [1, 4, 9, len(cov32) - 1] * (len(ref32) // 4)
-        wide = _top_candidates(cov64, ref64[: len(budgets)], budgets)
-        narrow = _top_candidates(cov32, ref32[: len(budgets)], budgets)
+        wide = _top_candidates(_pool(cov64), ref64[: len(budgets)], budgets)
+        narrow = _top_candidates(_pool(cov32), ref32[: len(budgets)], budgets)
         for (rows64, sims64), (rows32, sims32), q, k in zip(wide, narrow, ref64, budgets):
             canon = np.array([np.einsum("i,i->", x, q) for x in cov64])
             top = np.lexsort((np.arange(len(cov64)), -canon))[:k]
@@ -525,7 +552,7 @@ def test_float32_norms_out_of_range_take_the_float64_screen(scale, monkeypatch):
     ref, cov = ref * np.float32(scale), _near_tie_covering(ref, rng, copies=6) * np.float32(scale)
     used = _screens_used(monkeypatch)
     got = best_similarity(ref, cov)
-    found = _top_candidates(cov, ref, [3] * len(ref))
+    found = _top_candidates(_pool(cov), ref, [3] * len(ref))
     assert used == [geometry._UNIT_ROUNDOFF] * 2
     assert np.array_equal(got, per_pair_best_similarity(ref, cov))
     assert np.array_equal(got, best_similarity(ref.astype(np.float64), cov.astype(np.float64)))
@@ -538,31 +565,37 @@ def test_float32_norms_out_of_range_take_the_float64_screen(scale, monkeypatch):
 def test_float32_screen_applies_only_within_the_norm_range():
     single, double, unit = np.dtype(np.float32), np.dtype(np.float64), np.ones(4)
 
-    def roundoff(dtypes, norms, others_span):
-        rows = geometry._screen_rows(np.ones((len(norms), 1)), "rows", norms)
-        return geometry._screen_roundoff(dtypes, rows.span, others_span)
+    def half(dtype, norms):
+        norms = np.asarray(norms, dtype=np.float64)
+        return geometry._screen_rows(np.ones((len(norms), 1), dtype), "half", norms)
 
-    assert roundoff((single, single), unit, (0.0, 1.0)) == 2.0**-24
-    assert roundoff((double, double), unit, (1.0, 1.0)) == 2.0**-53
-    for norms, bound in [(unit, 2.0**61), (unit, 2.0**-61), (unit * np.nan, 1.0),
-                         (unit, np.inf), (np.array([1.0, 2.0**-70]), 1.0)]:
-        assert roundoff((single, single), norms, (0.0, bound)) == 2.0**-53
+    def roundoff(dtypes, norms, others_norms):
+        return geometry._screen_roundoff(half(dtypes[0], norms), half(dtypes[1], others_norms))
+
+    assert roundoff((single, single), unit, unit) == 2.0**-24
+    assert roundoff((double, double), unit, unit) == 2.0**-53
+    for norms, top in [(unit, 2.0**61), (unit, 2.0**-61), (unit * np.nan, 1.0),
+                       (unit, np.inf), (np.array([1.0, 2.0**-70]), 1.0)]:
+        assert roundoff((single, single), norms, [top]) == 2.0**-53
     # a zero row has exact zero products, whatever the screen
     for norms in [np.array([0.0, 1.0]), np.zeros(2)]:
-        assert roundoff((single, single), norms, (0.0, 1.0)) == 2.0**-24
+        assert roundoff((single, single), norms, unit) == 2.0**-24
     # float64 others of float32 rows are rounded to float32 only when every
-    # norm of theirs lies in the range too
-    assert roundoff((single, double), unit, (2.0**-50, 1.0)) == 2.0**-24
-    for norms, span in [(unit, (0.0, 1.0)), (unit, (2.0**-70, 1.0)),
-                        (unit * 2.0**-40, (1.0, 2.0**61)), (unit, (np.nan, 1.0))]:
-        assert roundoff((single, double), norms, span) == 2.0**-53
+    # nonzero norm of theirs lies in the range too. A zero row of float64
+    # others rounds to float32 exactly, as a zero row of the rows is exact,
+    # so it no longer sends the screen to float64.
+    for others in [[2.0**-50, 1.0], [0.0, 1.0]]:
+        assert roundoff((single, double), unit, others) == 2.0**-24
+    for norms, others in [(unit, [2.0**-70, 1.0]), (unit * 2.0**-40, [1.0, 2.0**61]),
+                          (unit, [np.nan, 1.0]), (unit, [0.0, np.nan])]:
+        assert roundoff((single, double), norms, others) == 2.0**-53
     rng = np.random.default_rng(32)
     rows, others = random_unit_vectors(5, 8, rng), random_unit_vectors(3, 8, rng)
-    for tiny, dtypes in [(1.0, (single, double)), (0.0, (double, double)),
+    for tiny, dtypes in [(1.0, (single, double)), (0.0, (single, double)),
                          (2.0**-70, (double, double))]:
         wide = others.astype(np.float64) * np.array([[1.0], [1.0], [tiny]])
         a, b, _ = geometry._screen_operands(
-            geometry._screen_rows(rows, "rows"), wide, ("rows", "others"))
+            geometry._screen_rows(rows, "rows"), geometry._screen_rows(wide, "others"))
         assert (a.dtype, b.dtype) == dtypes
         assert np.array_equal(b, wide)  # rescoring reads the others unrounded
         assert np.array_equal(geometry._screen_gemm(a, b), a @ wide.astype(a.dtype).T)
@@ -573,7 +606,7 @@ def test_top_candidates_hold_each_canonical_top_k():
     pool = _near_tie_covering(random_unit_vectors(30, 64, rng).astype(np.float64), rng, copies=6)
     queries = np.concatenate([pool[:5], random_unit_vectors(3, 64, rng)])
     budgets = [1, 3, 7, 20, 31, 100, len(pool), 5 * len(pool)]
-    for q, k, (rows, sims) in zip(queries, budgets, _top_candidates(pool, queries, budgets)):
+    for q, k, (rows, sims) in zip(queries, budgets, _top_candidates(_pool(pool), queries, budgets)):
         canon = np.array([np.einsum("i,i->", x, q) for x in pool])
         assert np.array_equal(sims, canon[rows])
         assert np.all(np.diff(rows) > 0)
@@ -585,9 +618,10 @@ def test_top_candidates_screen_memory_is_bounded_per_query_block():
     rng = np.random.default_rng(28)
     pool = random_unit_vectors(2_000, 16, rng).astype(np.float64)
     queries = random_unit_vectors(3_000, 16, rng).astype(np.float64)
+    half = _pool(pool)
     tracemalloc.start()
     try:
-        found = _top_candidates(pool, queries, [4] * len(queries))
+        found = _top_candidates(half, queries, [4] * len(queries))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -13,7 +13,8 @@ the returned values at d >= 3, so every output must equal the real
 screen's; a halved slack or a larger amplitude must show up somewhere, or
 the near-tie instances would prove nothing. k-means assignment
 (``clustering._assign``) screens float32 points against float64 centers,
-which the real ``_screen_gemm`` rounds to float32; its fakes move the
+a zero center among them, which the real ``_screen_gemm`` rounds to
+float32; its fakes move the
 canonical values of the unrounded centers, and the same bound covers that
 rounding on top.
 """
@@ -26,7 +27,7 @@ import pytest
 from oracles import per_pair_best_similarity
 from test_augment import NEAR_TIE_BUDGETS, _near_tie_retrieval
 from test_clustering import _near_tie_assignment, _planted
-from test_geometry import _near_tie_covering
+from test_geometry import _near_tie_covering, _screens_used
 from test_selection_exact import INSTANCES
 
 from fedca import geometry
@@ -128,7 +129,9 @@ def _retrieval_outputs() -> list[str]:
 def _assignment_outputs() -> list[bytes]:
     """Labels of near-tie points against float64 centers (rounded to float32
     for a float32 screen) and against float32 centers, then the centers and
-    cluster sizes of k-means on planted points."""
+    cluster sizes of k-means on planted points, then labels of float32
+    near-tie points against float64 centers with a zero row appended, which
+    keep the float32 screen."""
     out = []
     for dim in (3, 64, 1024):
         for dtype in (np.float64, np.float32):
@@ -137,6 +140,9 @@ def _assignment_outputs() -> list[bytes]:
     for dtype in (np.float64, np.float32):
         result = kmeans(_planted(120, 16, 5, 0.3, dtype, 9), 6, seed=3)
         out.append(result.centers.tobytes() + result.cluster_sizes.tobytes())
+    for dim in (3, 64, 1024):
+        pts, centers = _near_tie_assignment(12, dim, np.float32, 5 + dim)
+        out.append(assign_labels(pts, np.concatenate([centers, np.zeros((1, dim))])).tobytes())
     return out
 
 
@@ -197,9 +203,13 @@ def test_outputs_hold_under_any_screen_within_the_bound(adversary, real, monkeyp
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
 def test_assignment_holds_under_any_screen_within_the_bound(adversary, real, monkeypatch):
     screens = _adversarial_screen(monkeypatch, adversary)
+    used = _screens_used(monkeypatch)
     assert _assignment_outputs() == real["assignment"]
-    # one screen per labelling, then one per k-means assignment
-    assert screens[:12] == [(12, 24)] * 12 and len(screens) > 14
+    # one screen per labelling, then one per k-means assignment, then the
+    # three SGEMMs against centers with a zero row
+    assert screens[:12] == [(12, 24)] * 12 and len(screens) > 17
+    assert screens[-3:] == [(12, 25)] * 3
+    assert used[-3:] == [geometry._SINGLE_ROUNDOFF] * 3
 
 
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))

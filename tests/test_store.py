@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedca import geometry
 from fedca.errors import ValidationError
 from fedca.store import (
     EmbeddingStore,
@@ -177,11 +178,18 @@ def test_binary_domain_that_is_not_utf8_names_the_record(tmp_path):
         ingest_binary(path)
 
 
-def test_store_keeps_its_largest_row_norm():
+def test_store_keeps_the_row_norms_of_its_unit_norm_check():
     store = random_store(40, 8, seed=4)
-    norms = np.linalg.norm(store.vectors.astype(np.float64), axis=1)
-    assert store.max_norm == norms.max()
-    assert EmbeddingStore(3, [], [], np.empty((0, 3), np.float32)).max_norm == 0.0
+    assert store.norms.dtype == np.float64
+    assert store.norms.tobytes() == geometry._row_norms(store.vectors).tobytes()
+    assert not store.norms.flags.writeable
+    with pytest.raises(ValueError):
+        store.norms[0] = 2.0
+    # rows handed over out of id order keep their norms in id order
+    shuffled = EmbeddingStore(8, store.ids[::-1], store.domains[::-1], store.vectors[::-1])
+    assert shuffled.norms.tobytes() == store.norms.tobytes()
+    empty = EmbeddingStore(3, [], [], np.empty((0, 3), np.float32)).norms
+    assert empty.shape == (0,) and not empty.flags.writeable
 
 
 def test_binary_count_beyond_payload_rejected_before_allocating(tmp_path):
