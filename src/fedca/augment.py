@@ -24,7 +24,8 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import ValidationError, check_json, check_number, json_field
-from .geometry import _QUERY_BLOCK, _canonical_dots, _gemv_rows, _screen_rows, _top_candidates
+from .geometry import (_QUERY_BLOCK, _canonical_dots, _gemv_rows, _row_norms, _screen_rows,
+                       _top_candidates)
 from .selection import CenterSelection
 from .store import EmbeddingStore
 
@@ -230,7 +231,7 @@ def random_sampling_augment(
             f"per_client={per_client} exceeds pool size {len(pool)}"
         )
     mean = pool.vectors.mean(axis=0, dtype=np.float64)
-    norm = float(np.linalg.norm(mean))
+    norm = float(_row_norms(mean[None])[0])
     center = mean / norm if norm > 0 else mean
     results = []
     for client in range(n_clients):

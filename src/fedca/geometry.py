@@ -20,9 +20,11 @@ to the bullet that covers it.
   ``facility_value`` and ``marginal_gain``), ``_top_candidates`` (direct
   retrieval), the selection scorer (so every greedy, beam and brute-force
   decision, trace and coverage value), k-means assignment
-  (``clustering.assign_labels`` and every label inside ``clustering.kmeans``)
-  and the logging sims of random sampling return canonical values, or
-  decisions taken on them, only.
+  (``clustering.assign_labels`` and every label inside ``clustering.kmeans``),
+  the logging sims of random sampling and ICACS, given its k-means centers
+  (``metrics.icacs``: one canonical value per client, S_a . (S - S_a), over
+  center sums that take no BLAS), return canonical values, or decisions
+  taken on them, only.
 * Screen values come from ``_screen_gemm``, the screen seam, and never leave
   the kernel that reads them: ``_screened_pairs``, the selection scorer and
   k-means assignment keep a pair only where a rigorous bound lets its
@@ -38,8 +40,8 @@ to the bullet that covers it.
 * k-means center norms: ``clustering._update`` divides each mean by
   ``sqrt(mean.dot(mean))``, the BLAS dot of one float64 vector that
   ``np.linalg.norm`` runs.
-* ICACS (``metrics.icacs``) averages GEMM products of float64 k-means
-  centers, ``centers[a] @ centers[b].T``.
+* JSONL ingest normalization: ``store._normalized_row`` divides each JSONL
+  row by its ``np.linalg.norm``, the BLAS dot of one float64 vector.
 
 One kernel, ``_screened_pairs``, computes every canonical value that a
 GEMM screen selects. Per block of ``_QUERY_BLOCK`` rows it runs one GEMM,
@@ -67,7 +69,8 @@ slack, ``_screen_slack(d + 1, u) * |x| * max|y|`` (proved once, on
   ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, and the others are float32
   (store rows, k-means centers) or float64 with every nonzero norm in that
   range (k-means centers against float32 points, a float64 covering set of
-  a float32 reference), which ``_screen_gemm`` rounds to float32 and
+  a float32 reference), which the screen reads rounded to float32
+  (``_screened_pairs`` rounds them once per screen, not per block) and
   canonical rescoring reads unrounded. No float32 value overflows and
   underflow stays far below the slack; u = 2**-24;
 * DGEMM over operands widened to float64 otherwise; u = 2**-53.
@@ -349,13 +352,14 @@ def _screened_pairs(rows: _ScreenRows, others: _ScreenRows, budgets=None, subset
     thread count.
     """
     a, b, slack = _screen_operands(rows, others)
+    screened = b.astype(a.dtype, copy=False)  # rounded once; rescoring reads ``b``
     n = b.shape[0]
     for lo in range(0, a.shape[0] if subset is None else len(subset), _QUERY_BLOCK):
         part = slice(lo, lo + _QUERY_BLOCK)
         if subset is not None:
             part = subset[part]
         block = a[part]
-        screen = _screen_gemm(block, b)
+        screen = _screen_gemm(block, screened)
         ks = None if budgets is None else budgets[lo : lo + _QUERY_BLOCK]
         top1 = ks is None or all(k == 1 for k in ks)
         if top1:

@@ -4,8 +4,10 @@
   pooled client data (local plus augmented) over a domain reference set;
 * ICACS: mean pairwise cosine between different clients' augmented-set
   cluster centers (never intra-client pairs) -- lower means more distinct
-  augmentation. Each client's rows are put in byte order before k-means,
-  and the products stream into ``math.fsum`` exactly, a client pair at a time;
+  augmentation. Each client's rows are put in byte order and clustered at
+  the ICACS seed itself, one seed for every client, so the value does not
+  depend on client or row order; the pairs are summed through each
+  client's center sum, sum_a S_a . (S - S_a) / 2, without a pair product;
 * RUAI: unique / total ids across the pooled augmented sets -- higher means
   less redundancy;
 * communication accounting: floats uploaded as candidate centers, record
@@ -14,7 +16,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass
 from math import fsum
@@ -23,7 +24,7 @@ import numpy as np
 
 from .clustering import kmeans
 from .errors import ValidationError
-from .geometry import CoverageValue, coverage
+from .geometry import CoverageValue, _row_dots, _vectors, coverage
 from .store import EmbeddingStore
 
 logger = logging.getLogger(__name__)
@@ -105,39 +106,47 @@ def icacs(
     """Inter-client augmented-centroid similarity.
 
     Clusters each client's augmented embeddings (k-means) and averages the
-    cosine over every cross-client pair of centers. To make the metric
-    invariant to client ordering and to permutations within a client, each
-    client's rows are put in byte order (a stable argsort of their
-    little-endian float32 bytes, as ``sorted`` by ``row.tobytes()``) and its
-    k-means seed is derived from the run seed plus the sha256 of those rows.
+    cosine over every cross-client pair of centers. Each client's rows are
+    put in byte order (a stable argsort of their little-endian float32
+    bytes, as ``sorted`` by ``row.tobytes()``) and clustered at ``seed``
+    itself, the same seed for every client, so a client's centers depend
+    only on its own rows: the value is invariant to row order within a
+    client and to client order, which a seed per client index would break.
     A client with fewer vectors than ``k`` is clustered with k shrunk to its
-    size; one warning per call counts such clients. The products stream
-    into ``fsum`` one client pair at a time; it rounds correctly however its
-    terms arrive, so no bit moves and no list of every product is held.
+    size; one warning per call counts such clients. A set that is empty,
+    not 2-D or of another width than client 0's is a ValidationError
+    naming the client.
+
+    No pair product is formed. With S_a client a's center sum (its float32
+    centers widened to float64, ``np.add.reduce`` in k-means order) and S
+    the sum of every S_a (a correctly rounded ``fsum`` per coordinate, so it
+    does not depend on client order), the cross-client pairs sum to
+    sum_a S_a . (S - S_a) / 2. Each term is a canonical ``_row_dots`` value
+    and the terms meet in ``fsum``, so, given its centers, the value does
+    not depend on client order or on the BLAS thread count.
     """
     if len(per_client_augmented) < 2:
         raise ValidationError("ICACS requires at least 2 clients")
-    centers = []
+    sums, sizes = [], []
     for idx, vectors in enumerate(per_client_augmented):
-        rows = np.ascontiguousarray(vectors, dtype="<f4")
-        if rows.ndim != 2 or 0 in rows.shape:
+        rows = _vectors(vectors, f"client {idx}", dtype="<f4")
+        if 0 in rows.shape:
             raise ValidationError(f"client {idx} has no augmented vectors")
+        if sums and rows.shape[1] != sums[0].shape[0]:
+            raise ValidationError(f"dimension mismatch: client {idx} {rows.shape[1]} "
+                                  f"vs client 0 {sums[0].shape[0]}")
         k_eff = min(k, rows.shape[0])
-        canon = rows[_lexicographic_order(rows)]
-        digest = hashlib.sha256(canon).digest()
-        content_key = int.from_bytes(digest[:8], "little")
-        client_seed = int(np.random.SeedSequence([seed, content_key]).generate_state(1)[0])
-        centers.append(
-            kmeans(canon, k_eff, seed=client_seed, client_id=idx).centers.astype(np.float64)
-        )
-    sizes = [len(c) for c in centers]
+        centers = kmeans(rows[_lexicographic_order(rows)], k_eff, seed=seed, client_id=idx).centers
+        sums.append(np.add.reduce(centers, axis=0, dtype=np.float64))
+        sizes.append(k_eff)
     shrunk = [s for s in sizes if s < k]
     if shrunk:
         logger.warning("%d clients have fewer than %d vectors, the smallest %d; shrinking "
                        "ICACS k to each one's size", len(shrunk), k, min(shrunk))
     pairs = (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
-    return fsum(sim for a in range(len(centers)) for b in range(a + 1, len(centers))
-                for sim in (centers[a] @ centers[b].T).ravel().tolist()) / pairs
+    sums = np.stack(sums)
+    total = np.array([fsum(column) for column in sums.T.tolist()])
+    return fsum(_row_dots(sums, total - sums).tolist()) / (2 * pairs)
 
 
 def ruai(client_sets: list[list[int]]) -> float:

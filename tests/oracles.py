@@ -212,6 +212,23 @@ def literal_kmeans(points, k: int, seed: int, max_iters: int = 100):
     return centers, labels, float(np.sum(diff * diff)), stats
 
 
+def literal_icacs(per_client, k: int, seed: int) -> float:
+    """ICACS by its definition: each client's rows, rounded to little-endian
+    float32, ``sorted`` by ``row.tobytes()`` and clustered by
+    ``literal_kmeans`` at ``seed`` itself with k shrunk to the client's size;
+    then the mean, over every pair of centers of two different clients, of
+    the pair value ``np.einsum("i,i->", x, y)`` of the float32 centers
+    widened to float64, summed with ``fsum``."""
+    centers = []
+    for client in per_client:
+        rows = np.array(sorted(np.asarray(client, dtype="<f4"), key=lambda row: row.tobytes()))
+        found = literal_kmeans(rows, min(k, len(rows)), seed)[0]
+        centers.append(found.astype(np.float32).astype(np.float64))
+    sims = [float(np.einsum("i,i->", x, y))
+            for a, b in itertools.combinations(centers, 2) for x in a for y in b]
+    return fsum(sims) / len(sims)
+
+
 # Per-candidate selection searches, scoring each subset by one fsum over the
 # per-reference maxima of canonical similarity columns: the pair value
 # ``np.einsum("i,i->", r, v)`` of rows widened to float64, one pair at a time.

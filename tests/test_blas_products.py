@@ -1,7 +1,8 @@
 """Every BLAS product in ``src/fedca`` is one that the value contract names.
 
 A product that BLAS computes (``@``, ``np.dot``, ``.dot(``, ``np.matmul``,
-``np.inner``, ``np.vdot``) may change its bits with the BLAS thread count.
+``np.inner``, ``np.vdot``, and ``np.linalg.norm`` without ``axis``, which
+runs ``x.dot(x)``) may change its bits with the BLAS thread count.
 Each one must sit in a function of ``ALLOWED``, whose entry names the
 bullet of the ``fedca.geometry`` value contract that covers it, so no
 output comes to rest on raw BLAS bits without the contract saying so.
@@ -19,7 +20,7 @@ ALLOWED = {
     ("geometry", "_gemv_rows"): "GEMV values",
     ("clustering", "_plus_plus_init.d2_to"): "k-means seeding",
     ("clustering", "_update"): "k-means center norms",
-    ("metrics", "icacs"): "ICACS",
+    ("store", "_normalized_row"): "JSONL ingest normalization",
 }
 
 _PRODUCT_CALLS = {"dot", "matmul", "inner", "vdot"}
@@ -57,11 +58,17 @@ class _Products(ast.NodeVisitor):
         func = node.func
         if isinstance(func, ast.Attribute) and (
             func.attr == "dot"
-            or (func.attr in _PRODUCT_CALLS and isinstance(func.value, ast.Name)
-                and func.value.id in ("np", "numpy"))
+            or (func.attr in _PRODUCT_CALLS and _is_numpy(func.value))
+            or (func.attr == "norm" and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "linalg" and _is_numpy(func.value.value)
+                and len(node.args) < 3 and "axis" not in {k.arg for k in node.keywords})
         ):
             self._record(node)
         self.generic_visit(node)
+
+
+def _is_numpy(node) -> bool:
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
 
 
 def _products() -> dict[tuple[str, str], list[int]]:
@@ -96,9 +103,13 @@ def f(a, b):
     numpy.matmul(a, b)
     np.inner(a, b)
     np.vdot(a, b)
+    np.linalg.norm(a)
+    numpy.linalg.norm(a, 2)
     np.einsum("i,i->", a, b)
     np.multiply(a, b)
+    np.linalg.norm(a, axis=1)
+    np.linalg.norm(a, None, 1)
 """
     visitor = _Products()
     visitor.visit(ast.parse(source))
-    assert visitor.found == [("f", line) for line in range(3, 10)]
+    assert visitor.found == [("f", line) for line in range(3, 12)]

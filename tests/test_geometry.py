@@ -326,6 +326,28 @@ def test_float32_reference_against_float64_copies_is_certified_by_value(monkeypa
     assert np.array_equal(got[:10], np.einsum("ij,ij->i", own, own))
 
 
+def test_an_sgemm_screen_rounds_float64_others_once(monkeypatch):
+    # 600 float32 reference rows screen in three blocks against a float64
+    # covering set of unrelated rows; each block's SGEMM reads the same
+    # float32 rounding of the covering set, made once for the whole screen.
+    rng = np.random.default_rng(48)
+    ref = random_unit_vectors(600, 64, rng)
+    cov = random_unit_vectors(50, 64, rng).astype(np.float64)
+    seen = []
+    screen = geometry._screen_gemm
+
+    def spy(rows, others):
+        seen.append(others)
+        return screen(rows, others)
+
+    monkeypatch.setattr(geometry, "_screen_gemm", spy)
+    got = best_similarity(ref, cov)
+    assert len(seen) == 3
+    assert all(others.dtype == np.float32 and others is seen[0] for others in seen)
+    assert np.array_equal(seen[0], cov.astype(np.float32))
+    assert np.array_equal(got, per_pair_best_similarity(ref, cov))
+
+
 def _self_covered_cases(dim: int, rng: np.random.Generator) -> dict:
     """(reference, covering, reference rows the screen must see) per case.
     The covering set holds rows 0 to 29 of a float32 reference once each,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from oracles import double_loop_coverage
+from oracles import double_loop_coverage, literal_icacs
 
 from fedca.errors import ValidationError
+from fedca.geometry import _gamma
 from fedca.metrics import _lexicographic_order, comm_cost, cross_client_coverage, icacs, ruai
 from fedca.store import EmbeddingStore
 from fedca.synthetic import random_store, random_unit_vectors
@@ -88,6 +89,81 @@ def test_icacs_shrinks_k_for_small_clients(caplog):
     assert len(shrinking) == 1
     assert shrinking[0].startswith("50 clients have fewer than 10 vectors, the smallest 3;")
     assert -1.0 <= value <= 1.0
+
+
+def _icacs_bound(sizes: list[int], dim: int) -> float:
+    """A bound on |icacs - literal_icacs| for clients of ``sizes`` centers.
+
+    Both cluster the same float32 rows at the same seed, so they share the
+    centers c_i; |c_i| <= r = 1 + 2**-20 for unit-norm input. With A_a the
+    sum of client a's |c_i| (coordinatewise), A their total, P the pair
+    count and K the largest size, the pairs' sum is sum_a S_a . (S - S_a),
+    and |S_a| . |S - S_a| <= A_a . (A - A_a), whose sum 2W is at most
+    2P * r**2. ``icacs`` evaluates it within gamma_(d+2) * 2W, as its dot
+    and the rounding of S - S_a take, plus gamma_(2K) * 2W for rounding the
+    center sums S_a, u * V for rounding S, V = sum_a A_a . A_a <= sum_a
+    k_a**2 * r**2 (it reads intra-client terms), and 2u for fsum and the
+    division: gamma_(d+2K+8) * (2W + V) in all. The oracle's per-pair
+    products, fsum and division stay within gamma_(d+3) * 2W. Both over 2P.
+    """
+    pairs = (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
+    r2 = (1 + 2.0**-20) ** 2
+    two_w, v = 2 * pairs * r2, sum(s * s for s in sizes) * r2
+    return (_gamma(dim + 2 * max(sizes) + 8) * (two_w + v) + _gamma(dim + 3) * two_w) / (2 * pairs)
+
+
+def _cancelling_clients(n_clients: int, dim: int, rng) -> list[np.ndarray]:
+    """Clients whose rows come in near-antipodal pairs around shared
+    directions: every cross-client product is near +-1, and their mean
+    cancels to about the noise squared."""
+    base = random_unit_vectors(3, dim, rng).astype(np.float64)
+    clients = []
+    for _ in range(n_clients):
+        rows = np.concatenate([base, -base]) + 1e-3 * rng.standard_normal((6, dim))
+        clients.append((rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32))
+    return clients
+
+
+def _icacs_cases() -> dict[str, tuple[list[np.ndarray], int]]:
+    rng = np.random.default_rng(30)
+    dup = random_unit_vectors(8, 16, rng)
+    return {
+        "2 clients, d 1024": ([random_unit_vectors(40, 1024, rng) for _ in range(2)], 10),
+        "12 clients": ([random_unit_vectors(30, 16, rng) for _ in range(12)], 10),
+        "shrunk": ([random_unit_vectors(3 + c, 8, rng) for c in range(5)], 6),
+        "float64": ([random_unit_vectors(25, 32, rng).astype(np.float64) for _ in range(3)], 4),
+        "duplicates": ([np.concatenate([dup, dup, dup[:3]]), dup[[0, 0, 1, 1, 2]],
+                        random_unit_vectors(12, 16, rng)], 5),
+        "cancelling": (_cancelling_clients(4, 64, rng), 6),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_icacs_cases()))
+def test_icacs_is_the_literal_mean_of_cross_client_center_products(case):
+    clients, k = _icacs_cases()[case]
+    got = icacs(clients, k=k, seed=11)
+    want = literal_icacs(clients, k, 11)
+    bound = _icacs_bound([min(k, len(c)) for c in clients], clients[0].shape[1])
+    assert abs(got - want) <= bound, (got, want, bound)
+    if case == "cancelling":
+        assert abs(want) < 1e-4 and bound < 1e-13
+    # the same bits for any client order and any row order within a client
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        shuffled = [clients[i][rng.permutation(len(clients[i]))]
+                    for i in rng.permutation(len(clients))]
+        assert icacs(shuffled, k=k, seed=11) == got
+
+
+def test_icacs_names_bad_client_sets():
+    rng = np.random.default_rng(32)
+    a = random_unit_vectors(6, 8, rng)
+    with pytest.raises(ValidationError, match=r"^dimension mismatch: client 1 4 vs client 0 8$"):
+        icacs([a, random_unit_vectors(6, 4, rng)])
+    with pytest.raises(ValidationError, match=r"^client 0 must be a 2-d vector set, got ndim=1$"):
+        icacs([a[0], a])
+    with pytest.raises(ValidationError, match=r"^client 2 has no augmented vectors$"):
+        icacs([a, a, a[:0]])
 
 
 def test_comm_cost_arithmetic():
