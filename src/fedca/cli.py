@@ -53,6 +53,7 @@ EXIT_BUDGET = 3
 
 _INERT_SEED = ("changes no output: greedy starts from each client's first candidate "
                "and draws nothing")
+_BUDGET = "brute-force subsets, or beam expansions, beyond which a search exits 3 unrun"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,7 +157,7 @@ def _cmd_cluster(args) -> int:
     store = ingest_binary(args.infile)
     # the only reader of inertia: it runs kmeans's loop itself to sum over
     # the float64 centers that kmeans rounds to float32
-    points, centers, labels = _lloyd(store.vectors, args.k, args.seed)
+    centers, labels = _lloyd(store.vectors, args.k, args.seed)
     k = args.k
     write_binary(
         EmbeddingStore(store.dim, list(range(k)), ["center"] * k, centers.astype(np.float32)),
@@ -164,7 +165,7 @@ def _cmd_cluster(args) -> int:
     )
     print(json.dumps({
         "centers": k,
-        "inertia": _inertia(points, centers, labels),
+        "inertia": _inertia(store.vectors, centers, labels),
         "cluster_sizes": np.bincount(labels, minlength=k).tolist(),
         "out": args.out,
     }))
@@ -194,7 +195,7 @@ def _cmd_select(args) -> int:
             literal_termination=args.literal_termination,
         )
     elif args.mode == "beam":
-        selection = beam_select(problem, args.width)
+        selection = beam_select(problem, args.width, args.budget)
     else:
         selection = brute_force_select(problem, args.budget)
     write_json(selection.to_json_dict(), args.out)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default="call",
                    help="'call' scores against the pooled candidates; otherwise a store path")
     p.add_argument("--seed", type=_integer(0), default=42, help=_INERT_SEED)
-    p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET)
+    p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET, help=_BUDGET)
     p.add_argument("--per-client-slots", dest="per_client_slots", action="store_true",
                    help="restrict slot i's replacements to client i's own candidates")
     p.add_argument("--literal-termination", dest="literal_termination", action="store_true",
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default="call")
     p.add_argument("--widths", type=_comma_list(_integer()), default="256,512,1024,2048",
                    help="comma list of beam widths")
-    p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET)
+    p.add_argument("--budget", type=_integer(), default=DEFAULT_BRUTE_BUDGET, help=_BUDGET)
     p.add_argument("--greedy", help="greedy selection.json for the approximation ratio")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_oracle)

@@ -9,9 +9,11 @@ minimizer, so inertia is non-increasing across iterations.
 
 Dtype rule: float32 points (store rows, ICACS's canonicalized sets, client
 sets) are clustered in float32; any other input is widened to float64.
-:func:`_lloyd` widens float32 points once, exactly, for the update and the
-empty-cluster repair, so the centers are float64 and have the bits a
-float64 copy of the points gives them.
+:func:`_lloyd` holds no other copy of the points: it widens the seeded rows,
+each cluster's gathered members in an update and, for an empty-cluster
+repair, the rows ``_canonical_dots`` gathers. Widening is exact, so the
+centers are float64 and have the bits a float64 copy of the points gives
+them.
 
 Seeding rule: the first center is a uniform draw; each later one is drawn
 with probability proportional to D^2 = max(0, 2 - 2 * s), s a point's
@@ -36,16 +38,23 @@ re-centers only the clusters that a point entered or left since the one
 before, by assignment or by an empty-cluster repair. Every other center
 keeps its bits, because its mean would run over the same rows in the same
 order. Members are gathered in point order through one stable sort of the
-labels; the mean is ``np.add.reduce(members, axis=0) / count`` and its norm
-``sqrt(mean . mean)``, the operations ``ndarray.mean`` and
-``np.linalg.norm`` run. So the centers are bit for bit those of
-re-centering every cluster with those calls in every update.
+labels and widened; the mean is ``np.add.reduce(members, axis=0) / count``,
+the operation ``ndarray.mean`` runs, and one ``geometry._row_norms`` call
+takes the canonical norm of every re-centered mean. So the centers are bit
+for bit those of re-centering every cluster with those calls in every
+update, and do not depend on the BLAS thread count given the seeded
+centers.
 
 Inertia rule: :func:`kmeans` does not compute inertia, since nothing in
 the pipeline reads it; ``fedca cluster`` prints it. It is
-``np.sum((pts - centers[labels]) ** 2)`` over the float64 points, the
-float64 centers (before the float32 rounding :func:`kmeans` returns) and
-the final labels (:func:`_inertia`).
+``np.sum((pts - centers[labels]) ** 2)`` over the points widened to
+float64, the float64 centers (before the float32 rounding :func:`kmeans`
+returns) and the final labels (:func:`_inertia`).
+
+Result rule: :func:`kmeans` returns the float32 centers and the labels of
+the loop's last assignment and empty-cluster repair, which were taken
+against the float64 centers it rounds; ``cluster_sizes`` is their bincount,
+so the sizes and the labels cannot disagree.
 
 Degenerate-case rules:
 
@@ -58,7 +67,6 @@ Degenerate-case rules:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +75,7 @@ from .errors import ValidationError
 from .geometry import (
     _canonical_dots,
     _own_precision,
+    _row_norms,
     _screen_gemm,
     _screen_operands,
     _screen_rows,
@@ -82,13 +91,18 @@ _UNIT_TOLERANCE = 1e-3
 class CandidateCenters:
     """Per-client k-means output: centroids plus bookkeeping.
 
-    ``cluster_sizes`` is filled by :func:`kmeans`; centers loaded back from
-    files carry ``None``.
+    ``labels`` (one cluster index per point, in point order) is filled by
+    :func:`kmeans`; centers loaded back from files carry ``None``.
     """
 
     client_id: int
     centers: np.ndarray  # (k, dim) float32, unit rows
-    cluster_sizes: np.ndarray | None = None
+    labels: np.ndarray | None = None
+
+    @property
+    def cluster_sizes(self) -> np.ndarray | None:
+        """Points per cluster, ``bincount(labels, minlength=k)``; None without labels."""
+        return None if self.labels is None else np.bincount(self.labels, minlength=self.k)
 
     @property
     def k(self) -> int:
@@ -171,7 +185,8 @@ def _repair_empty(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> n
     if counts.all():
         return labels
     labels = labels.copy()
-    d2 = np.maximum(0.0, 2.0 - 2.0 * np.einsum("ij,ij->i", pts, centers[labels]))
+    sims = _canonical_dots(pts, np.arange(len(labels)), centers, labels)
+    d2 = np.maximum(0.0, 2.0 - 2.0 * sims)
     for j in np.nonzero(counts == 0)[0]:
         # a point alone in its cluster, one moved here included, stays put
         far = int(np.argmax(np.where(counts[labels] > 1, d2, -1.0)))
@@ -197,15 +212,16 @@ def _update(
     """Re-center each of ``clusters`` in place on its renormalized member
     mean; an empty cluster or a zero-norm mean keeps its center."""
     order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=centers.shape[0])).tolist()
-    for j in clusters.tolist():
-        start = ends[j - 1] if j else 0
-        if start == ends[j]:
-            continue
-        mean = np.add.reduce(pts[order[start:ends[j]]], axis=0) / (ends[j] - start)
-        norm = math.sqrt(mean.dot(mean))
-        if norm > 0.0:
-            centers[j] = mean / norm
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    ends = np.cumsum(counts)
+    live = clusters[counts[clusters] > 0]
+    means = np.empty((len(live), centers.shape[1]))
+    for mean, j in zip(means, live.tolist()):
+        members = _wide(pts[order[ends[j] - counts[j] : ends[j]]])
+        mean[:] = np.add.reduce(members, axis=0) / counts[j]
+    norms = _row_norms(means)
+    moved = norms > 0.0
+    centers[live[moved]] = means[moved] / norms[moved, None]
 
 
 def _inertia(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
@@ -219,9 +235,9 @@ def _inertia(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
 
 def _lloyd(
     points, k: int, seed: int, max_iters: int = DEFAULT_MAX_ITERS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points widened to float64, the float64 centers and the final
-    labels of :func:`kmeans`; ``fedca cluster`` takes its inertia over them."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 centers and the final labels of :func:`kmeans`;
+    ``fedca cluster`` takes its inertia over them."""
     rows = _points(points)
     pts = rows.vectors
     n = pts.shape[0]
@@ -230,19 +246,18 @@ def _lloyd(
     if k > n:
         raise ValidationError(f"k={k} exceeds the number of points ({n}); shrink k")
 
-    wide = _wide(pts)
-    centers = wide[_plus_plus_init(pts, k, np.random.default_rng(seed))]
-    labels = _repair_empty(wide, centers, _assign(rows, centers))
+    centers = _wide(pts[_plus_plus_init(pts, k, np.random.default_rng(seed))])
+    labels = _repair_empty(pts, centers, _assign(rows, centers))
     stale = np.arange(k)
     for _ in range(max_iters):
-        _update(wide, labels, centers, stale)
+        _update(pts, labels, centers, stale)
         assigned = _assign(rows, centers)
-        new_labels = _repair_empty(wide, centers, assigned)
+        new_labels = _repair_empty(pts, centers, assigned)
         if (new_labels == labels).all():
             break
         stale = _touched(labels, assigned, new_labels)
         labels = new_labels
-    return wide, centers, labels
+    return centers, labels
 
 
 def kmeans(
@@ -256,14 +271,11 @@ def kmeans(
 
     Raises if ``k`` exceeds the point count (the caller must shrink ``k``)
     or the input is empty or non-finite. Terminates at an assignment
-    fixpoint or after ``max_iters`` update rounds.
+    fixpoint or after ``max_iters`` update rounds. The result carries the
+    final labels (the result rule).
     """
-    _, centers, labels = _lloyd(points, k, seed, max_iters)
-    return CandidateCenters(
-        client_id=client_id,
-        centers=centers.astype(np.float32),
-        cluster_sizes=np.bincount(labels, minlength=k),
-    )
+    centers, labels = _lloyd(points, k, seed, max_iters)
+    return CandidateCenters(client_id, centers.astype(np.float32), labels)
 
 
 def assign_labels(points, centers: CandidateCenters | np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from .augment import (
     feddca_augment,
     random_sampling_augment,
 )
-from .clustering import CandidateCenters, assign_labels, kmeans
+from .clustering import CandidateCenters, kmeans
 from .errors import ValidationError, check_json, check_number
 from .metrics import MetricsReport, comm_cost, cross_client_coverage, icacs, ruai
 from .partition import (
@@ -242,7 +242,8 @@ def partition_domain(
     ``"distinct"``. ``seed`` is the run seed: the pseudo-label k-means and
     the partition draw use streams derived from it, so the plan equals the
     one a run with this seed writes. ``labels``, when given, are the
-    pseudo-labels that k-means would compute.
+    pseudo-labels: the labels the run's pseudo-label k-means ends on
+    (``kmeans(...).labels``), one per domain record in store order.
     """
     partition_seed = derive_seed(seed, _STREAM_PARTITION)
     if beta_or_mode == "iid":
@@ -259,10 +260,10 @@ def partition_domain(
 
 
 def _pseudo_labels(domain_store: EmbeddingStore, label_clusters: int, seed: int) -> np.ndarray:
-    """Pseudo-label of every domain record; independent of beta and strategy."""
+    """Pseudo-label of every domain record, the label k-means ended on;
+    independent of beta and strategy."""
     k_lab = min(label_clusters, len(domain_store))
-    pseudo = kmeans(domain_store.vectors, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS))
-    return assign_labels(domain_store.vectors, pseudo)
+    return kmeans(domain_store.vectors, k_lab, derive_seed(seed, _STREAM_PSEUDO_LABELS)).labels
 
 
 def random_augment(pool: EmbeddingStore, n_clients: int, per_client: int, seed: int) -> list:

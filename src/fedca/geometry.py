@@ -24,7 +24,10 @@ to the bullet that covers it.
   the logging sims of random sampling and ICACS, given its k-means centers
   (``metrics.icacs``: one canonical value per client, S_a . (S - S_a), over
   center sums that take no BLAS), return canonical values, or decisions
-  taken on them, only.
+  taken on them, only. Every row norm is the root of a canonical value
+  (``_row_norms``): the store's unit-norm check, JSONL ingest normalization
+  (``store.ingest_jsonl``) and k-means center norms
+  (``clustering._update``) included.
 * Screen values come from ``_screen_gemm``, the screen seam, and never leave
   the kernel that reads them: ``_screened_pairs``, the selection scorer and
   k-means assignment keep a pair only where a rigorous bound lets its
@@ -36,12 +39,7 @@ to the bullet that covers it.
 * k-means seeding (``clustering._plus_plus_init``) ranks by one GEMV per
   chosen center in the points' precision, widened to float64 before the D^2
   draw. Its bits may change with the BLAS thread count, and so may the
-  seeded centers and every center k-means returns.
-* k-means center norms: ``clustering._update`` divides each mean by
-  ``sqrt(mean.dot(mean))``, the BLAS dot of one float64 vector that
-  ``np.linalg.norm`` runs.
-* JSONL ingest normalization: ``store._normalized_row`` divides each JSONL
-  row by its ``np.linalg.norm``, the BLAS dot of one float64 vector.
+  seeded centers and every center and label k-means returns.
 
 One kernel, ``_screened_pairs``, computes every canonical value that a
 GEMM screen selects. Per block of ``_QUERY_BLOCK`` rows it runs one GEMM,

@@ -554,8 +554,16 @@ def brute_force_select(
     return _build_selection(problem, lead[0].tolist(), passes=0, swaps=0, trace=[best_val])
 
 
-def beam_select(problem: SelectionProblem, width: int) -> CenterSelection:
+def beam_select(
+    problem: SelectionProblem,
+    width: int,
+    budget: int = DEFAULT_BRUTE_BUDGET,
+) -> CenterSelection:
     """Beam search over subsets, filling one slot per level.
+
+    Refuses to run (raising :class:`BudgetExceededError`) before any
+    allocation when its expansions, sum over levels l < N of min(width,
+    C(P, l)) * (P - l) for a pool of P candidates, exceed ``budget``.
 
     Every beam state is expanded with every unused candidate; duplicate
     subsets reached along different orders are merged; the top ``width``
@@ -573,8 +581,13 @@ def beam_select(problem: SelectionProblem, width: int) -> CenterSelection:
         raise ValidationError(f"beam width must be >= 1, got {width}")
     pool = problem.pool()
     n_slots = problem.n_clients
-    scorer = _CoverageScorer(problem)
     n = len(pool)
+    expansions = sum(min(width, math.comb(n, level)) * (n - level) for level in range(n_slots))
+    if expansions > budget:
+        raise BudgetExceededError(
+            f"beam refused: {expansions} expansions at width {width} exceed the budget of {budget}"
+        )
+    scorer = _CoverageScorer(problem)
 
     states = np.empty((1, 0), dtype=np.min_scalar_type(n))
     for level in range(n_slots):
@@ -647,14 +660,15 @@ def approximation_report(
 ) -> ApproximationReport:
     """Run greedy and each beam width; report greedy/best-beam as a percentage.
 
-    When exhaustive enumeration fits ``brute_budget``, the ratio to the true
-    optimum is reported as well. Greedy starts from each client's first
+    Every beam runs under ``brute_budget`` (:func:`beam_select`). When
+    exhaustive enumeration fits it, the ratio to the true optimum is
+    reported as well. Greedy starts from each client's first
     candidate (``init="first"``), so no seed is read.
     """
     if not widths:
         raise ValidationError("widths must be nonempty")
     greedy = greedy_select(problem)
-    beam_cov = {w: beam_select(problem, w).coverage.value for w in widths}
+    beam_cov = {w: beam_select(problem, w, brute_budget).coverage.value for w in widths}
     best_beam = max(beam_cov.values())
     ratio = 100.0 * greedy.coverage.value / best_beam if best_beam > 0 else None
 

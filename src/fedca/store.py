@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import io
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import _row_norms
+from .geometry import _NORM_BLOCK_BYTES, _row_norms
 
 MAGIC = b"FDCA"
 FORMAT_VERSION = 1
@@ -313,10 +312,10 @@ def _utf8_encodable(text: str) -> bool:
     return True
 
 
-def _normalized_row(
+def _embedding_row(
     values: list, dim: int, line_no: int, may_hold_bools: bool
 ) -> np.ndarray:
-    """``values`` as a unit float32 row.
+    """``values`` as a float64 row of length ``dim``.
 
     numpy reads booleans mixed with numbers as 1 and 0, so ``may_hold_bools``
     runs a per-element pass that rejects them; only a line whose text holds
@@ -338,14 +337,68 @@ def _normalized_row(
             f"line {line_no}: embedding length {arr.shape[0] if arr.ndim == 1 else 'n/a'}"
             f" does not match dimension {dim}"
         )
-    norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm):  # a non-finite value, or an overflowing norm
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"line {line_no}: embedding contains non-finite values")
-        raise ValidationError(f"line {line_no}: embedding norm overflows float64")
-    if norm == 0.0:
-        raise ValidationError(f"line {line_no}: zero-norm vector rejected")
-    return (arr / norm).astype(np.float32)
+    return arr
+
+
+def _unit_rows(pending: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The float64 rows of ``pending`` ``(line, row)`` pairs divided by their
+    ``geometry._row_norms`` and rounded to float32. A non-finite, overflowing
+    or zero norm raises, naming the first such row's line."""
+    lines, rows = zip(*pending)
+    block = np.array(rows)
+    norms = _row_norms(block)
+    bad = ~np.isfinite(norms) | (norms == 0.0)
+    if bad.any():
+        at = int(np.argmax(bad))
+        if norms[at] == 0.0:
+            raise ValidationError(f"line {lines[at]}: zero-norm vector rejected")
+        if not np.all(np.isfinite(block[at])):
+            raise ValidationError(f"line {lines[at]}: embedding contains non-finite values")
+        raise ValidationError(f"line {lines[at]}: embedding norm overflows float64")
+    return (block / norms[:, None]).astype(np.float32)
+
+
+def _jsonl_record(line: str, line_no: int, dim: int, seen: set[int]):
+    """The ``(id, domain, float64 row, text)`` of one JSONL line, None for a
+    blank line; every check but the row's norm, each naming ``line_no``."""
+    if not _utf8_encodable(line):
+        raise ValidationError(f"line {line_no}: not valid UTF-8")
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ValidationError(f"line {line_no}: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise ValidationError(f"line {line_no}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"line {line_no}: record must be an object")
+    try:
+        rec_id = obj["id"]
+        domain = obj["domain"]
+        embedding = obj["embedding"]
+    except KeyError as exc:
+        raise ValidationError(f"line {line_no}: missing field {exc.args[0]!r}") from None
+    if (not isinstance(rec_id, int) or isinstance(rec_id, bool)
+            or rec_id < 0 or rec_id >= 2**64):
+        raise ValidationError(f"line {line_no}: id must be an unsigned 64-bit integer")
+    if rec_id in seen:
+        raise ValidationError(f"line {line_no}: duplicate id {rec_id}")
+    if not isinstance(domain, str):
+        raise ValidationError(f"line {line_no}: domain must be a string")
+    if not _utf8_encodable(domain):
+        raise ValidationError(f"line {line_no}: domain holds a lone surrogate escape")
+    if not isinstance(embedding, list):
+        raise ValidationError(f"line {line_no}: embedding must be an array")
+    text = obj.get("text")
+    if text is not None and not isinstance(text, str):
+        raise ValidationError(f"line {line_no}: text must be a string when present")
+    # "true" holds a "u" and "false" an "s", which no number does; the
+    # one-character scans rule out most lines for a fraction of the cost
+    may_hold_bools = ("u" in line or "s" in line) and ("true" in line or "false" in line)
+    return rec_id, domain, _embedding_row(embedding, dim, line_no, may_hold_bools), text
 
 
 def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
@@ -355,63 +408,46 @@ def ingest_jsonl(path: str | Path, dim: int) -> EmbeddingStore:
     zero-norm vector, non-numeric embedding value, bytes that are not UTF-8,
     malformed line, nesting beyond the recursion limit, an integer beyond
     Python's digit limit.
+
+    Rows are normalized one block of ``geometry._NORM_BLOCK_BYTES`` of
+    float64 rows at a time (``_unit_rows``); the rows still pending are
+    checked before a later line's fault is raised, so the first fault in
+    file order is the one reported.
     """
     path = Path(path)
     ids: list[int] = []
     domains: list[str] = []
-    rows: list[np.ndarray] = []
     texts: list[str | None] = []
+    blocks: list[np.ndarray] = []
+    pending: list[tuple[int, np.ndarray]] = []
+    block_rows = max(1, _NORM_BLOCK_BYTES // (8 * max(1, dim)))
     seen: set[int] = set()
-    # an overflowing norm is reported by _normalized_row, not warned about
+    # an overflowing norm is reported by _unit_rows, not warned about
     # bytes that are not UTF-8 decode to lone surrogates, which no valid
     # line holds, so they are reported with their line
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh, \
             np.errstate(over="ignore"):
         for line_no, line in enumerate(fh, start=1):
-            if not _utf8_encodable(line):
-                raise ValidationError(f"line {line_no}: not valid UTF-8")
-            if not line.strip():
+            try:
+                record = _jsonl_record(line, line_no, dim, seen)
+            except ValidationError:
+                if pending:  # a fault on an earlier line is reported first
+                    _unit_rows(pending)
+                raise
+            if record is None:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: malformed JSON ({exc.msg})") from None
-            except RecursionError:
-                raise ValidationError(f"line {line_no}: JSON nested too deeply") from None
-            except ValueError as exc:  # an integer beyond Python's digit limit
-                raise ValidationError(f"line {line_no}: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValidationError(f"line {line_no}: record must be an object")
-            try:
-                rec_id = obj["id"]
-                domain = obj["domain"]
-                embedding = obj["embedding"]
-            except KeyError as exc:
-                raise ValidationError(f"line {line_no}: missing field {exc.args[0]!r}") from None
-            if (not isinstance(rec_id, int) or isinstance(rec_id, bool)
-                    or rec_id < 0 or rec_id >= 2**64):
-                raise ValidationError(f"line {line_no}: id must be an unsigned 64-bit integer")
-            if rec_id in seen:
-                raise ValidationError(f"line {line_no}: duplicate id {rec_id}")
-            if not isinstance(domain, str):
-                raise ValidationError(f"line {line_no}: domain must be a string")
-            if not _utf8_encodable(domain):
-                raise ValidationError(f"line {line_no}: domain holds a lone surrogate escape")
-            if not isinstance(embedding, list):
-                raise ValidationError(f"line {line_no}: embedding must be an array")
-            text = obj.get("text")
-            if text is not None and not isinstance(text, str):
-                raise ValidationError(f"line {line_no}: text must be a string when present")
+            rec_id, domain, row, text = record
             seen.add(rec_id)
             ids.append(rec_id)
             domains.append(domain)
-            # "true" holds a "u" and "false" an "s", which no number does; the
-            # one-character scans rule out most lines for a fraction of the cost
-            may_hold_bools = (("u" in line or "s" in line)
-                              and ("true" in line or "false" in line))
-            rows.append(_normalized_row(embedding, dim, line_no, may_hold_bools))
             texts.append(text)
-    matrix = np.stack(rows) if rows else np.empty((0, dim), np.float32)
+            pending.append((line_no, row))
+            if len(pending) == block_rows:
+                blocks.append(_unit_rows(pending))
+                pending = []
+        if pending:
+            blocks.append(_unit_rows(pending))
+    matrix = np.concatenate(blocks) if blocks else np.empty((0, dim), np.float32)
     return EmbeddingStore._adopt(dim, np.array(ids, dtype=np.uint64), domains, matrix, texts)
 
 

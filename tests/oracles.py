@@ -136,7 +136,8 @@ def literal_kmeans(points, k: int, seed: int, max_iters: int = 100):
     Float32 points are seeded in float32: each D^2 step is ``pts32 @
     pts32[c]`` widened to float64; any other input is widened first.
     Assignment takes, per center, the canonical column ``np.einsum("ij,ij->i",
-    pts, c)`` and the lowest index holding each row's maximum."""
+    pts, c)`` and the lowest index holding each row's maximum. A mean's norm
+    is the root of that einsum over the mean as a one-row set."""
     own = np.asarray(points)
     own = own if own.dtype == np.float32 else own.astype(np.float64)
     pts = own.astype(np.float64)
@@ -191,7 +192,7 @@ def literal_kmeans(points, k: int, seed: int, max_iters: int = 100):
             if members.shape[0] == 0:
                 continue
             mean = members.mean(axis=0)
-            norm = float(np.linalg.norm(mean))
+            norm = float(np.sqrt(np.einsum("ij,ij->i", mean[None], mean[None]))[0])
             if norm > 0.0:
                 new[j] = mean / norm
             else:

@@ -19,8 +19,6 @@ ALLOWED = {
     ("geometry", "_screen_gemm"): "Screen values",
     ("geometry", "_gemv_rows"): "GEMV values",
     ("clustering", "_plus_plus_init.d2_to"): "k-means seeding",
-    ("clustering", "_update"): "k-means center norms",
-    ("store", "_normalized_row"): "JSONL ingest normalization",
 }
 
 _PRODUCT_CALLS = {"dot", "matmul", "inner", "vdot"}

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedca import geometry, selfcheck
+from fedca import geometry, selection, selfcheck
 from fedca.cli import EXIT_USAGE, build_parser, main
 from fedca.fedsim import (
     _STREAM_CLIENT_KMEANS,
@@ -495,6 +495,27 @@ def test_oracle_brute_budget_refusal_exits_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "17310309456440" in err  # C(100, 10)
+
+
+def test_beam_budget_refusal_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
+    paths = []
+    for k in range(10):
+        p = tmp_path / f"c{k}.fdca"
+        write_binary(random_store(10, 4, seed=k, domain="center"), p)
+        paths.append(str(p))
+
+    def unreachable(*args):
+        raise AssertionError("the beam was allocated")
+
+    monkeypatch.setattr(selection, "_beam_level", unreachable)
+    out = str(tmp_path / "o.json")
+    # the README's 10 x 10 instance: width 10**6 makes 577,180,000 expansions
+    for argv, count in ((["oracle", "beam", "--widths", "1000000"], 577180000),
+                        (["select", "--mode", "beam", "--width", "1000000"], 577180000),
+                        (["select", "--mode", "beam", "--width", "64", "--budget", "50000"],
+                         54820)):
+        assert main([*argv, "--centers", *paths, "--out", out]) == 3
+        assert f"beam refused: {count} expansions" in capsys.readouterr().err
 
 
 def test_oracle_beam_with_ratio(workspace, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def _normalize(v):
 
 def _kmeans_inertia(points, k, seed, max_iters=DEFAULT_MAX_ITERS):
     """The inertia ``fedca cluster`` prints for this run."""
-    return _inertia(*_lloyd(points, k, seed, max_iters))
+    return _inertia(points, *_lloyd(points, k, seed, max_iters))
 
 
 def test_k_equals_n_gives_zero_inertia():
@@ -214,7 +215,7 @@ def test_assign_labels_with_one_center_gives_label_zero(dtype):
 def test_converged_kmeans_labels_equal_per_pair_oracle(case):
     make, k, max_iters = _BATTERY[case]
     pts = make(1)
-    _, centers, labels = _lloyd(pts, k, 1, max_iters)
+    centers, labels = _lloyd(pts, k, 1, max_iters)
     assert literal_kmeans(pts, k, 1, max_iters)[3]["rounds"] < max_iters  # converged
     assert np.array_equal(labels, per_pair_labels(pts, centers))
     result = kmeans(pts, k, 1, max_iters)
@@ -271,6 +272,17 @@ def test_kmeans_inertia_is_the_sum_over_its_own_centers(seed):
     diff = pts.astype(np.float64) - centers[labels]
     assert _kmeans_inertia(pts, k=12, seed=seed, max_iters=0) == float(np.sum(diff * diff))
     assert result.cluster_sizes.tolist() == np.bincount(labels, minlength=12).tolist()
+
+
+def test_kmeans_holds_no_float64_copy_of_its_points():
+    pts = random_unit_vectors(10_000, 256, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        kmeans(pts, k=20, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pts.size * 8 / 4  # a float64 copy would take pts.size * 8 bytes
 
 
 def test_kmeans_rejects_nan_points():
@@ -345,13 +357,14 @@ def test_kmeans_is_bitwise_the_literal_loop(case, seed):
     make, k, max_iters = _BATTERY[case]
     pts = make(seed)
     want_centers, want_labels, want_inertia, _ = literal_kmeans(pts, k, seed, max_iters)
-    _, centers, labels = _lloyd(pts, k, seed, max_iters)
+    centers, labels = _lloyd(pts, k, seed, max_iters)
     assert centers.dtype == np.float64
     assert centers.tobytes() == want_centers.tobytes()
     assert np.array_equal(labels, want_labels)
     result = kmeans(pts, k, seed, max_iters)
     assert result.centers.tobytes() == want_centers.astype(np.float32).tobytes()
     assert result.cluster_sizes.tolist() == np.bincount(want_labels, minlength=k).tolist()
+    assert np.array_equal(result.labels, want_labels)
     # the bytes fedca cluster prints
     got = json.dumps(_kmeans_inertia(pts, k, seed, max_iters))
     assert got == json.dumps(want_inertia)

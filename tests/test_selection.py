@@ -178,6 +178,28 @@ def test_brute_force_budget_refusal_names_count():
         brute_force_select(problem)  # C(100, 10) ~ 1.73e13 over the 1e7 default
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the beam was allocated")
+
+
+def test_beam_refuses_expansions_beyond_the_budget_before_allocating(monkeypatch):
+    candidates = [
+        CandidateCenters(client_id=k, centers=random_unit_vectors(10, 4, np.random.default_rng(k)))
+        for k in range(10)
+    ]
+    problem = SelectionProblem(candidates_per_client=candidates)
+    small = random_selection_problem(3, 2, 6, seed=4)
+    # P = 6, N = 3, width 2: 1 * 6 + 2 * 5 + 2 * 4 = 24 expansions
+    assert approximation_report(small, [2], brute_budget=24).beam_coverage[2] > 0
+    with pytest.raises(BudgetExceededError, match="beam refused: 24 expansions"):
+        approximation_report(small, [2], brute_budget=23)
+    monkeypatch.setattr(selection, "_CoverageScorer", _unreachable)
+    monkeypatch.setattr(selection, "_beam_level", _unreachable)
+    # 100 + 100 * 99 + C(100, 2) * 98 + C(100, 3) * 97 + 10**6 * (96 + ... + 91)
+    with pytest.raises(BudgetExceededError, match="577180000 expansions"):
+        beam_select(problem, 10**6)
+
+
 def test_brute_force_degenerate_identical_candidates():
     vec = E1
     problem = _problem([[vec, vec], [vec, vec]])

@@ -117,6 +117,26 @@ def test_ingest_jsonl_malformed_line(tmp_path):
         ingest_jsonl(path, dim=2)
 
 
+def test_ingest_jsonl_names_the_first_fault_in_file_order(tmp_path):
+    # rows are normalized a block at a time, so a zero-norm row is still
+    # pending when a later line fails its own checks
+    path = tmp_path / "x.jsonl"
+    rows = [{"id": 1, "domain": "a", "embedding": [1, 0]},
+            {"id": 2, "domain": "a", "embedding": [0, 0]}]
+    path.write_text("\n".join(map(json.dumps, rows)) + '\n{"id": 3,\n', encoding="utf-8")
+    with pytest.raises(ValidationError, match="line 2: zero-norm vector rejected"):
+        ingest_jsonl(path, dim=2)
+    # the first block is full and unit-norm; the zero row is line block + 2
+    dim = 64
+    block = geometry._NORM_BLOCK_BYTES // (8 * dim)
+    unit = [1] + [0] * (dim - 1)
+    rows = [{"id": i, "domain": "a", "embedding": unit} for i in range(block + 5)]
+    rows[block + 1]["embedding"] = [0] * dim
+    _write_lines(path, rows)
+    with pytest.raises(ValidationError, match=f"line {block + 2}: zero-norm vector rejected"):
+        ingest_jsonl(path, dim=dim)
+
+
 def test_binary_round_trip_is_bit_exact(tmp_path):
     store = random_store(50, 8, seed=3, domain="med")
     path = tmp_path / "x.fdca"
