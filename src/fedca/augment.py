@@ -24,8 +24,8 @@ import numpy as np
 
 from .clustering import CandidateCenters
 from .errors import ValidationError, check_json, check_number, json_field
-from .geometry import (_QUERY_BLOCK, _canonical_dots, _gemv_rows, _row_norms, _screen_rows,
-                       _top_candidates)
+from .geometry import (_QUERY_BLOCK, _canonical_dots, _distinct_top, _gemv_rows, _row_norms,
+                       _screen_rows)
 from .selection import CenterSelection
 from .store import EmbeddingStore
 
@@ -155,24 +155,27 @@ def direct_retrieval_augment(
     a duplicate backfills from its own next-ranked hits, so the result holds
     per_client unique ids whenever the pool permits.
 
-    Similarities are canonical values from ``geometry._top_candidates``,
+    Similarities are canonical values from ``geometry._distinct_top``,
     which screens the store's float32 rows once per block of up to 256
     centroids, with the pool's half of the set-up made from ``pool.norms``
     (no norm pass over the pool); hits equal a full-pool scan ranked by
-    canonical value. The SGEMM screen holds one float32 per pool row for
-    each centroid of one block, so its memory is bounded by 256 times the
-    pool size (24 MB for the paper's 100 centroids over 60,000 rows, at most
-    61 MB for any number of centroids over that pool; twice that for a DGEMM
-    screen).
+    canonical value. Each centroid rescores only the pairs that may rank
+    among the first k positions of its ranking, for the least k that, less
+    the client's earlier picks among those pairs, leaves its quota; k is
+    the quota when the centroid's neighbours are new, and at most the quota
+    plus the client's earlier picks. The SGEMM screen holds one float32 per
+    pool row for each centroid of one block, so its memory is bounded by
+    256 times the pool size (24 MB for the paper's 100 centroids over
+    60,000 rows, at most 61 MB for any number of centroids over that pool;
+    twice that for a DGEMM screen).
     """
     if per_client < 1:
         raise ValidationError(f"per_client must be >= 1, got {per_client}")
     if len(pool) == 0:
         raise ValidationError("pool is empty")
-    # One (client, quota, budget) per centroid with a quota; at most the
-    # client's earlier picks are duplicates to skip, so the budget is the
-    # quota plus the earlier centroids' quotas.
-    plan: list[tuple[int, int, int]] = []
+    # One query per centroid with a quota, grouped by client.
+    owners: list[int] = []
+    quotas: list[int] = []
     queries = []
     for idx, cand in enumerate(client_centers):
         if cand.dim != pool.dim:
@@ -182,35 +185,29 @@ def direct_retrieval_augment(
         if not np.isfinite(cand.centers).all():
             raise ValidationError(f"client {cand.client_id} has non-finite centroids")
         base, extra = divmod(per_client, cand.k)
-        earlier = 0
         for j in range(cand.k):
             quota = base + 1 if j < extra else base
             if quota == 0:
                 continue
             queries.append(cand.centers[j])
-            plan.append((idx, quota, quota + earlier))
-            earlier += quota
-    found = _top_candidates(
+            owners.append(idx)
+            quotas.append(quota)
+    found = _distinct_top(
         _screen_rows(pool.vectors, "pool", pool.norms),
         np.array(queries).reshape(-1, pool.dim),
-        [budget for _, _, budget in plan],
+        quotas,
+        owners,
+        pool.ids,
     )
-    seen: list[set[int]] = [set() for _ in client_centers]
-    picks: list[list[tuple[int, float]]] = [[] for _ in client_centers]
-    for (idx, quota, budget), (rows, sims) in zip(plan, found):
-        taken = 0
-        for rid, sim in _ranked_hits(pool.ids[rows], sims, budget):
-            if rid in seen[idx]:
-                continue
-            seen[idx].add(rid)
-            picks[idx].append((rid, sim))
-            taken += 1
-            if taken == quota:
-                break
-    for hits in picks:
-        hits.sort(key=lambda h: (-h[1], h[0]))
-    return [RetrievalResult(cand.client_id, hits, per_client)
-            for cand, hits in zip(client_centers, picks)]
+    picks: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in client_centers]
+    for idx, pair in zip(owners, found):
+        picks[idx].append(pair)
+    results = []
+    for cand, pairs in zip(client_centers, picks):
+        rows, sims = (np.concatenate(part) for part in zip(*pairs))
+        results.append(RetrievalResult(cand.client_id,
+                                       _ranked_hits(pool.ids[rows], sims, len(rows)), per_client))
+    return results
 
 
 def random_sampling_augment(

@@ -30,7 +30,7 @@ and the centers' half, made once per assignment (a zero center rounds to
 float32 exactly, so float32 points keep their SGEMM); it settles each point
 whose best screen entry beats every other entry by more than the slack, and
 computes canonical values only for the others (the bound on
-``geometry._screened_pairs``, k = 1). So labels do not depend on the BLAS
+``geometry._screen_blocks``, k = 1). So labels do not depend on the BLAS
 thread count.
 
 Update rule: the first update re-centers every cluster; each later update
@@ -38,9 +38,12 @@ re-centers only the clusters that a point entered or left since the one
 before, by assignment or by an empty-cluster repair. Every other center
 keeps its bits, because its mean would run over the same rows in the same
 order. Members are gathered in point order through one stable sort of the
-labels and widened; the mean is ``np.add.reduce(members, axis=0) / count``,
-the operation ``ndarray.mean`` runs, and one ``geometry._row_norms`` call
-takes the canonical norm of every re-centered mean. So the centers are bit
+labels and widened, and ``np.add.reduce(members, axis=0)`` writes their sum
+into the cluster's float64 row; all re-centered sums are then divided by
+their counts in one step. So each mean is ``np.add.reduce(members, axis=0)
+/ count``, the operation ``ndarray.mean`` runs, and one
+``geometry._row_norms`` call takes the canonical norm of every re-centered
+mean. So the centers are bit
 for bit those of re-centering every cluster with those calls in every
 update, and do not depend on the BLAS thread count given the seeded
 centers.
@@ -156,7 +159,7 @@ def _assign(pts: _ScreenRows, centers: np.ndarray) -> np.ndarray:
     One ``_screen_gemm``, set up from the points' half ``pts`` and the
     centers' half that ``geometry._screen_rows`` makes here, screens every
     point against every center. By the bound on
-    ``geometry._screened_pairs`` (k = 1), a column holding the row's largest
+    ``geometry._screen_blocks`` (k = 1), a column holding the row's largest
     canonical value has a screen value not below floor, the row's best screen
     entry less its slack, in the screen's dtype. A row with one such column
     takes it; the others take the lowest of those columns that holds the
@@ -217,8 +220,8 @@ def _update(
     live = clusters[counts[clusters] > 0]
     means = np.empty((len(live), centers.shape[1]))
     for mean, j in zip(means, live.tolist()):
-        members = _wide(pts[order[ends[j] - counts[j] : ends[j]]])
-        mean[:] = np.add.reduce(members, axis=0) / counts[j]
+        np.add.reduce(_wide(pts[order[ends[j] - counts[j] : ends[j]]]), axis=0, out=mean)
+    means /= counts[live, None]
     norms = _row_norms(means)
     moved = norms > 0.0
     centers[live[moved]] = means[moved] / norms[moved, None]

@@ -17,7 +17,7 @@ to the bullet that covers it.
   ``np.einsum("ij,ij->i", a, b)`` (``_row_dots``) computes it. They do not
   depend on which other rows share the call, on their order, or on the BLAS
   thread count. ``cosine``, ``best_similarity`` (so ``coverage``,
-  ``facility_value`` and ``marginal_gain``), ``_top_candidates`` (direct
+  ``facility_value`` and ``marginal_gain``), ``_distinct_top`` (direct
   retrieval), the selection scorer (so every greedy, beam and brute-force
   decision, trace and coverage value), k-means assignment
   (``clustering.assign_labels`` and every label inside ``clustering.kmeans``),
@@ -29,9 +29,9 @@ to the bullet that covers it.
   (``store.ingest_jsonl``) and k-means center norms
   (``clustering._update``) included.
 * Screen values come from ``_screen_gemm``, the screen seam, and never leave
-  the kernel that reads them: ``_screened_pairs``, the selection scorer and
-  k-means assignment keep a pair only where a rigorous bound lets its
-  canonical value decide, as described below.
+  the kernel that reads them: ``_screened_pairs``, ``_distinct_top``, the
+  selection scorer and k-means assignment keep a pair only where a rigorous
+  bound lets its canonical value decide, as described below.
 * GEMV values come from ``_gemv_rows``, which threshold-filtered (feddca)
   retrieval ranks by, the last path that does. Each row is bit for bit a
   single-threaded ``matrix.astype(float64) @ v`` at one or two BLAS
@@ -41,34 +41,38 @@ to the bullet that covers it.
   draw. Its bits may change with the BLAS thread count, and so may the
   seeded centers and every center and label k-means returns.
 
-One kernel, ``_screened_pairs``, computes every canonical value that a
-GEMM screen selects. Per block of ``_QUERY_BLOCK`` rows it runs one GEMM,
-whose values can move in the last bits with blocking and BLAS threads,
-keeps each row's pairs that may rank among the row's top k by canonical
-value (its docstring holds the bound), and rescores only those, through
-``_canonical_dots``. ``best_similarity`` is its k = 1 case: the maximum of
-each row's kept pairs, for every reference row that is not self-covered. A
-reference row x is self-covered when a bound on squared distances
-(``_self_covered``) rules out every covering row but one from scoring above
-c(x, x), and that one equals x by value; its maximum is then c(x, x), its
-own squared norm, computed as every canonical value is, and it is not
-screened. ``_top_candidates`` (direct retrieval) splits the pairs per
-query. The selection scorer takes its operands, reference norms and slack
-from the same set-up and rescores through ``_canonical_dots`` too. Every
-screen GEMM runs through ``_screen_gemm``, the one seam where a test can put
-screen values anywhere within the bound and check that no output moves.
+Two kernels compute every canonical value that a GEMM screen selects, and
+both read their screens through ``_screen_blocks``, which holds the one
+proof of the bound. Per block of ``_QUERY_BLOCK`` rows it runs one GEMM,
+whose values can move in the last bits with blocking and BLAS threads; a
+row keeps the pairs that may rank among its top k by canonical value, and
+only those are rescored, through ``_canonical_dots``. ``_screened_pairs``
+takes k = 1. ``best_similarity`` takes the maximum of each row's kept
+pairs, for every reference row that is not self-covered. A reference row x
+is self-covered when a bound on squared distances (``_self_covered``) rules
+out every covering row but one from scoring above c(x, x), and that one
+equals x by value; its maximum is then c(x, x), its own squared norm,
+computed as every canonical value is, and it is not screened.
+``_distinct_top`` (direct retrieval) ranks the pool for each query, and
+picks from the ranking the rows its group has not taken: it rescores only
+the pairs the bound keeps for the least k at which its screen row alone
+shows that the first k ranked positions hold enough of them. The selection
+scorer takes its operands, reference norms and slack from the same set-up
+and rescores through ``_canonical_dots`` too. Every screen GEMM runs
+through ``_screen_gemm``, the one seam where a test can put screen values
+anywhere within the bound and check that no output moves.
 ``_screen_operands`` sets up every screen, k-means assignment's
 (``clustering._assign``) included, from two halves, the rows and the
 others, that ``_screen_rows`` makes the same way for either side, with one
 slack, ``_screen_slack(d + 1, u) * |x| * max|y|`` (proved once, on
-``_screened_pairs``), and by one rule over the two halves' dtypes and norms:
+``_screen_blocks``), and by one rule over the two halves' dtypes and norms:
 
 * SGEMM, when the rows are float32, every nonzero norm product
   ``|x| * max|y|`` lies in ``_SINGLE_RANGE``, and the others are float32
   (store rows, k-means centers) or float64 with every nonzero norm in that
   range (k-means centers against float32 points, a float64 covering set of
   a float32 reference), which the screen reads rounded to float32
-  (``_screened_pairs`` rounds them once per screen, not per block) and
+  (``_screen_blocks`` rounds them once per screen, not per block) and
   canonical rescoring reads unrounded. No float32 value overflows and
   underflow stays far below the slack; u = 2**-24;
 * DGEMM over operands widened to float64 otherwise; u = 2**-53.
@@ -110,7 +114,7 @@ _SINGLE_ROUNDOFF = 2.0**-24
 # absolute error of underflowing products (at most 2**-150 each) stays far
 # below the slack.
 _SINGLE_RANGE = (2.0**-60, 2.0**60)
-# Rows per `_screened_pairs` screen and queries per feddca retrieval pass:
+# Rows per `_screen_blocks` screen and queries per feddca retrieval pass:
 # one pass over the other set for up to this many.
 _QUERY_BLOCK = 256
 # Coordinates a self-covered check reads: one to sort the covering rows on,
@@ -210,7 +214,7 @@ def _gamma(n: int, u: float = _UNIT_ROUNDOFF) -> float:
 
 def _screen_slack(dim: int, u: float) -> float:
     """``4 * gamma_(dim+1)`` at the screen's unit roundoff ``u``; every screen
-    takes it at dim = d + 1, times ``|x| * max|y|`` (see ``_screened_pairs``)."""
+    takes it at dim = d + 1, times ``|x| * max|y|`` (see ``_screen_blocks``)."""
     return 4.0 * _gamma(dim + 1, u)
 
 
@@ -307,75 +311,78 @@ def _canonical_dots(
     return out
 
 
-def _screened_pairs(rows: _ScreenRows, others: _ScreenRows, budgets=None, subset=None):
-    """Yield ``(starts, cols, values)`` per block of ``_QUERY_BLOCK`` rows of
-    the ``_screen_rows`` half ``rows`` (of its rows at ``subset``, gathered
-    one block at a time, when ``subset`` is given): row-major, the pairs
-    (row, column of the half ``others``) that may rank among the row's top k =
-    ``budgets[i]`` (1 for every row when None) by canonical value.
-    ``starts[r]`` is the position of block row r's first pair, ``cols`` the
-    pairs' columns and ``values`` their canonical values; every row has at
-    least one pair.
+def _screen_blocks(rows: _ScreenRows, others: _ScreenRows, subset=None):
+    """Yield ``(block, screen, slack, b)`` per block of ``_QUERY_BLOCK`` rows
+    of the ``_screen_rows`` half ``rows`` (of its rows at ``subset``,
+    gathered one block at a time, when ``subset`` is given): the block's rows
+    as the screen reads them, one ``_screen_gemm`` of them against all of
+    the half ``others``, set up by ``_screen_operands``, each row's slack,
+    and ``others`` as canonical rescoring reads them. A screen holds
+    ``_QUERY_BLOCK * len(others)`` values at most. ``_screened_pairs`` and
+    ``_distinct_top`` read every screen through here.
 
-    Each block is screened against all of ``others`` with one
-    ``_screen_gemm`` set up by ``_screen_operands``, so the screen holds
-    ``_QUERY_BLOCK * len(others)`` values at most. This is the one proof of
-    the screen bound. Let u be the screen's unit roundoff, d the width, M =
-    max_j |y_j| and E = 2 * gamma_(d+1)(u) * |x_i| * M. A screen value s_j
-    lies within gamma_d(u) * (1 + 2u) * |x_i| * M of x_i . y'_j, the exact
-    product with the row y'_j the GEMM reads: y_j or, for float64 others of
-    an SGEMM, y_j rounded to float32, which lies within 2u * |y_j| of y_j
-    (subnormal parts included, since a nonzero |y_j| then lies in
-    ``_SINGLE_RANGE``). A row of zero float64 norm has every coordinate
-    below 2**-537 in magnitude, since each square rounds to zero, so
-    rounding it to zero moves x_i . y_j by less than sqrt(d) * 2**-537 *
-    |x_i|, far inside the slack's margin of 4u * |x_i| * M (M >= 2**-60
-    unless every row x_i is zero, and zero float32 rows are exact). The
-    canonical value c_j lies within gamma_d(2**-53) * |x_i| * M of x_i . y_j
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.1). So
-    s_j lies within E of c_j. Let g_k be the k-th largest screen value of
-    row i. The k columns with the largest screen values have canonical
-    values of at least g_k - E, so the k-th largest canonical value c_k is
-    at least that too, and any column whose canonical value reaches c_k has
-    a screen value of at least c_k - E >= g_k - 2E. The slack
-    ``_screen_slack(d + 1, u) * |x_i| * M`` = 4 * gamma_(d+2)(u) * |x_i| * M
-    exceeds 2E by at least 4u * |x_i| * M, more than the roundings of the
-    norms, of the slack and of the floor. A row therefore keeps every column
-    whose screen value is not below its floor, g_k less the slack (g_1 is
-    the row maximum; a row with k >= len(others) keeps them all). A NaN
-    screen value or bound keeps its pairs, so NaN input gives NaN values.
-    Screen values are never returned, so ranking a row's pairs by value
-    equals ranking all of ``others`` by canonical value, under any blocking,
-    for float32 input and the same input widened to float64, and at any BLAS
-    thread count.
+    This is the one proof of the screen bound. Let u be the screen's unit
+    roundoff, d the width, M = max_j |y_j| and E = 2 * gamma_(d+1)(u) *
+    |x_i| * M. A screen value s_j lies within gamma_d(u) * (1 + 2u) * |x_i|
+    * M of x_i . y'_j, the exact product with the row y'_j the GEMM reads:
+    y_j or, for float64 others of an SGEMM, y_j rounded to float32, which
+    lies within 2u * |y_j| of y_j (subnormal parts included, since a nonzero
+    |y_j| then lies in ``_SINGLE_RANGE``). A row of zero float64 norm has
+    every coordinate below 2**-537 in magnitude, since each square rounds to
+    zero, so rounding it to zero moves x_i . y_j by less than sqrt(d) *
+    2**-537 * |x_i|, far inside the slack's margin of 4u * |x_i| * M (M >=
+    2**-60 unless every row x_i is zero, and zero float32 rows are exact).
+    The canonical value c_j lies within gamma_d(2**-53) * |x_i| * M of x_i
+    . y_j (Higham, *Accuracy and Stability of Numerical Algorithms*, sec.
+    3.1). So s_j lies within E of c_j. Let g_k be the k-th largest screen
+    value of row i. The k columns with the largest screen values have
+    canonical values of at least g_k - E, so the k-th largest canonical
+    value c_k is at least that too, and any column whose canonical value
+    reaches c_k has a screen value of at least c_k - E >= g_k - 2E. The
+    slack ``_screen_slack(d + 1, u) * |x_i| * M`` = 4 * gamma_(d+2)(u) *
+    |x_i| * M exceeds 2E by at least 4u * |x_i| * M, more than the roundings
+    of the norms, of the slack and of the floor. A row therefore keeps every
+    column that may rank among its top k by canonical value when it keeps
+    every column whose screen value is not below its floor, g_k less the
+    slack, rounded to the screen's dtype (``_floor``; a row with k >=
+    len(others) keeps them all). A NaN screen value or bound keeps its
+    pairs, so NaN input gives NaN values. Screen values are never returned,
+    so ranking a row's kept pairs by canonical value equals ranking all of
+    ``others`` by canonical value down to position k, under any blocking,
+    for float32 input and the same input widened to float64, and at any
+    BLAS thread count.
     """
     a, b, slack = _screen_operands(rows, others)
     screened = b.astype(a.dtype, copy=False)  # rounded once; rescoring reads ``b``
-    n = b.shape[0]
     for lo in range(0, a.shape[0] if subset is None else len(subset), _QUERY_BLOCK):
         part = slice(lo, lo + _QUERY_BLOCK)
         if subset is not None:
             part = subset[part]
         block = a[part]
-        screen = _screen_gemm(block, screened)
-        ks = None if budgets is None else budgets[lo : lo + _QUERY_BLOCK]
-        top1 = ks is None or all(k == 1 for k in ks)
-        if top1:
-            kth = screen.max(axis=1)
-        else:
-            kth = np.array([np.partition(s, n - k)[n - k] if k < n else -np.inf
-                            for s, k in zip(screen, ks)], dtype=screen.dtype)
-        floor = (kth - slack[part]).astype(screen.dtype)
+        yield block, _screen_gemm(block, screened), slack[part], b
+
+
+def _floor(kth, slack, dtype):
+    """The screen floor of ``_screen_blocks``: the k-th largest screen value
+    less the slack, computed in float64 and rounded to the screen's dtype."""
+    return (np.asarray(kth, dtype=np.float64) - slack).astype(dtype)
+
+
+def _screened_pairs(rows: _ScreenRows, others: _ScreenRows, subset=None):
+    """Yield ``(starts, cols, values)`` per block of ``_screen_blocks``:
+    row-major, the pairs (row, column of the half ``others``) that may hold
+    the row's maximum canonical value (k = 1 of the bound proved on
+    ``_screen_blocks``). ``starts[r]`` is the position of block row r's
+    first pair, ``cols`` the pairs' columns and ``values`` their canonical
+    values; every row has at least one pair, and about one.
+    """
+    n = others.vectors.shape[0]
+    for block, screen, slack, b in _screen_blocks(rows, others, subset):
+        floor = _floor(screen.max(axis=1), slack, screen.dtype)
         flat = np.flatnonzero(~(screen < floor[:, None]))
         starts = np.searchsorted(flat, np.arange(block.shape[0]) * n)
         at, cols = np.divmod(flat, n)
-        if top1:  # about one pair per row: gather both rows of each pair
-            values = _canonical_dots(b, cols, block, at)
-        else:  # k or more pairs per row: broadcast the row, gather only its columns
-            ends = np.append(starts[1:], flat.size)
-            values = np.concatenate([_canonical_dots(b, cols[s:e], q)
-                                     for q, s, e in zip(_wide(block), starts, ends)])
-        yield starts, cols, values
+        yield starts, cols, _canonical_dots(b, cols, block, at)
 
 
 def _spread_coords(b: np.ndarray) -> np.ndarray:
@@ -489,16 +496,62 @@ def best_similarity(reference, covering) -> np.ndarray:
     return best
 
 
-def _top_candidates(
-    pool: _ScreenRows, queries, budgets
+def _distinct_top(
+    pool: _ScreenRows, queries, quotas, groups, ties
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per query j: the rows of the ``_screen_rows`` half ``pool`` that may
-    rank among its top ``budgets[j]`` by canonical similarity, ascending, and
-    their canonical similarities. The caller passes budgets >= 1.
+    """Per query j, in order: the first ``quotas[j]`` (at least 1) rows of
+    the ``_screen_rows`` half ``pool`` by canonical similarity descending,
+    ties by ``ties`` (one key per pool row) ascending, that no earlier query
+    of group ``groups[j]`` took; all the rows left when fewer remain. A
+    group's queries are consecutive, and its picks carry across blocks.
+    Returns each query's rows and their canonical similarities, in that
+    order. Rows and queries are finite.
+
+    Each query's screen row comes from ``_screen_blocks``. Only the group's
+    t earlier picks can be skipped, so the query reads at most B = quota +
+    t positions of the canonical ranking. One ``np.partition`` at B gives
+    its candidates, the columns not below B's floor, sorted by screen
+    value: for every k <= B, the columns P_k that the bound keeps for k are
+    a prefix of them, and g_k is the k-th. The first k positions of the
+    ranking of P_k are those of the whole pool (the bound on
+    ``_screen_blocks``), and at least k less the earlier picks in P_k of
+    them are new. The query takes the least k at which that reaches its
+    quota (k = B = len(pool) when none does: the pool runs out), rescores
+    P_k once, ranks it and walks its first k positions, skipping earlier
+    picks. That k exceeds the position of the quota-th new row only by
+    earlier picks that P_k holds below it. No screen value leaves the
+    kernel.
     """
+    n = pool.vectors.shape[0]
     found = []
-    for starts, cols, values in _screened_pairs(_screen_rows(queries, "queries"), pool, budgets):
-        found += zip(np.split(cols, starts[1:]), np.split(values, starts[1:]))
+    group = None
+    for block, screen, slack, b in _screen_blocks(_screen_rows(queries, "queries"), pool):
+        for q, s, e in zip(_wide(block), screen, slack):
+            j = len(found)
+            quota = quotas[j]
+            if groups[j] != group:
+                group, seen, taken = groups[j], np.zeros(n, dtype=bool), 0
+            budget = min(n, quota + taken)
+            if budget < n:
+                kth = np.partition(s, n - budget)[n - budget]
+                cand = np.flatnonzero(~(s < _floor(kth, e, s.dtype)))
+            else:
+                cand = np.arange(n)
+            cand = cand[np.argsort(-s[cand])]
+            down = -s[cand]  # screen values, negated and ascending
+            # ends[k - 1] is the prefix of ``cand`` that the bound keeps for k
+            ends = np.searchsorted(down, -_floor(-down[:budget], e, s.dtype), "right")
+            fresh = np.arange(1, budget + 1) - np.cumsum(seen[cand])[ends - 1]
+            enough = np.flatnonzero(fresh >= quota)
+            k = int(enough[0]) + 1 if enough.size else budget
+            kept = cand[: ends[k - 1]]
+            sims = _canonical_dots(b, kept, q)
+            rank = np.lexsort((ties[kept], -sims))[:k]
+            top = rank[~seen[kept[rank]]][:quota]
+            rows = kept[top]
+            seen[rows] = True
+            taken += len(rows)
+            found.append((rows, sims[top]))
     return found
 
 

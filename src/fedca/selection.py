@@ -237,7 +237,7 @@ class _CoverageScorer:
     and the candidates as the others, each half made by ``_screen_rows``;
     the reference's one norm pass gives ``near[r]``, the slack of
     reference row r, and rejects a non-finite reference. By the bound on
-    ``geometry._screened_pairs`` (k = 1, read per reference row), the
+    ``geometry._screen_blocks`` (k = 1, read per reference row), the
     canonical maximum of a row over a subset is among the members whose
     entry lies within ``near[r]`` of the row's largest entry. ``best``
     rescores only those members, once each, through
@@ -554,6 +554,21 @@ def brute_force_select(
     return _build_selection(problem, lead[0].tolist(), passes=0, swaps=0, trace=[best_val])
 
 
+def _check_beam(problem: SelectionProblem, width: int, budget: int) -> None:
+    """Raise unless ``width`` is at least 1 and a beam of that width over
+    ``problem`` fits ``budget``: its expansions, sum over levels l < N of
+    min(width, C(P, l)) * (P - l) for a pool of P candidates."""
+    if width < 1:
+        raise ValidationError(f"beam width must be >= 1, got {width}")
+    n = len(problem.pool())
+    expansions = sum(min(width, math.comb(n, level)) * (n - level)
+                     for level in range(problem.n_clients))
+    if expansions > budget:
+        raise BudgetExceededError(
+            f"beam refused: {expansions} expansions at width {width} exceed the budget of {budget}"
+        )
+
+
 def beam_select(
     problem: SelectionProblem,
     width: int,
@@ -562,8 +577,7 @@ def beam_select(
     """Beam search over subsets, filling one slot per level.
 
     Refuses to run (raising :class:`BudgetExceededError`) before any
-    allocation when its expansions, sum over levels l < N of min(width,
-    C(P, l)) * (P - l) for a pool of P candidates, exceed ``budget``.
+    allocation when its expansions exceed ``budget`` (``_check_beam``).
 
     Every beam state is expanded with every unused candidate; duplicate
     subsets reached along different orders are merged; the top ``width``
@@ -577,16 +591,9 @@ def beam_select(
     a few dozen bytes per expansion and a few scoring blocks, but no maxima
     row per state.
     """
-    if width < 1:
-        raise ValidationError(f"beam width must be >= 1, got {width}")
-    pool = problem.pool()
+    _check_beam(problem, width, budget)
     n_slots = problem.n_clients
-    n = len(pool)
-    expansions = sum(min(width, math.comb(n, level)) * (n - level) for level in range(n_slots))
-    if expansions > budget:
-        raise BudgetExceededError(
-            f"beam refused: {expansions} expansions at width {width} exceed the budget of {budget}"
-        )
+    n = len(problem.pool())
     scorer = _CoverageScorer(problem)
 
     states = np.empty((1, 0), dtype=np.min_scalar_type(n))
@@ -660,13 +667,16 @@ def approximation_report(
 ) -> ApproximationReport:
     """Run greedy and each beam width; report greedy/best-beam as a percentage.
 
-    Every beam runs under ``brute_budget`` (:func:`beam_select`). When
+    Every beam runs under ``brute_budget`` (:func:`beam_select`), and every
+    width is checked against it before greedy or any beam runs. When
     exhaustive enumeration fits it, the ratio to the true optimum is
     reported as well. Greedy starts from each client's first
     candidate (``init="first"``), so no seed is read.
     """
     if not widths:
         raise ValidationError("widths must be nonempty")
+    for width in widths:
+        _check_beam(problem, width, brute_budget)
     greedy = greedy_select(problem)
     beam_cov = {w: beam_select(problem, w, brute_budget).coverage.value for w in widths}
     best_beam = max(beam_cov.values())

@@ -5,6 +5,7 @@ import pytest
 from oracles import full_sort_retrieval, naive_direct_retrieval
 from probes import probe_digests
 
+from fedca import geometry
 from fedca.augment import (
     data_select,
     direct_retrieval_augment,
@@ -363,6 +364,65 @@ def test_direct_retrieval_equals_naive_oracle_on_near_ties(dim):
         alone = [direct_retrieval_augment(pool, [cand], per_client)[0].hits for cand in clients]
         assert [r.hits for r in got] == alone
 
+
+
+def _repeat_retrieval(dim: int) -> list[tuple[EmbeddingStore, list[CandidateCenters], int]]:
+    """Direct retrieval instances on ``_near_tie_retrieval``'s pool where
+    most of a centroid's ranking is its client's earlier picks.
+
+    First, at every budget in ``NEAR_TIE_BUDGETS``, a client with two equal
+    centroids and one whose equal centroids a third query splits. Then 300
+    centroids of three clients, each with a quota of one, drawn from the
+    near-tie queries: the third client's centroids 200 to 299 cross the
+    256-centroid block boundary, so its later centroids skip picks made in
+    the block before.
+    """
+    pool, clients = _near_tie_retrieval(dim)
+    q0, q1, q2 = (cand.centers[0] for cand in clients)
+    other = clients[2].centers[2]
+    repeats = [CandidateCenters(client_id=0, centers=np.stack([q0, q0])),
+               CandidateCenters(client_id=1, centers=np.stack([q1, q1, q0, q1]))]
+    cases = [(pool, repeats, per_client) for per_client in NEAR_TIE_BUDGETS]
+    rng = np.random.default_rng(60 + dim)
+    queries = np.stack([q0, q1, q2, other])
+    many = [CandidateCenters(client_id=k, centers=queries[rng.choice(4, 100, p=[0.4, 0.1, 0.4, 0.1])])
+            for k in range(3)]
+    return cases + [(pool, many, 100)]
+
+
+@pytest.mark.parametrize("dim", [3, 64, 1024])
+def test_direct_retrieval_equals_naive_oracle_when_picks_repeat(dim):
+    cases = _repeat_retrieval(dim)
+    assert sum(cand.k for cand in cases[-1][1]) > geometry._QUERY_BLOCK
+    for pool, clients, per_client in cases:
+        got = direct_retrieval_augment(pool, clients, per_client)
+        for cand, result in zip(clients, got):
+            want = naive_direct_retrieval(pool.ids, pool.vectors, cand.centers, per_client)
+            assert result.hits == want
+
+
+def test_direct_retrieval_rescores_about_its_quotas(monkeypatch):
+    # ten centroids, each at the center of its own cluster of 30 rows: no
+    # centroid's ten hits are another's, so each reads ten ranked positions
+    rng = np.random.default_rng(61)
+    directions = random_unit_vectors(10, 64, rng).astype(np.float64)
+    rows = np.repeat(directions, 30, axis=0) + 0.04 * rng.standard_normal((300, 64))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    pool = _store_from(np.concatenate([rows, random_unit_vectors(200, 64, rng)]))
+    centers = CandidateCenters(client_id=0, centers=directions.astype(np.float32))
+    rescored = []
+    dots = geometry._canonical_dots
+
+    def counted(rows, at, *others):
+        rescored.append(len(at))
+        return dots(rows, at, *others)
+
+    monkeypatch.setattr(geometry, "_canonical_dots", counted)
+    result = direct_retrieval_augment(pool, [centers], per_client=100)[0]
+    assert result.hits == naive_direct_retrieval(pool.ids, pool.vectors, centers.centers, 100)
+    assert sorted({i // 30 for i in result.ids()}) == list(range(10))
+    # the quotas sum to 100; the earlier-quota budgets, 10 + 20 + ... + 100, to 550
+    assert sum(rescored) <= 2 * 100
 
 _DIRECT_THREAD_PROBE = """
 import hashlib, json

@@ -508,9 +508,12 @@ def test_beam_budget_refusal_exits_3_before_allocating(tmp_path, capsys, monkeyp
         raise AssertionError("the beam was allocated")
 
     monkeypatch.setattr(selection, "_beam_level", unreachable)
+    monkeypatch.setattr(selection, "greedy_select", unreachable)
     out = str(tmp_path / "o.json")
-    # the README's 10 x 10 instance: width 10**6 makes 577,180,000 expansions
+    # the README's 10 x 10 instance: width 10**6 makes 577,180,000 expansions;
+    # the report checks every width before greedy or the width-2 beam runs
     for argv, count in ((["oracle", "beam", "--widths", "1000000"], 577180000),
+                        (["oracle", "beam", "--widths", "2,1000000"], 577180000),
                         (["select", "--mode", "beam", "--width", "1000000"], 577180000),
                         (["select", "--mode", "beam", "--width", "64", "--budget", "50000"],
                          54820)):

@@ -11,8 +11,8 @@ from fedca.clustering import assign_labels, kmeans
 from fedca.errors import ValidationError
 from fedca.geometry import (
     SimilarityMode,
+    _distinct_top,
     _gemv_spans,
-    _top_candidates,
     best_similarity,
     cosine,
     coverage,
@@ -520,8 +520,20 @@ def _screens_used(monkeypatch) -> list[float]:
 
 
 def _pool(rows: np.ndarray) -> geometry._ScreenRows:
-    """The pool's half of ``_top_candidates``' screens."""
+    """The pool's half of ``_distinct_top``'s screens."""
     return geometry._screen_rows(rows, "pool")
+
+
+def _ranking(pool: np.ndarray, query: np.ndarray, ties: np.ndarray) -> tuple[list, np.ndarray]:
+    """Every pool row by per-pair canonical value descending, ties by
+    ``ties`` ascending, and those values."""
+    canon = np.array([np.einsum("i,i->", x, query) for x in pool.astype(np.float64)])
+    return np.lexsort((ties, -canon)).tolist(), canon
+
+
+def _own_top(pool: np.ndarray, queries: np.ndarray, quotas: list) -> list:
+    """``_distinct_top`` with every query its own group, ties by row."""
+    return _distinct_top(_pool(pool), queries, quotas, range(len(quotas)), np.arange(len(pool)))
 
 
 def _orbit_covering(ref: np.ndarray, rng: np.random.Generator, per_row: int) -> np.ndarray:
@@ -554,13 +566,12 @@ def test_float32_input_equals_its_float64_widening(dim, monkeypatch):
         want = per_pair_best_similarity(ref64, cov64)
         assert np.array_equal(best_similarity(ref64, cov64), want)
         assert np.array_equal(best_similarity(ref32, cov32), want)
-        budgets = [1, 4, 9, len(cov32) - 1] * (len(ref32) // 4)
-        wide = _top_candidates(_pool(cov64), ref64[: len(budgets)], budgets)
-        narrow = _top_candidates(_pool(cov32), ref32[: len(budgets)], budgets)
-        for (rows64, sims64), (rows32, sims32), q, k in zip(wide, narrow, ref64, budgets):
-            canon = np.array([np.einsum("i,i->", x, q) for x in cov64])
-            top = np.lexsort((np.arange(len(cov64)), -canon))[:k]
-            assert set(top) <= set(rows32.tolist())
+        quotas = [1, 4, 9, len(cov32) - 1] * (len(ref32) // 4)
+        wide = _own_top(cov64, ref64[: len(quotas)], quotas)
+        narrow = _own_top(cov32, ref32[: len(quotas)], quotas)
+        for (rows64, sims64), (rows32, sims32), q, k in zip(wide, narrow, ref64, quotas):
+            ranking, canon = _ranking(cov64, q, np.arange(len(cov64)))
+            assert rows32.tolist() == rows64.tolist() == ranking[:k]
             assert np.array_equal(sims32, canon[rows32])
             assert np.array_equal(sims64, canon[rows64])
     assert used == [geometry._UNIT_ROUNDOFF, geometry._SINGLE_ROUNDOFF] * 6
@@ -574,14 +585,14 @@ def test_float32_norms_out_of_range_take_the_float64_screen(scale, monkeypatch):
     ref, cov = ref * np.float32(scale), _near_tie_covering(ref, rng, copies=6) * np.float32(scale)
     used = _screens_used(monkeypatch)
     got = best_similarity(ref, cov)
-    found = _top_candidates(_pool(cov), ref, [3] * len(ref))
+    found = _own_top(cov, ref, [3] * len(ref))
     assert used == [geometry._UNIT_ROUNDOFF] * 2
     assert np.array_equal(got, per_pair_best_similarity(ref, cov))
     assert np.array_equal(got, best_similarity(ref.astype(np.float64), cov.astype(np.float64)))
     for (rows, sims), q in zip(found, ref.astype(np.float64)):
-        canon = np.array([np.einsum("i,i->", x, q) for x in cov.astype(np.float64)])
+        ranking, canon = _ranking(cov, q, np.arange(len(cov)))
+        assert rows.tolist() == ranking[:3]
         assert np.array_equal(sims, canon[rows])
-        assert set(np.lexsort((np.arange(len(cov)), -canon))[:3]) <= set(rows.tolist())
 
 
 def test_float32_screen_applies_only_within_the_norm_range():
@@ -623,27 +634,32 @@ def test_float32_screen_applies_only_within_the_norm_range():
         assert np.array_equal(geometry._screen_gemm(a, b), a @ wide.astype(a.dtype).T)
 
 
-def test_top_candidates_hold_each_canonical_top_k():
+def test_distinct_top_walks_each_groups_canonical_ranking():
     rng = np.random.default_rng(27)
     pool = _near_tie_covering(random_unit_vectors(30, 64, rng).astype(np.float64), rng, copies=6)
-    queries = np.concatenate([pool[:5], random_unit_vectors(3, 64, rng)])
-    budgets = [1, 3, 7, 20, 31, 100, len(pool), 5 * len(pool)]
-    for q, k, (rows, sims) in zip(queries, budgets, _top_candidates(_pool(pool), queries, budgets)):
-        canon = np.array([np.einsum("i,i->", x, q) for x in pool])
-        assert np.array_equal(sims, canon[rows])
-        assert np.all(np.diff(rows) > 0)
-        top = np.lexsort((np.arange(len(pool)), -canon))[:k]
-        assert set(top) <= set(rows.tolist())
+    queries = np.concatenate([pool[:5], pool[:2], random_unit_vectors(3, 64, rng)])
+    quotas = [1, 3, 7, 20, 31, 100, 9, len(pool), 5 * len(pool), 4]
+    # descending ties: exact duplicates in the pool rank by this key, not by row
+    ties = np.arange(len(pool))[::-1].copy()
+    for groups in (range(len(quotas)), [0, 0, 0, 1, 1, 1, 1, 2, 3, 3]):
+        found = _distinct_top(_pool(pool), queries, quotas, groups, ties)
+        taken = {}
+        for q, k, group, (rows, sims) in zip(queries, quotas, groups, found):
+            ranking, canon = _ranking(pool, q, ties)
+            seen = taken.setdefault(group, set())
+            want = [r for r in ranking if r not in seen][:k]
+            seen.update(want)
+            assert rows.tolist() == want
+            assert np.array_equal(sims, canon[rows])
 
 
-def test_top_candidates_screen_memory_is_bounded_per_query_block():
+def test_distinct_top_screen_memory_is_bounded_per_query_block():
     rng = np.random.default_rng(28)
     pool = random_unit_vectors(2_000, 16, rng).astype(np.float64)
     queries = random_unit_vectors(3_000, 16, rng).astype(np.float64)
-    half = _pool(pool)
     tracemalloc.start()
     try:
-        found = _top_candidates(half, queries, [4] * len(queries))
+        found = _own_top(pool, queries, [4] * len(queries))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -651,9 +667,9 @@ def test_top_candidates_screen_memory_is_bounded_per_query_block():
     assert peak < 12 << 20
     for j in (0, 255, 256, 2_999):
         rows, sims = found[j]
-        canon = np.array([np.einsum("i,i->", x, queries[j]) for x in pool])
+        ranking, canon = _ranking(pool, queries[j], np.arange(len(pool)))
+        assert rows.tolist() == ranking[:4]
         assert np.array_equal(sims, canon[rows])
-        assert set(np.lexsort((np.arange(len(pool)), -canon))[:4]) <= set(rows.tolist())
 
 
 _GEMV_CASES = [(n, dim, dtype) for n in (1, 2, 3, 5, 11, 12, 13, 1_001, 4_097, 10_001)

@@ -1,5 +1,5 @@
 """Adversarial screens: every screen GEMM returns values anywhere within the
-bound on ``geometry._screened_pairs``, and no output byte moves.
+bound on ``geometry._screen_blocks``, and no output byte moves.
 
 That bound needs only that each screen value lies within 2e of its pair's
 canonical value, e = gamma_d(u) * |x_i| * max_j |y_j| with u the screen's
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 from oracles import per_pair_best_similarity
-from test_augment import NEAR_TIE_BUDGETS, _near_tie_retrieval
+from test_augment import NEAR_TIE_BUDGETS, _near_tie_retrieval, _repeat_retrieval
 from test_clustering import _near_tie_assignment, _planted
 from test_geometry import _near_tie_covering, _screens_used
 from test_selection_exact import INSTANCES
@@ -123,6 +123,8 @@ def _retrieval_outputs() -> list[str]:
         pool, clients = _near_tie_retrieval(dim)
         out += [json.dumps(augments_to_json(direct_retrieval_augment(pool, clients, k)))
                 for k in NEAR_TIE_BUDGETS]
+        out += [json.dumps(augments_to_json(direct_retrieval_augment(pool, clients, k)))
+                for pool, clients, k in _repeat_retrieval(dim)]
     return out
 
 
@@ -197,7 +199,8 @@ def test_outputs_hold_under_any_screen_within_the_bound(adversary, real, monkeyp
     assert _coverage_outputs() == real["coverage"]
     assert _retrieval_outputs() == real["retrieval"]
     assert _selection_outputs() == real["selection"]
-    assert len(screens) == 6 + 3 * len(NEAR_TIE_BUDGETS) + 2 * 10 * len(INSTANCES)
+    # retrieval: one screen per call, two for the 300 centroids of _repeat_retrieval
+    assert len(screens) == 6 + 3 * (2 * len(NEAR_TIE_BUDGETS) + 2) + 2 * 10 * len(INSTANCES)
 
 
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))

@@ -195,9 +195,12 @@ def test_beam_refuses_expansions_beyond_the_budget_before_allocating(monkeypatch
         approximation_report(small, [2], brute_budget=23)
     monkeypatch.setattr(selection, "_CoverageScorer", _unreachable)
     monkeypatch.setattr(selection, "_beam_level", _unreachable)
+    monkeypatch.setattr(selection, "greedy_select", _unreachable)
     # 100 + 100 * 99 + C(100, 2) * 98 + C(100, 3) * 97 + 10**6 * (96 + ... + 91)
     with pytest.raises(BudgetExceededError, match="577180000 expansions"):
         beam_select(problem, 10**6)
+    with pytest.raises(BudgetExceededError, match="577180000 expansions"):
+        approximation_report(problem, [2, 10**6])
 
 
 def test_brute_force_degenerate_identical_candidates():
