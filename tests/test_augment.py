@@ -385,8 +385,8 @@ def _repeat_retrieval(dim: int) -> list[tuple[EmbeddingStore, list[CandidateCent
     cases = [(pool, repeats, per_client) for per_client in NEAR_TIE_BUDGETS]
     rng = np.random.default_rng(60 + dim)
     queries = np.stack([q0, q1, q2, other])
-    many = [CandidateCenters(client_id=k, centers=queries[rng.choice(4, 100, p=[0.4, 0.1, 0.4, 0.1])])
-            for k in range(3)]
+    draws = rng.choice(4, size=(3, 100), p=[0.4, 0.1, 0.4, 0.1])
+    many = [CandidateCenters(client_id=k, centers=queries[drawn]) for k, drawn in enumerate(draws)]
     return cases + [(pool, many, 100)]
 
 
