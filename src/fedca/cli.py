@@ -95,11 +95,14 @@ def _number(finite: bool = True, minimum: float | None = None):
 
 
 def _comma_list(parse):
-    """argparse type for a comma-separated list; ``parse`` is the argparse
-    type of each item, so a bad item's message is its own."""
+    """argparse type for a nonempty comma-separated list; ``parse`` is the
+    argparse type of each item, so a bad item's message is its own."""
 
     def convert(text: str) -> list:
-        return [parse(item) for item in text.split(",") if item]
+        items = [parse(item) for item in text.split(",") if item]
+        if not items:
+            raise argparse.ArgumentTypeError(f"expected a nonempty comma list, got {text!r}")
+        return items
 
     return convert
 

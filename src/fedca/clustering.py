@@ -27,11 +27,11 @@ canonical similarity to it (``fedca.geometry``'s value contract) is largest.
 :func:`_assign` screens every point against every center with ``geometry``'s
 one screen set-up, from the points' half, which :func:`_lloyd` makes once,
 and the centers' half, made once per assignment (a zero center rounds to
-float32 exactly, so float32 points keep their SGEMM); it settles each point
-whose best screen entry beats every other entry by more than the slack, and
-computes canonical values only for the others (the bound on
-``geometry._screen_blocks``, k = 1). So labels do not depend on the BLAS
-thread count.
+float32 exactly, so float32 points keep their SGEMM), in one screen of all
+points (blocks of 256 would add fixed numpy calls to ICACS's small
+assignments). ``geometry._screened_argmax``, the k = 1 decision coverage
+takes too, decides the labels, so they do not depend on the BLAS thread
+count.
 
 Update rule: the first update re-centers every cluster; each later update
 re-centers only the clusters that a point entered or left since the one
@@ -82,6 +82,7 @@ from .geometry import (
     _screen_gemm,
     _screen_operands,
     _screen_rows,
+    _screened_argmax,
     _ScreenRows,
     _wide,
 )
@@ -153,33 +154,10 @@ def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> list[i
 
 
 def _assign(pts: _ScreenRows, centers: np.ndarray) -> np.ndarray:
-    """The label of every row x of ``pts.vectors``: the lowest index of the
-    ``centers`` whose canonical similarity to x is largest.
-
-    One ``_screen_gemm``, set up from the points' half ``pts`` and the
-    centers' half that ``geometry._screen_rows`` makes here, screens every
-    point against every center. By the bound on
-    ``geometry._screen_blocks`` (k = 1), a column holding the row's largest
-    canonical value has a screen value not below floor, the row's best screen
-    entry less its slack, in the screen's dtype. A row with one such column
-    takes it; the others take the lowest of those columns that holds the
-    largest of their canonical values (``_canonical_dots``).
-    """
+    """The label of every row of ``pts.vectors`` by the assignment rule,
+    from the points' half ``pts`` and the centers' half made here."""
     a, b, slack = _screen_operands(pts, _screen_rows(centers, "centers"))
-    screen = _screen_gemm(a, b)
-    n, k = screen.shape
-    best = screen.argmax(axis=1)
-    floor = screen.ravel()[best + np.arange(0, n * k, k)] - slack
-    below = screen < floor.astype(screen.dtype)[:, None]
-    if np.count_nonzero(below) == n * (k - 1):  # one column per row is not below
-        return best
-    at, cols = np.divmod(np.flatnonzero(~below), k)
-    open_ = np.bincount(at, minlength=n)[at] > 1
-    at, cols = at[open_], cols[open_]
-    order = np.lexsort((cols, -_canonical_dots(pts.vectors, at, centers, cols), at))
-    first = order[np.append(True, np.diff(at[order]) != 0)]
-    best[at[first]] = cols[first]
-    return best
+    return _screened_argmax(a, _screen_gemm(a, b), slack, b)
 
 
 def _repair_empty(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:

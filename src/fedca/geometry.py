@@ -29,9 +29,9 @@ to the bullet that covers it.
   (``store.ingest_jsonl``) and k-means center norms
   (``clustering._update``) included.
 * Screen values come from ``_screen_gemm``, the screen seam, and never leave
-  the kernel that reads them: ``_screened_pairs``, ``_distinct_top``, the
-  selection scorer and k-means assignment keep a pair only where a rigorous
-  bound lets its canonical value decide, as described below.
+  the kernel that reads them: ``_screened_argmax`` (coverage and k-means
+  assignment), ``_distinct_top`` and the selection scorer keep a pair only
+  where a rigorous bound lets its canonical value decide, as described below.
 * GEMV values come from ``_gemv_rows``, which threshold-filtered (feddca)
   retrieval ranks by, the last path that does. Each row is bit for bit a
   single-threaded ``matrix.astype(float64) @ v`` at one or two BLAS
@@ -41,18 +41,20 @@ to the bullet that covers it.
   draw. Its bits may change with the BLAS thread count, and so may the
   seeded centers and every center and label k-means returns.
 
-Two kernels compute every canonical value that a GEMM screen selects, and
-both read their screens through ``_screen_blocks``, which holds the one
-proof of the bound. Per block of ``_QUERY_BLOCK`` rows it runs one GEMM,
-whose values can move in the last bits with blocking and BLAS threads; a
-row keeps the pairs that may rank among its top k by canonical value, and
-only those are rescored, through ``_canonical_dots``. ``_screened_pairs``
-takes k = 1. ``best_similarity`` takes the maximum of each row's kept
-pairs, for every reference row that is not self-covered. A reference row x
-is self-covered when a bound on squared distances (``_self_covered``) rules
-out every covering row but one from scoring above c(x, x), and that one
-equals x by value; its maximum is then c(x, x), its own squared norm,
-computed as every canonical value is, and it is not screened.
+``_screen_blocks`` holds the one proof of the bound. Per block of
+``_QUERY_BLOCK`` rows it runs one GEMM, whose values can move in the last
+bits with blocking and BLAS threads; a row keeps the pairs that may rank
+among its top k by canonical value, and only those are rescored, through
+``_canonical_dots``. ``_screened_argmax`` is the one k = 1 decision, the
+lowest column holding a row's largest canonical value. ``best_similarity``
+takes the canonical value of each row with that column, for every
+reference row that is not self-covered, and k-means assignment
+(``clustering._assign``) takes the column as the label, from one screen of
+all its points. A reference row x is self-covered when a bound on squared
+distances (``_self_covered``) rules out every covering row but one from
+scoring above c(x, x), and that one equals x by value; its maximum is then
+c(x, x), its own squared norm, computed as every canonical value is, and it
+is not screened.
 ``_distinct_top`` (direct retrieval) ranks the pool for each query, and
 picks from the ranking the rows its group has not taken: it rescores only
 the pairs the bound keeps for the least k at which its screen row alone
@@ -318,7 +320,7 @@ def _screen_blocks(rows: _ScreenRows, others: _ScreenRows, subset=None):
     as the screen reads them, one ``_screen_gemm`` of them against all of
     the half ``others``, set up by ``_screen_operands``, each row's slack,
     and ``others`` as canonical rescoring reads them. A screen holds
-    ``_QUERY_BLOCK * len(others)`` values at most. ``_screened_pairs`` and
+    ``_QUERY_BLOCK * len(others)`` values at most. ``best_similarity`` and
     ``_distinct_top`` read every screen through here.
 
     This is the one proof of the screen bound. Let u be the screen's unit
@@ -350,7 +352,8 @@ def _screen_blocks(rows: _ScreenRows, others: _ScreenRows, subset=None):
     so ranking a row's kept pairs by canonical value equals ranking all of
     ``others`` by canonical value down to position k, under any blocking,
     for float32 input and the same input widened to float64, and at any
-    BLAS thread count.
+    BLAS thread count. The bound is per row, so it holds for k-means
+    assignment's one unblocked screen too.
     """
     a, b, slack = _screen_operands(rows, others)
     screened = b.astype(a.dtype, copy=False)  # rounded once; rescoring reads ``b``
@@ -368,21 +371,31 @@ def _floor(kth, slack, dtype):
     return (np.asarray(kth, dtype=np.float64) - slack).astype(dtype)
 
 
-def _screened_pairs(rows: _ScreenRows, others: _ScreenRows, subset=None):
-    """Yield ``(starts, cols, values)`` per block of ``_screen_blocks``:
-    row-major, the pairs (row, column of the half ``others``) that may hold
-    the row's maximum canonical value (k = 1 of the bound proved on
-    ``_screen_blocks``). ``starts[r]`` is the position of block row r's
-    first pair, ``cols`` the pairs' columns and ``values`` their canonical
-    values; every row has at least one pair, and about one.
+def _screened_argmax(rows: np.ndarray, screen: np.ndarray, slack, others: np.ndarray):
+    """For each row x of ``rows``, the lowest column of ``others`` holding
+    x's largest canonical value, given ``screen``, one ``_screen_gemm`` of
+    ``rows`` against ``others`` as ``_screen_operands`` sets it up, and each
+    row's ``slack``. By the bound on ``_screen_blocks`` (k = 1) every such
+    column is not below the row's ``_floor``, its best screen value less its
+    slack. A row with one column not below its floor takes it unrescored;
+    only the other rows' kept pairs go through ``_canonical_dots``, and a
+    NaN canonical value ranks first, so NaN input gives NaN coverage.
     """
-    n = others.vectors.shape[0]
-    for block, screen, slack, b in _screen_blocks(rows, others, subset):
-        floor = _floor(screen.max(axis=1), slack, screen.dtype)
-        flat = np.flatnonzero(~(screen < floor[:, None]))
-        starts = np.searchsorted(flat, np.arange(block.shape[0]) * n)
-        at, cols = np.divmod(flat, n)
-        yield starts, cols, _canonical_dots(b, cols, block, at)
+    n, k = screen.shape
+    best = screen.argmax(axis=1)
+    kth = screen.ravel()[best + np.arange(0, n * k, k)]
+    below = screen < _floor(kth, slack, screen.dtype)[:, None]
+    if np.count_nonzero(below) == n * (k - 1):  # one column per row is not below
+        return best
+    at, cols = np.divmod(np.flatnonzero(~below), k)
+    open_ = np.bincount(at, minlength=n)[at] > 1
+    at, cols = at[open_], cols[open_]
+    values = _canonical_dots(rows, at, others, cols)
+    # a stable sort: equal values keep their row's column order
+    order = np.lexsort((-values, ~np.isnan(values), at))
+    first = order[np.append(True, np.diff(at[order]) != 0)]
+    best[at[first]] = cols[first]
+    return best
 
 
 def _spread_coords(b: np.ndarray) -> np.ndarray:
@@ -471,8 +484,9 @@ def best_similarity(reference, covering) -> np.ndarray:
     """Per-reference-point maximum canonical cosine over the covering set.
 
     Rows that ``_self_covered`` certifies take their own squared norm; every
-    other row takes the maximum of its ``_screened_pairs``, its block of the
-    reference gathered where it lies rather than copied out first. Each
+    other row takes its canonical value with the column ``_screened_argmax``
+    returns for its ``_screen_blocks`` screen, its block of the reference
+    gathered where it lies rather than copied out first. Each
     operand stays in its own precision, and its ``_squared_norms`` is taken
     once and serves both.
     """
@@ -490,8 +504,9 @@ def best_similarity(reference, covering) -> np.ndarray:
     rest = np.delete(np.arange(a.shape[0]), covered)
     if rest.size:
         best[rest] = np.concatenate([
-            np.maximum.reduceat(values, starts)
-            for starts, _, values in _screened_pairs(rows, others, subset=rest)
+            _canonical_dots(block, np.arange(len(block)), b,
+                            _screened_argmax(block, screen, slack, b))
+            for block, screen, slack, b in _screen_blocks(rows, others, subset=rest)
         ])
     return best
 

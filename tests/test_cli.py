@@ -170,6 +170,9 @@ def test_usage_error_exits_1(argv):
       "--per-client", "0", "--out", "o.json"], "--per-client"),
     (["oracle", "beam", "--centers", "absent.fdca", "--widths", "2,0", "--out", "o.json"],
      "--widths"),
+    (["oracle", "beam", "--centers", "absent.fdca", "--widths", ",", "--out", "o.json"],
+     "--widths"),
+    (["sweep", "--config", "absent.json", "--betas", ",", "--out", "o.csv"], "--betas"),
     (["oracle", "brute", "--centers", "absent.fdca", "--budget", "0", "--out", "o.json"],
      "--budget"),
 ])

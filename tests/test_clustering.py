@@ -155,13 +155,13 @@ def _near_tie_assignment(n, dim, dtype, seed):
 def _canonical_rows(monkeypatch) -> list[int]:
     """Pairs given canonical values by each assignment while the list is live."""
     counts = []
-    canonical = clustering._canonical_dots
+    canonical = geometry._canonical_dots
 
     def spy(rows, at, *args):
         counts.append(len(at))
         return canonical(rows, at, *args)
 
-    monkeypatch.setattr(clustering, "_canonical_dots", spy)
+    monkeypatch.setattr(geometry, "_canonical_dots", spy)
     return counts
 
 

@@ -304,6 +304,58 @@ def test_best_similarity_screens_only_rows_without_a_copy(monkeypatch):
     assert np.array_equal(got[::7], per_pair_best_similarity(ref[::7], cov))
 
 
+def _rescored_pairs(monkeypatch) -> list[int]:
+    """Pairs each ``geometry._canonical_dots`` call rescores while the list
+    is live."""
+    pairs = []
+    dots = geometry._canonical_dots
+
+    def counted(rows, at, *args):
+        pairs.append(len(at))
+        return dots(rows, at, *args)
+
+    monkeypatch.setattr(geometry, "_canonical_dots", counted)
+    return pairs
+
+
+def test_coverage_rescores_one_pair_per_screened_row_without_near_ties(monkeypatch):
+    # Random float64 rows: each screened row keeps one column, takes it
+    # unrescored and is rescored once, with that column.
+    rng = np.random.default_rng(49)
+    ref = random_unit_vectors(600, 64, rng).astype(np.float64)
+    cov = np.concatenate([ref[:100], random_unit_vectors(50, 64, rng).astype(np.float64)])
+    screened = _screened_rows(monkeypatch)
+    pairs = _rescored_pairs(monkeypatch)
+    got = best_similarity(ref, cov)
+    assert sum(pairs) == len(np.concatenate(screened)) == 500
+    assert np.array_equal(got[::10], per_pair_best_similarity(ref[::10], cov))
+
+
+def test_coverage_rescores_at_most_the_kept_pairs_of_open_rows(monkeypatch):
+    # Near-tie covering rows keep many columns per row. Each row is rescored
+    # with its column, plus every kept pair of a row that keeps more than one.
+    rng = np.random.default_rng(50)
+    ref = random_unit_vectors(300, 64, rng).astype(np.float64)
+    cov = _near_tie_covering(ref[:12], rng, copies=4)
+    screened = _screened_rows(monkeypatch)
+    pairs = _rescored_pairs(monkeypatch)
+    got = best_similarity(ref, cov)
+    rescored = sum(pairs)
+    rows = np.concatenate(screened)
+    monkeypatch.undo()
+    at = [i for i, x in enumerate(ref) if np.all(rows == x, axis=1).any()]
+    kept = np.concatenate([
+        np.count_nonzero(~(screen < geometry._floor(screen.max(axis=1), slack,
+                                                    screen.dtype)[:, None]), axis=1)
+        for _, screen, slack, _ in geometry._screen_blocks(
+            geometry._screen_rows(ref, "reference"), geometry._screen_rows(cov, "covering"),
+            subset=np.array(at))
+    ])
+    assert len(at) == len(rows) and kept[:12].min() > 1
+    assert len(rows) < rescored <= len(rows) + kept[kept > 1].sum()
+    assert np.array_equal(got, per_pair_best_similarity(ref, cov))
+
+
 def test_float32_reference_against_float64_copies_is_certified_by_value(monkeypatch):
     # A float32 reference against a float64 covering set: rows 0 to 9 have
     # copies of equal value, row 3's differing only in the sign of a zero.
@@ -364,7 +416,7 @@ def _self_covered_cases(dim: int, rng: np.random.Generator) -> dict:
     # row 0's copy replaced by a neighbour within its reach that is not a copy
     lone = cov.copy()
     lone[np.all(cov == ref[0], axis=1)] = ref[0] * np.float32(1 - 2.0**-22)
-    return {
+    cases = {
         "duplicate": (ref, np.concatenate([cov, ref[:1]]), [0, 5, *uncovered]),
         # a copy scaled by 1 + 2**-20 beats row 0's own value
         "scaled": (ref, np.concatenate([cov, ref[:1] * np.float32(1 + 2.0**-20)]),
@@ -374,11 +426,36 @@ def _self_covered_cases(dim: int, rng: np.random.Generator) -> dict:
         "key-collision": (ref, np.concatenate([cov, collision[None]]), [5, *uncovered]),
         "lone-neighbour": (ref, lone, [0, 5, *uncovered]),
     }
+    # One infinite coordinate in uncovered reference row 35, in an added
+    # covering row, or in both at the same coordinate, with row 5 and its copy
+    # made nonzero so that no pair multiplies zero by infinity: every value
+    # is finite or infinite, never NaN. An infinite covering norm turns the
+    # self-covered check off.
+    finite_ref, finite_cov = ref.copy(), cov.copy()
+    finite_ref[5] = finite_cov[np.all(cov == 0, axis=1)] = random_unit_vectors(1, dim, rng)[0]
+    added = random_unit_vectors(1, dim, rng)
+    for sign in "+-":
+        for where in ("reference", "covering", "both"):
+            inf_ref, inf_cov = finite_ref.copy(), np.concatenate([finite_cov, added])
+            if where != "covering":
+                inf_ref[35, 1] = float(f"{sign}inf")
+            if where != "reference":
+                inf_cov[-1, 1] = float(f"{sign}inf")
+            screen = uncovered if where == "reference" else list(range(40))
+            for dtype in ("float32", "float64"):
+                cases[f"{sign}inf-{where}-{dtype}"] = (
+                    inf_ref.astype(dtype), inf_cov.astype(dtype), screen)
+    return cases
+
+
+INFINITE_CASES = [f"{sign}inf-{where}-{dtype}" for sign in "+-"
+                  for where in ("reference", "covering", "both")
+                  for dtype in ("float32", "float64")]
 
 
 @pytest.mark.parametrize("dim", [3, 64, 1024])
 @pytest.mark.parametrize("case", ["duplicate", "scaled", "float64-reference", "nan",
-                                  "key-collision", "lone-neighbour"])
+                                  "key-collision", "lone-neighbour", *INFINITE_CASES])
 def test_self_covered_rows_equal_the_per_pair_oracle(case, dim, monkeypatch):
     ref, cov, must_screen = _self_covered_cases(dim, np.random.default_rng(41 + dim))[case]
     screened = _screened_rows(monkeypatch)

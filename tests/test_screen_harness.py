@@ -11,12 +11,14 @@ product. The fake screens below replace every binding of
 picks. At amplitude 1.8 the 0.2e left over covers the float32 rounding of
 the returned values at d >= 3, so every output must equal the real
 screen's; a halved slack or a larger amplitude must show up somewhere, or
-the near-tie instances would prove nothing. k-means assignment
-(``clustering._assign``) screens float32 points against float64 centers,
-a zero center among them, which the real ``_screen_gemm`` rounds to
-float32; its fakes move the
-canonical values of the unrounded centers, and the same bound covers that
-rounding on top.
+the near-tie instances would prove nothing. Coverage and k-means
+assignment (``clustering._assign``) take the same k = 1 decision,
+``geometry._screened_argmax``, on a blocked screen and on one screen of
+all points, so their instances check that one decision on both. k-means
+assignment screens float32 points against float64 centers, a zero center
+among them, which the real ``_screen_gemm`` rounds to float32; its fakes
+move the canonical values of the unrounded centers, and the same bound
+covers that rounding on top.
 """
 
 import json
