@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import best_two_partition_cost, literal_kmeans, per_pair_labels
 from probes import probe_digests
-from test_geometry import _screens_used
+from test_geometry import _rescored_pairs, _screens_used
 
 from fedca import clustering, geometry
 from fedca.clustering import (
@@ -152,24 +152,11 @@ def _near_tie_assignment(n, dim, dtype, seed):
     return pts, np.array(centers)
 
 
-def _canonical_rows(monkeypatch) -> list[int]:
-    """Pairs given canonical values by each assignment while the list is live."""
-    counts = []
-    canonical = geometry._canonical_dots
-
-    def spy(rows, at, *args):
-        counts.append(len(at))
-        return canonical(rows, at, *args)
-
-    monkeypatch.setattr(geometry, "_canonical_dots", spy)
-    return counts
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("dim", [3, 64, 1024])
 def test_assign_labels_equals_per_pair_oracle_on_near_ties(dim, dtype, monkeypatch):
     pts, centers = _near_tie_assignment(12, dim, dtype, 5 + dim)
-    opened = _canonical_rows(monkeypatch)
+    opened = _rescored_pairs(monkeypatch)
     want = per_pair_labels(pts, centers)
     assert np.array_equal(assign_labels(pts, centers), want)
     assert opened and opened[0] >= 2 * 8  # most rows are decided by canonical values
